@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBlowup
 from .forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
-from .grid import PeriodicGrid, ScalarField, deriv_values
+from .grid import (PeriodicGrid, ScalarField, check_finite, deriv_values,
+                   gradient_values)
 
 
 @dataclass
@@ -47,49 +47,58 @@ class ThreeForm:
     comps: np.ndarray  # shape (4, *dims)
 
 
-def _check(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalBlowup(f"non-finite values in {what}")
+# Per axis a, the terms (source, target, plus) that make up
+#   (d zeta)_ij = d_i zeta_j - d_j zeta_i   and   (d* rho)_k = sum_l d_l rho_kl
+_D_ONE_TERMS = tuple(tuple((j, PAIR_INDEX[(min(a, j), max(a, j))], a < j)
+                           for j in range(4) if j != a) for a in range(4))
+_CODIFF_TERMS = tuple(tuple((p, i + j - a, j == a)
+                            for p, (i, j) in enumerate(COMPONENT_PAIRS) if a in (i, j))
+                      for a in range(4))
+
+
+def _axis_sums(out: np.ndarray, terms, comps: np.ndarray, grid: PeriodicGrid,
+               D: np.ndarray = None) -> np.ndarray:
+    """out[target] += or -= d_a comps[source] over each axis a's terms.  The
+    d_a come from the gradient bundle D[a] = d_a comps when it is given, else
+    from one batched deriv_values call per axis on that axis's sources."""
+    for a, axis_terms in enumerate(terms):
+        src = [s for s, _, _ in axis_terms]
+        Da = D[a] if D is not None else dict(
+            zip(src, deriv_values(comps[src], grid, a)))
+        for s, t, plus in axis_terms:
+            (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
+    return out
 
 
 def d_one(zeta: OneForm) -> TwoForm:
     """Exterior derivative of a 1-form."""
-    _check(zeta.comps, "d_one input")
+    check_finite(zeta.comps, "d_one input")
     grid = zeta.grid
-    # D[i] holds d_i of every component
-    D = np.stack([deriv_values(zeta.comps, grid, i) for i in range(4)])
-    out = np.stack([D[i, j] - D[j, i] for (i, j) in COMPONENT_PAIRS])
-    _check(out, "d_one output")
+    out = _axis_sums(np.zeros((6,) + grid.dims), _D_ONE_TERMS, zeta.comps, grid)
+    check_finite(out, "d_one output")
     return TwoForm(grid, out)
 
 
-def d_two(rho: TwoForm) -> ThreeForm:
-    """Exterior derivative of a 2-form, stored by omitted axis."""
-    _check(rho.comps, "d_two input")
-    grid = rho.grid
-    D = np.stack([deriv_values(rho.comps, grid, i) for i in range(4)])
-
-    def dcomp(i, j, k):
-        return (D[i, PAIR_INDEX[(j, k)]] - D[j, PAIR_INDEX[(i, k)]]
-                + D[k, PAIR_INDEX[(i, j)]])
-
-    out = np.stack([dcomp(1, 2, 3), dcomp(0, 2, 3), dcomp(0, 1, 3), dcomp(0, 1, 2)])
-    _check(out, "d_two output")
-    return ThreeForm(grid, out)
+def d_two(rho: TwoForm, D: np.ndarray = None) -> ThreeForm:
+    """Exterior derivative of a 2-form, stored by omitted axis; D is the
+    gradient bundle D[j] = d_j rho, if at hand."""
+    check_finite(rho.comps, "d_two input")
+    D = gradient_values(rho.comps, rho.grid) if D is None else D
+    out = np.stack([D[i, PAIR_INDEX[(j, k)]] - D[j, PAIR_INDEX[(i, k)]]
+                    + D[k, PAIR_INDEX[(i, j)]]
+                    for (i, j, k) in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))])
+    check_finite(out, "d_two output")
+    return ThreeForm(rho.grid, out)
 
 
-def codiff_two(rho: TwoForm) -> OneForm:
-    """Formal adjoint of d on 2-forms: (d* rho)_k = sum_l d_l rho_kl."""
-    _check(rho.comps, "codiff_two input")
-    grid = rho.grid
-    out = np.zeros((4,) + grid.dims)
-    for k in range(4):
-        for l in range(4):
-            if l == k:
-                continue
-            out[k] += deriv_values(rho.component(k, l), grid, l)
-    _check(out, "codiff_two output")
-    return OneForm(grid, out)
+def codiff_two(rho: TwoForm, D: np.ndarray = None) -> OneForm:
+    """Formal adjoint of d on 2-forms: (d* rho)_k = sum_l d_l rho_kl; D is the
+    gradient bundle D[l] = d_l rho, if at hand."""
+    check_finite(rho.comps, "codiff_two input")
+    out = _axis_sums(np.zeros((4,) + rho.grid.dims), _CODIFF_TERMS, rho.comps,
+                     rho.grid, D)
+    check_finite(out, "codiff_two output")
+    return OneForm(rho.grid, out)
 
 
 def star_three(theta: ThreeForm) -> OneForm:
@@ -113,14 +122,12 @@ def periods(rho: TwoForm) -> np.ndarray:
     return means * areas
 
 
-def grad_norm_sq(rho: TwoForm) -> ScalarField:
-    """|grad rho|^2: squared spectral partials summed over axes and components."""
-    _check(rho.comps, "grad_norm_sq input")
-    total = np.zeros(rho.grid.dims)
-    for i in range(4):
-        D = deriv_values(rho.comps, rho.grid, i)
-        total += np.einsum("c...,c...->...", D, D)
-    return ScalarField(rho.grid, total)
+def grad_norm_sq(rho: TwoForm, D: np.ndarray = None) -> ScalarField:
+    """|grad rho|^2: squared spectral partials summed over axes and components;
+    D is the gradient bundle D[j] = d_j rho, if at hand."""
+    check_finite(rho.comps, "grad_norm_sq input")
+    D = gradient_values(rho.comps, rho.grid) if D is None else D
+    return ScalarField(rho.grid, np.einsum("jc...,jc...->...", D, D))
 
 
 def one_form_pointwise_inner(x: OneForm, y: OneForm) -> np.ndarray:

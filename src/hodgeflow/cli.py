@@ -225,8 +225,9 @@ def _write_summary(out_dir: Path, trajectory, event, extra=None) -> None:
                             "location": list(event.location)}
     e0 = [(r.t, r.E0) for r in trajectory
           if np.isfinite(r.E0) and r.E0 > 0]
-    if len(e0) >= 10:
-        rate, r2 = diagnostics.decay_rate_fit(e0[len(e0) // 2:])
+    late = e0[len(e0) // 2:]
+    if len(late) >= 10:
+        rate, r2 = diagnostics.decay_rate_fit(late)
         summary["decay_rate"] = rate
         summary["decay_r_squared"] = r2
     if extra:
@@ -501,25 +502,27 @@ def main(argv=None) -> int:
     for name in ("flow", "reduced", "counterexample", "soliton"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--override", action="append", default=[])
+        p.add_argument("--set", "--override", dest="overrides", action="append",
+                       default=[], metavar="SECTION.KEY=VALUE")
     p = sub.add_parser("verify")
     p.add_argument("suite")
     p.add_argument("--resolution", type=int, default=16)
     p = sub.add_parser("poincare")
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--probes", type=int, default=50)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args.suite, args.resolution)
         if args.command == "poincare":
             return cmd_poincare(args.resolution, args.probes)
-        cfg = RunConfig.load(args.config, args.override)
+        cfg = RunConfig.load(args.config, args.overrides)
         handler = {"flow": cmd_flow, "reduced": cmd_reduced,
                    "counterexample": cmd_counterexample,
                    "soliton": cmd_soliton}[args.command]
         return handler(cfg)
+    except SystemExit as exc:  # from argparse; its 2 would read as EXIT_DEGENERACY
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,7 +19,8 @@ import numpy as np
 from . import calculus, flows, forms
 from .errors import BadSeries, CohomologyMismatch, DegenerateForm
 from .forms import DEFAULT_U_FLOOR, SQRT2, FlowScheme, TwoForm
-from .grid import ScalarField, integrate, laplacian_values
+from .grid import (ScalarField, check_finite, gradient_values, integrate,
+                   laplacian_values)
 
 _TINY = 1e-300
 
@@ -70,11 +71,15 @@ def normalized_energy(rho: TwoForm) -> float:
     return integrate(forms.norm_sq(rho - forms.omega(rho.grid)))
 
 
+def _coexact_energy(xi: calculus.OneForm) -> float:
+    """int |d* rho|^2 given xi = d* rho."""
+    return integrate(ScalarField(xi.grid, calculus.one_form_pointwise_inner(xi, xi)))
+
+
 def q1_functional(rho: TwoForm, a1: float) -> float:
     """int |d* rho|^2 + a1 * int |rho - omega|^2 (decays along small-data runs)."""
     _require_class_omega(rho)
-    xi = calculus.codiff_two(rho)
-    coexact = integrate(ScalarField(rho.grid, calculus.one_form_pointwise_inner(xi, xi)))
+    coexact = _coexact_energy(calculus.codiff_two(rho))
     return coexact + a1 * normalized_energy(rho)
 
 
@@ -99,39 +104,41 @@ def decay_rate_fit(series) -> tuple:
     return -float(slope), r_squared
 
 
-def _grad_u_values(rho: TwoForm) -> np.ndarray:
-    """Pointwise gradient of u: u_j = <*rho, d_j rho>, shape (4, *dims)."""
-    star = forms.hodge_star(rho).comps
-    return np.stack([
-        np.einsum("c...,c...->...",
-                  star, calculus.deriv_values(rho.comps, rho.grid, j))
-        for j in range(4)])
+def _grad_u_values(rho: TwoForm, D: np.ndarray) -> np.ndarray:
+    """Pointwise u_j = <*rho, d_j rho> from the gradient bundle D[j] = d_j rho."""
+    return np.einsum("c...,jc...->j...", forms.hodge_star(rho).comps, D)
+
+
+def _grad_log_u_sup(u: np.ndarray, grad_u: np.ndarray, u_floor: float) -> float:
+    if float(u.min()) <= u_floor:
+        raise DegenerateForm(f"min u = {u.min():.6g} at/below floor {u_floor:.3g}")
+    mag = np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u))
+    return float((mag / u).max())
 
 
 def grad_log_u_sup(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """sup over the grid of |grad u| / u."""
-    u = forms.volume_potential_values(rho)
-    if float(u.min()) <= u_floor:
-        raise DegenerateForm(f"min u = {u.min():.6g} at/below floor {u_floor:.3g}")
-    grad = _grad_u_values(rho)
-    mag = np.sqrt(np.einsum("j...,j...->...", grad, grad))
-    return float((mag / u).max())
+    grad_u = _grad_u_values(rho, gradient_values(rho.comps, rho.grid))
+    return _grad_log_u_sup(forms.volume_potential_values(rho), grad_u, u_floor)
+
+
+def _shi_values(rho: TwoForm, D: np.ndarray, grad_u: np.ndarray, a: float,
+                b: float) -> np.ndarray:
+    return (calculus.grad_norm_sq(rho, D).values
+            + a * np.einsum("j...,j...->...", grad_u, grad_u)
+            + b * forms.norm_sq_values(rho) + 1.0)
 
 
 def shi_monitor(rho: TwoForm, a: float, b: float) -> ScalarField:
     """f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 (>= 1 pointwise)."""
-    grad = _grad_u_values(rho)
-    grad_u_sq = np.einsum("j...,j...->...", grad, grad)
-    values = (calculus.grad_norm_sq(rho).values + a * grad_u_sq
-              + b * forms.norm_sq_values(rho) + 1.0)
-    return ScalarField(rho.grid, values)
+    D = gradient_values(rho.comps, rho.grid)
+    return ScalarField(rho.grid, _shi_values(rho, D, _grad_u_values(rho, D), a, b))
 
 
 def poincare_ratio(rho: TwoForm) -> float:
     """int |rho - omega|^2 / int |d* rho|^2; at most 1 on the side-2pi torus."""
     num = normalized_energy(rho)
-    xi = calculus.codiff_two(rho)
-    den = integrate(ScalarField(rho.grid, calculus.one_form_pointwise_inner(xi, xi)))
+    den = _coexact_energy(calculus.codiff_two(rho))
     if den < 1e-14:
         raise BadSeries(f"coexact energy {den:.3g} too small for a ratio")
     return num / den
@@ -152,16 +159,19 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
                 q1_weight: float = 10.0, monitor_a: float = 10.0,
                 monitor_b: float = 100.0,
                 u_floor: float = DEFAULT_U_FLOOR) -> TrajectoryRecord:
+    """One diagnostics row; every derivative comes from one gradient bundle."""
+    check_finite(rho.comps, "make_record input")
     u = forms.volume_potential_values(rho)
     lam1, lam2 = forms.eigenvalue_values(rho)
+    D = gradient_values(rho.comps, rho.grid)
+    grad_u = _grad_u_values(rho, D)
     try:
         e0 = normalized_energy(rho)
-        q1 = q1_functional(rho, q1_weight)
+        q1 = _coexact_energy(calculus.codiff_two(rho, D)) + q1_weight * e0
     except CohomologyMismatch:
-        e0 = float("nan")
-        q1 = float("nan")
+        e0 = q1 = float("nan")
     try:
-        sup_grad_log_u = grad_log_u_sup(rho, u_floor)
+        sup_grad_log_u = _grad_log_u_sup(u, grad_u, u_floor)
     except DegenerateForm:
         sup_grad_log_u = float("nan")
     per = calculus.periods(rho)
@@ -172,8 +182,8 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
         minU=float(u.min()), maxU=float(u.max()), meanU=float(u.mean()),
         minLambda2=float(lam2.min()), maxLambda1=float(lam1.max()),
         supGradLogU=sup_grad_log_u, Q1=q1,
-        fMax=shi_monitor(rho, monitor_a, monitor_b).max(),
-        dRhoResidual=calculus.max_abs_three(calculus.d_two(rho)),
+        fMax=float(_shi_values(rho, D, grad_u, monitor_a, monitor_b).max()),
+        dRhoResidual=calculus.max_abs_three(calculus.d_two(rho, D)),
         periodDrift=drift)
 
 
@@ -203,14 +213,13 @@ class _FlowGeometry:
         self.sm = np.sqrt(forms.norm_sq_values(minus))  # |rho-|
         self.lam1 = (self.sp + self.sm) / SQRT2
         self.lam2 = (self.sp - self.sm) / SQRT2
-        self.xi = calculus.codiff_two(rho).comps        # xi_k = rho_kl,l
         a, b = forms.matrix_ab(rho)
         self.a = a.entries
         self.b = b.entries
 
         # Exact first derivatives: D[j] = d_j rho (six components each).
-        self.Drho = np.stack([calculus.deriv_values(rho.comps, grid, j)
-                              for j in range(4)])
+        self.Drho = gradient_values(rho.comps, grid)
+        self.xi = calculus.codiff_two(rho, self.Drho).comps  # xi_k = rho_kl,l
         star_perm = np.array([5, 4, 3, 2, 1, 0])
         star_sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
                              ).reshape((1, 6) + (1,) * 4)

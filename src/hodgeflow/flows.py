@@ -16,7 +16,7 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
 from .forms import DEFAULT_U_FLOOR, FlowScheme, TwoForm
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, check_finite
 
 
 @dataclass
@@ -121,7 +121,7 @@ def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
     k4 = stage(TwoForm(r0.grid, r0.comps + dt * k3.comps))
     new = TwoForm(r0.grid, r0.comps + (dt / 6.0)
                   * (k1.comps + 2.0 * k2.comps + 2.0 * k3.comps + k4.comps))
-    new.check_finite()
+    check_finite(new.comps, "TwoForm")
     _check_u(new, u_floor)
     return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt)
 

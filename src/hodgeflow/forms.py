@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateForm, NumericalBlowup
+from .errors import DegenerateForm
 from .grid import PeriodicGrid, ScalarField
 
 # lexicographic (i, j) pairs, i < j, for the six components
@@ -58,10 +58,6 @@ class TwoForm:
 
     def copy(self) -> "TwoForm":
         return TwoForm(self.grid, self.comps.copy())
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.comps)):
-            raise NumericalBlowup("non-finite values in TwoForm")
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.grid, self.comps + other.comps)

@@ -1,10 +1,10 @@
 """Periodic uniform grids and pseudo-spectral differentiation.
 
 All differential operators in the package go through this module: derivatives
-are computed by FFT, multiplication by i*k, and inverse FFT, so that d∘d = 0
-and adjointness of d and its formal adjoint hold to machine precision.  The
-Nyquist mode's first-derivative weight is zeroed (symmetric convention) so
-real fields map to real fields.
+are computed by real FFT, multiplication by i*k, and inverse real FFT, so that
+d∘d = 0 and adjointness of d and its formal adjoint hold to machine precision.
+The Nyquist mode's first-derivative weight is zeroed (symmetric convention) so
+real fields map to real fields; the Laplacian's -|k|^2 symbol keeps it.
 """
 
 from __future__ import annotations
@@ -20,13 +20,23 @@ TWO_PI = 2.0 * np.pi
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_wavenumbers(n: int, length: float) -> np.ndarray:
-    """First-derivative wavenumbers 2*pi*k/L with the Nyquist entry zeroed."""
-    k = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
-    k = k.copy()
-    k[n // 2] = 0.0
-    k.setflags(write=False)
-    return k
+def _ik_symbol(n: int, length: float, trailing: int) -> np.ndarray:
+    """Half-spectrum i*2*pi*k/L, Nyquist zeroed, for an axis before `trailing` axes."""
+    ik = 1j * (np.fft.rfftfreq(n, 1.0 / n) * (TWO_PI / length))
+    ik[n // 2] = 0.0
+    ik = ik.reshape((-1,) + (1,) * trailing)
+    ik.setflags(write=False)
+    return ik
+
+
+@functools.lru_cache(maxsize=None)
+def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
+    """-|k|^2 on the rfftn half spectrum (last axis halved), Nyquist kept."""
+    ks = [np.fft.fftfreq(n, 1.0 / n) * (TWO_PI / L) for n, L in zip(dims, lengths)]
+    ks[-1] = np.fft.rfftfreq(dims[-1], 1.0 / dims[-1]) * (TWO_PI / lengths[-1])
+    total = -sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
+    total.setflags(write=False)
+    return total
 
 
 @dataclass(frozen=True)
@@ -71,9 +81,6 @@ class PeriodicGrid:
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        return _derivative_wavenumbers(self.dims[axis], self.lengths[axis])
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         n, L = self.dims[axis], self.lengths[axis]
         return np.arange(n) * (L / n)
@@ -84,42 +91,39 @@ class PeriodicGrid:
                            indexing="ij", sparse=True)
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise NumericalBlowup if any entry is NaN or infinite."""
     if not np.all(np.isfinite(values)):
         raise NumericalBlowup(f"non-finite values in {what}")
 
 
 def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    """Spectral partial derivative along a grid axis.
+    """Spectral partial derivative along a grid axis (one rfft/irfft pair).
 
     `values` may carry leading component axes; the grid axes are the trailing
     `grid.rank` axes of the array.
     """
     arr_axis = values.ndim - grid.rank + axis
-    k = grid.wavenumbers(axis)
-    shape = [1] * values.ndim
-    shape[arr_axis] = len(k)
-    spec = np.fft.fft(values, axis=arr_axis)
-    spec *= (1j * k).reshape(shape)
-    return np.fft.ifft(spec, axis=arr_axis).real
+    n = grid.dims[axis]
+    spec = np.fft.rfft(values, axis=arr_axis)
+    spec *= _ik_symbol(n, grid.lengths[axis], grid.rank - axis - 1)
+    return np.fft.irfft(spec, n=n, axis=arr_axis)
+
+
+def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """All first partials, shape (rank, *values.shape): out[j] = d_j values."""
+    out = np.empty((grid.rank,) + values.shape)
+    for axis in range(grid.rank):
+        out[axis] = deriv_values(values, grid, axis)
+    return out
 
 
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Sum of repeated spectral partials over all axes (one FFT round-trip)."""
-    offset = values.ndim - grid.rank
-    grid_axes = tuple(range(offset, values.ndim))
-    spec = np.fft.fftn(values, axes=grid_axes)
-    total = np.zeros(values.shape[offset:], dtype=float)
-    for axis in range(grid.rank):
-        # full -k^2 symbol: unlike the first derivative, the Laplacian keeps
-        # its (real, even) Nyquist mode
-        n, length = grid.dims[axis], grid.lengths[axis]
-        k = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi / length)
-        shape = [1] * grid.rank
-        shape[axis] = n
-        total = total - (k ** 2).reshape(shape)
-    spec *= total.reshape((1,) * offset + total.shape)
-    return np.fft.ifftn(spec, axes=grid_axes).real
+    """Sum of repeated spectral partials over all axes (one rfftn round trip)."""
+    grid_axes = tuple(range(values.ndim - grid.rank, values.ndim))
+    spec = np.fft.rfftn(values, axes=grid_axes)
+    spec *= _laplacian_symbol(grid.dims, grid.lengths)
+    return np.fft.irfftn(spec, s=grid.dims, axes=grid_axes)
 
 
 @dataclass
@@ -161,16 +165,16 @@ def spectral_partial(f: ScalarField, axis: int) -> ScalarField:
     """Exact derivative of the trigonometric interpolant along one axis."""
     if axis >= f.grid.rank:
         raise ValueError(f"axis {axis} out of range for rank-{f.grid.rank} grid")
-    _check_finite(f.values, "spectral_partial input")
+    check_finite(f.values, "spectral_partial input")
     out = deriv_values(f.values, f.grid, axis)
-    _check_finite(out, "spectral_partial output")
+    check_finite(out, "spectral_partial output")
     return ScalarField(f.grid, out)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    _check_finite(f.values, "laplacian input")
+    check_finite(f.values, "laplacian input")
     out = laplacian_values(f.values, f.grid)
-    _check_finite(out, "laplacian output")
+    check_finite(out, "laplacian output")
     return ScalarField(f.grid, out)
 
 

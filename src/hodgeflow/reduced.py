@@ -17,8 +17,8 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup, CohomologyMismatch
 from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
-from .grid import (PeriodicGrid, ScalarField, deriv_values, integrate,
-                   laplacian_values)
+from .grid import (PeriodicGrid, ScalarField, check_finite, deriv_values,
+                   integrate, laplacian_values)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
@@ -179,8 +179,7 @@ def step_rk4_reduced(state: ReducedState, dt: float,
     for f, a, b, c, d in zip(state.fields, k1, k2, k3, k4):
         vals = f.values + (dt / 6.0) * (a.values + 2 * b.values
                                         + 2 * c.values + d.values)
-        if not np.all(np.isfinite(vals)):
-            raise NumericalBlowup("non-finite values in reduced step")
+        check_finite(vals, "reduced step")
         new_fields.append(ScalarField(grid, vals))
     new = ReducedState(state.model, tuple(new_fields),
                        t=state.t + dt, step=state.step + 1, dt=dt)

@@ -227,3 +227,33 @@ t_end = 0.01
 kind = mystery
 """)
     assert cli.main(["flow", path]) == cli.EXIT_CONFIG
+
+
+def test_main_flow_with_too_few_late_samples_skips_the_fit(tmp_path):
+    # 14 records: the second half holds 7, too few for a decay fit, so the
+    # summary carries no rate and the finished run exits 0
+    out = tmp_path / "out"
+    text = FLOW_INI.format(out=out).replace(
+        "t_end = 0.05", "t_end = 0.13\nfixed_dt = 0.01")
+    path = write_config(tmp_path, text)
+    assert cli.main(["flow", path]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == 14
+    assert "decay_rate" not in summary
+
+
+def test_main_set_applies_override(tmp_path):
+    for flag in ("--set", "--override"):
+        out = tmp_path / flag.strip("-")
+        path = write_config(tmp_path, FLOW_INI.format(out=out))
+        assert cli.main(["flow", path, flag, "flow.t_end=0.02"]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_t"] == pytest.approx(0.02)
+
+
+def test_main_usage_errors_are_config_errors(tmp_path):
+    path = write_config(tmp_path, FLOW_INI.format(out=tmp_path / "out"))
+    assert cli.main(["flow"]) == cli.EXIT_CONFIG
+    assert cli.main([]) == cli.EXIT_CONFIG
+    assert cli.main(["flow", path, "--bogus"]) == cli.EXIT_CONFIG
+    assert cli.main(["poincare", "--probes", "many"]) == cli.EXIT_CONFIG

@@ -7,7 +7,8 @@ from hodgeflow.diagnostics import (CSV_COLUMNS, TrajectoryRecord, decay_rate_fit
                                    jk_quantities, make_record, normalized_energy,
                                    poincare_ratio, q1_functional, shi_monitor,
                                    sobolev_poincare_ratio)
-from hodgeflow.errors import BadSeries, CohomologyMismatch
+from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
+                             NumericalBlowup)
 from hodgeflow.grid import PeriodicGrid
 
 from conftest import random_form
@@ -153,3 +154,59 @@ def test_evolution_residual_small_on_probe():
             assert evolution_residual(rho, scheme, q) < 5e-3
     assert evolution_residual(rho, forms.LINEAR, "lambda1") < 5e-3
     assert evolution_residual(rho, forms.MATRIX_A2, "lambda2") < 5e-3
+
+
+def _old_record_fields(rho, u_floor=forms.DEFAULT_U_FLOOR):
+    """The record quantities as composed before make_record shared one
+    gradient bundle: each from its own public helper."""
+    try:
+        e0, q1 = normalized_energy(rho), q1_functional(rho, 10.0)
+    except CohomologyMismatch:
+        e0 = q1 = float("nan")
+    try:
+        sup = grad_log_u_sup(rho, u_floor)
+    except DegenerateForm:
+        sup = float("nan")
+    return {"E0": e0, "Q1": q1, "supGradLogU": sup,
+            "fMax": shi_monitor(rho, 10.0, 100.0).max(),
+            "dRhoResidual": calculus.max_abs_three(calculus.d_two(rho))}
+
+
+def _assert_record_matches_old(rec, old):
+    for name, want in old.items():
+        got = getattr(rec, name)
+        if np.isnan(want):
+            assert np.isnan(got), name
+        elif name == "dRhoResidual":  # rounding noise of a closed form
+            assert got == pytest.approx(want, abs=1e-14), name
+        else:
+            assert got == pytest.approx(want, rel=1e-12), name
+
+
+def test_make_record_matches_old_composition(grid8):
+    # criterion-03 initial data, at 8^4
+    rho = random_form(grid8, 0.05, band=4, seed=42)
+    ref = calculus.periods(rho)
+    rec = make_record(rho, 0.0, 0.0, ref)
+    _assert_record_matches_old(rec, _old_record_fields(rho))
+    assert np.isfinite(rec.E0) and np.isfinite(rec.supGradLogU)
+
+
+def test_make_record_matches_old_composition_on_nan_paths(grid8):
+    # wrong class: E0 and Q1 are NaN, the rest is still computed
+    rho = 1.3 * random_form(grid8, 0.05, band=4, seed=42)
+    rec = make_record(rho, 0.0, 0.0, calculus.periods(rho))
+    assert np.isnan(rec.E0) and np.isnan(rec.Q1)
+    _assert_record_matches_old(rec, _old_record_fields(rho))
+    # u at or below the floor: supGradLogU is NaN
+    rho = random_form(grid8, 0.05, band=4, seed=42)
+    rec = make_record(rho, 0.0, 0.0, calculus.periods(rho), u_floor=2.0)
+    assert np.isnan(rec.supGradLogU) and np.isfinite(rec.fMax)
+    _assert_record_matches_old(rec, _old_record_fields(rho, u_floor=2.0))
+
+
+def test_make_record_rejects_non_finite_form(grid8):
+    rho = random_form(grid8, 0.05, seed=1)
+    rho.comps[2, 1, 2, 3, 4] = np.nan
+    with pytest.raises(NumericalBlowup):
+        make_record(rho, 0.0, 0.0, calculus.periods(forms.omega(grid8)))

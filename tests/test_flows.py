@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hodgeflow import calculus, flows, forms
+from hodgeflow.diagnostics import make_record
 from hodgeflow.flows import (FlowState, cfl_dt, conformal_rhs, flow_rhs,
                              parabolic1_rhs, run_flow, step_rk4)
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
@@ -139,3 +140,39 @@ def test_run_flow_reports_degeneracy():
     assert event.cause == "u_floor"
     assert event.t <= 0.5
     assert len(event.location) == 4
+
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn",
+                    "hfft", "ihfft")
+
+
+def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
+    # the spectral kernel's transform counts: flow_rhs takes one rfft/irfft
+    # pair per axis for d* and one for d; make_record one pair per axis for
+    # the whole gradient bundle; no complex transforms anywhere
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    rho = random_form(grid8, 0.05, band=3, seed=9)
+    ref = calculus.periods(rho)
+
+    calls.clear()
+    flow_rhs(rho, forms.CONFORMAL)
+    assert sum(calls.values()) <= 16, calls
+    rhs_calls = dict(calls)
+
+    calls.clear()
+    make_record(rho, 0.0, 0.0, ref)
+    assert sum(calls.values()) <= 8, calls
+
+    for counts in (rhs_calls, calls):
+        assert not any(counts.get(n) for n in ("fft", "ifft", "fft2", "ifft2",
+                                               "fftn", "ifftn")), counts

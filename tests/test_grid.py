@@ -3,8 +3,89 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeflow.errors import NumericalBlowup
-from hodgeflow.grid import (PeriodicGrid, ScalarField, integrate, laplacian,
+from hodgeflow.grid import (PeriodicGrid, ScalarField, deriv_values,
+                            gradient_values, integrate, laplacian,
                             laplacian_values, spectral_partial)
+
+
+# ---------------------------------------------------------------------------
+# complex-FFT oracles: the kernel as it was before the real-FFT rewrite
+
+def complex_deriv_oracle(values, grid, axis):
+    """fft/ifft along one axis times i*k, Nyquist weight zeroed."""
+    arr_axis = values.ndim - grid.rank + axis
+    n, length = grid.dims[axis], grid.lengths[axis]
+    k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * np.pi / length)
+    k[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[arr_axis] = n
+    spec = np.fft.fft(values, axis=arr_axis)
+    spec *= (1j * k).reshape(shape)
+    return np.fft.ifft(spec, axis=arr_axis).real
+
+
+def complex_laplacian_oracle(values, grid):
+    """One fftn round trip times the full -|k|^2 symbol, Nyquist kept."""
+    offset = values.ndim - grid.rank
+    grid_axes = tuple(range(offset, values.ndim))
+    total = np.zeros(grid.dims)
+    for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
+        k = np.fft.fftfreq(n, 1.0 / n) * (2.0 * np.pi / length)
+        shape = [1] * grid.rank
+        shape[axis] = n
+        total = total - (k ** 2).reshape(shape)
+    spec = np.fft.fftn(values, axes=grid_axes) * total
+    return np.fft.ifftn(spec, axes=grid_axes).real
+
+
+ORACLE_GRIDS = [
+    (PeriodicGrid((8,)), (3, 2)),
+    (PeriodicGrid((512,)), (3,)),
+    (PeriodicGrid((16, 8), (2 * np.pi, 3.0)), (2, 3)),
+    (PeriodicGrid((8, 8, 8, 8), (2 * np.pi, 3.0, 1.0, 5.5)), (6,)),
+]
+
+
+@pytest.mark.parametrize("grid,lead", ORACLE_GRIDS,
+                         ids=["8", "512", "16x8", "8^4-mixed"])
+def test_real_fft_kernel_matches_complex_oracle(grid, lead):
+    vals = np.random.default_rng(sum(grid.dims)).standard_normal(lead + grid.dims)
+    for axis in range(grid.rank):
+        want = complex_deriv_oracle(vals, grid, axis)
+        got = deriv_values(vals, grid, axis)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    want = complex_laplacian_oracle(vals, grid)
+    got = laplacian_values(vals, grid)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 512])
+def test_rfft_nyquist_convention(n):
+    # d/dx cos(N/2 x) = 0 (Nyquist weight zeroed) and
+    # Lap cos(N/2 x) = -(N/2)^2 cos(N/2 x) (Nyquist kept), in 1D and along
+    # the leading axis of a 2D grid, whose last axis is the halved rfft axis
+    alternating = (-1.0) ** np.arange(n)  # cos(N/2 x) at the grid points
+    for g, nyq in ((PeriodicGrid((n,)), alternating),
+                   (PeriodicGrid((n, 8)), np.outer(alternating, np.ones(8)))):
+        assert np.abs(deriv_values(nyq, g, 0)).max() < 1e-12
+        lap = laplacian_values(nyq, g)
+        assert np.abs(lap + (n // 2) ** 2 * nyq).max() < 1e-12 * (n // 2) ** 2
+    g = PeriodicGrid((8, n))
+    nyq = np.outer(np.ones(8), alternating)
+    assert np.abs(deriv_values(nyq, g, 1)).max() < 1e-12
+    assert np.abs(laplacian_values(nyq, g) + (n // 2) ** 2 * nyq).max() \
+        < 1e-12 * (n // 2) ** 2
+
+
+def test_gradient_values_shape_and_axis_order():
+    g = PeriodicGrid((16, 8), (2 * np.pi, 3.0))
+    vals = np.random.default_rng(1).standard_normal((2, 3) + g.dims)
+    grad = gradient_values(vals, g)
+    assert grad.shape == (2, 2, 3) + g.dims
+    for axis in range(2):
+        assert np.array_equal(grad[axis], deriv_values(vals, g, axis))
 
 
 def test_grid_validation():
@@ -67,7 +148,6 @@ def test_derivative_axis_selection_and_component_axes():
     x1, x2 = g.coordinates()
     vals = np.stack([np.sin(x1) * np.ones(g.dims),
                      np.cos(2 * x2) * np.ones(g.dims)])
-    from hodgeflow.grid import deriv_values
     d0 = deriv_values(vals, g, 0)
     d1 = deriv_values(vals, g, 1)
     assert np.abs(d0[0] - np.cos(x1)).max() < 1e-12
