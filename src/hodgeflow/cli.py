@@ -44,10 +44,9 @@ class ConfigError(HodgeFlowError):
 
 _SCHEMA = {
     "grid": {"dims", "lengths"},
-    "flow": {"scheme", "t_end", "sample_every", "snapshot_every", "safety",
-             "u_floor", "fixed_dt"},
-    "scenario": {"kind", "eps", "band", "seed", "amplitude", "n1d", "a0",
-                 "ny", "t_end"},
+    "flow": {"scheme", "t_end", "sample_every", "safety", "u_floor",
+             "fixed_dt"},
+    "scenario": {"kind", "eps", "band", "seed", "amplitude", "n1d", "a0"},
     "diagnostics": {"q1_weight", "monitor_a", "monitor_b"},
     "output": {"dir"},
     "reduced": {"model", "dims", "amplitude", "t_end", "sample_every",
@@ -84,6 +83,13 @@ class RunConfig:
                 parser.add_section(section)
             parser[section][name] = value
         return cls(parser)
+
+    def set(self, section, key, value, replace=True) -> None:
+        """Set section.key to value; with replace=False only if it is unset."""
+        if not self._parser.has_section(section):
+            self._parser.add_section(section)
+        if replace or not self._parser.has_option(section, key):
+            self._parser[section][key] = value
 
     def get(self, section, key, default=None, cast=str):
         if not self._parser.has_option(section, key):
@@ -250,7 +256,6 @@ def cmd_flow(cfg: RunConfig) -> int:
     scheme = forms.scheme_from_name(cfg.get("flow", "scheme", "conformal"))
     t_end = cfg.get("flow", "t_end", cast=float)
     sample_every = cfg.get("flow", "sample_every", t_end / 50.0, float)
-    snapshot_every = cfg.get("flow", "snapshot_every", 0.0, float)
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -264,7 +269,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         monitor_b=cfg.get("diagnostics", "monitor_b", 100.0, float),
         fixed_dt=fixed_dt)
     write_series(trajectory, out_dir / "series.csv")
-    if snapshot_every > 0 or event is None:
+    if event is None:
         snapshot_write(final, out_dir / "final.nhf", scheme.kind, cfg.digest())
     _write_summary(out_dir, trajectory, event)
     return _event_exit(event)
@@ -287,6 +292,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
                 grid, lambda x1, x2: 1.0 + amp * np.sin(x1))
         state = reduced.ReducedState(model, (base,))
     t_end = cfg.get("reduced", "t_end", cast=float)
+    fixed_dt = cfg.get("reduced", "fixed_dt", 0.0, float) or None
     try:
         # precondition: the initial data must already satisfy positivity
         reduced.reduced_cfl_dt(
@@ -296,7 +302,8 @@ def cmd_reduced(cfg: RunConfig) -> int:
             state, t_end,
             sample_every=cfg.get("reduced", "sample_every", t_end / 20.0, float),
             safety=cfg.get("reduced", "safety", 0.25, float),
-            u_floor=cfg.get("reduced", "u_floor", forms.DEFAULT_U_FLOOR, float))
+            u_floor=cfg.get("reduced", "u_floor", forms.DEFAULT_U_FLOOR, float),
+            fixed_dt=fixed_dt)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -312,13 +319,9 @@ def cmd_reduced(cfg: RunConfig) -> int:
 
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Shear-data run under the unweighted scheme; expected to degenerate."""
-    if not cfg._parser.has_section("scenario"):
-        cfg._parser.add_section("scenario")
-    cfg._parser["scenario"]["kind"] = "counterexample"
-    if not cfg._parser.has_section("flow"):
-        cfg._parser.add_section("flow")
-    cfg._parser["flow"].setdefault("scheme", "linear")
-    cfg._parser["flow"].setdefault("t_end", "1.0")
+    cfg.set("scenario", "kind", "counterexample")
+    cfg.set("flow", "scheme", "linear", replace=False)
+    cfg.set("flow", "t_end", "1.0", replace=False)
     return cmd_flow(cfg)
 
 

@@ -110,8 +110,7 @@ def _grad_u_values(rho: TwoForm, D: np.ndarray) -> np.ndarray:
 
 
 def _grad_log_u_sup(u: np.ndarray, grad_u: np.ndarray, u_floor: float) -> float:
-    if float(u.min()) <= u_floor:
-        raise DegenerateForm(f"min u = {u.min():.6g} at/below floor {u_floor:.3g}")
+    forms.require_above_floor(u, u_floor)
     mag = np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u))
     return float((mag / u).max())
 

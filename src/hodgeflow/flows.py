@@ -4,6 +4,8 @@ The update is always assembled as d(sigma) for the 1-form
 sigma_i = -h_ik (d* rho)_k, so every step changes rho by an exact form and
 the cohomology class is preserved structurally.  The componentwise form
 of the equation is kept in the diagnostics module as an independent oracle.
+`rk4` and `march` are the one integrator and the one time loop; the reduced
+models in `reduced` use them too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
 from .forms import DEFAULT_U_FLOOR, FlowScheme, TwoForm
-from .grid import PeriodicGrid, check_finite
+from .grid import check_finite
 
 
 @dataclass
@@ -39,9 +41,7 @@ class DegeneracyEvent:
 
 def _check_u(rho: TwoForm, u_floor: float) -> np.ndarray:
     u = forms.volume_potential_values(rho)
-    m = float(u.min())
-    if m <= u_floor:
-        raise DegenerateForm(f"min u = {m:.6g} hit floor {u_floor:.3g}")
+    forms.require_above_floor(u, u_floor)
     return u
 
 
@@ -59,38 +59,6 @@ def flow_rhs(rho: TwoForm, scheme: FlowScheme,
     return calculus.d_one(sigma)
 
 
-def conformal_rhs(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
-    """-d(d* rho / sqrt(u)), written out directly.
-
-    Algebraically identical to flow_rhs with the power_u(1/2) scheme; kept
-    as a separate code path for cross-validation.
-    """
-    u = _check_u(rho, u_floor)
-    xi = calculus.codiff_two(rho)
-    sigma = calculus.OneForm(rho.grid, -xi.comps / np.sqrt(u))
-    return calculus.d_one(sigma)
-
-
-def parabolic1_rhs(rho: TwoForm, scheme: FlowScheme,
-                   u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
-    """Strictly parabolic regularization: flow_rhs plus a d(rho) term.
-
-    The second term *d(h (*d rho)) vanishes (to rounding) on closed forms,
-    so on the flows of interest this coincides with flow_rhs.
-    """
-    first = flow_rhs(rho, scheme, u_floor)
-    star_drho = calculus.star_three(calculus.d_two(rho))
-    if scheme.is_scalar:
-        factor = forms.scalar_weight_values(rho, scheme, u_floor)
-        weighted = calculus.OneForm(rho.grid, factor * star_drho.comps)
-    else:
-        h = forms.weight_h(rho, scheme, u_floor)
-        weighted = calculus.OneForm(
-            rho.grid, np.einsum("ik...,k...->i...", h.entries, star_drho.comps))
-    second = forms.hodge_star(calculus.d_one(weighted))
-    return TwoForm(rho.grid, first.comps + second.comps)
-
-
 def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25,
            u_floor: float = DEFAULT_U_FLOOR) -> float:
     """Parabolic step bound: safety * h_min^2 / (2 * rank * max spec radius of h)."""
@@ -101,49 +69,77 @@ def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25,
     return safety * h_min ** 2 / (2.0 * rho.grid.rank * radius)
 
 
-def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR,
-             rhs: Optional[Callable[[TwoForm], TwoForm]] = None) -> FlowState:
-    """Classical four-stage explicit update; every stage re-checks u > floor."""
+def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+        dt: float) -> np.ndarray:
+    """The classical four-stage explicit update of y' = f(y), for any model."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if rhs is None:
-        rhs = lambda r: flow_rhs(r, scheme, u_floor)
-    r0 = state.rho
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    check_finite(new, "RK4 step")
+    return new
 
-    def stage(r: TwoForm) -> TwoForm:
+
+def march(state, step, cfl, t_end: float, sample_every: float, record,
+          positivity, fixed_dt: Optional[float] = None):
+    """The one time-marching loop, shared by the 4D flow and the reduced models.
+
+    `state` carries t, step and dt; `step(state, dt)` returns the next state,
+    `cfl(state)` the stable step used unless `fixed_dt` is given, `record(state)`
+    one trajectory row, and `positivity(state)` the field kept above the floor.
+    Returns (trajectory, final_state, event); `event` is None on a clean run and
+    a DegeneracyEvent at the last accepted state when a step raises
+    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").
+    """
+    trajectory = [record(state)]
+    next_sample = sample_every
+    event = None
+    while state.t < t_end - 1e-14:
+        try:
+            dt = fixed_dt if fixed_dt is not None else cfl(state)
+            state = step(state, min(dt, t_end - state.t))
+        except (DegenerateForm, NumericalBlowup) as exc:
+            vals = positivity(state)
+            loc = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            event = DegeneracyEvent(
+                t=state.t, location=tuple(int(i) for i in loc),
+                min_u=float(vals.min()),
+                cause="u_floor" if isinstance(exc, DegenerateForm) else "blowup")
+            break
+        if state.t >= next_sample - 1e-12 or state.t >= t_end - 1e-14:
+            trajectory.append(record(state))
+            while next_sample <= state.t + 1e-12:
+                next_sample += sample_every
+    return trajectory, state, event
+
+
+def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
+             u_floor: float = DEFAULT_U_FLOOR) -> FlowState:
+    """One RK4 step of the flow; every stage re-checks u > floor."""
+    grid = state.rho.grid
+
+    def stage(comps: np.ndarray) -> np.ndarray:
+        r = TwoForm(grid, comps)
         _check_u(r, u_floor)
-        return rhs(r)
+        return flow_rhs(r, scheme, u_floor).comps
 
-    k1 = stage(r0)
-    k2 = stage(TwoForm(r0.grid, r0.comps + 0.5 * dt * k1.comps))
-    k3 = stage(TwoForm(r0.grid, r0.comps + 0.5 * dt * k2.comps))
-    k4 = stage(TwoForm(r0.grid, r0.comps + dt * k3.comps))
-    new = TwoForm(r0.grid, r0.comps + (dt / 6.0)
-                  * (k1.comps + 2.0 * k2.comps + 2.0 * k3.comps + k4.comps))
-    check_finite(new.comps, "TwoForm")
+    new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
     _check_u(new, u_floor)
     return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt)
-
-
-def _degeneracy_event(state: FlowState, cause: str) -> DegeneracyEvent:
-    u = forms.volume_potential_values(state.rho)
-    loc = np.unravel_index(int(np.argmin(u)), u.shape)
-    return DegeneracyEvent(t=state.t, location=tuple(int(i) for i in loc),
-                           min_u=float(u.min()), cause=cause)
 
 
 def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
              sample_every: float, safety: float = 0.25,
              u_floor: float = DEFAULT_U_FLOOR, q1_weight: float = 10.0,
              monitor_a: float = 10.0, monitor_b: float = 100.0,
-             fixed_dt: Optional[float] = None,
-             rhs: Optional[Callable[[TwoForm], TwoForm]] = None):
+             fixed_dt: Optional[float] = None):
     """Integrate the flow, sampling diagnostics at the requested cadence.
 
-    Returns (trajectory, final_state, event); `event` is None on a clean run
-    and a DegeneracyEvent when the volume potential hits the floor or the
-    fields blow up.  Never raises for those terminal conditions.
+    Returns (trajectory, final_state, event) from `march`; never raises for
+    the terminal conditions (u at the floor, blowup).
     """
     from . import diagnostics
 
@@ -151,31 +147,16 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
     if closedness > 1e-8:
         raise ValueError(f"initial form is not closed: max |d rho| = {closedness:.3g}")
     _check_u(initial, u_floor)
-
     ref_periods = calculus.periods(initial)
-    state = FlowState(rho=initial.copy(), t=0.0, step=0, dt=0.0)
 
     def record(st: FlowState) -> diagnostics.TrajectoryRecord:
         return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods,
                                        q1_weight=q1_weight, monitor_a=monitor_a,
                                        monitor_b=monitor_b, u_floor=u_floor)
 
-    trajectory = [record(state)]
-    next_sample = sample_every
-    event = None
-    while state.t < t_end - 1e-14:
-        dt = fixed_dt if fixed_dt is not None else cfl_dt(state.rho, scheme, safety, u_floor)
-        dt = min(dt, t_end - state.t)
-        try:
-            state = step_rk4(state, dt, scheme, u_floor, rhs=rhs)
-        except DegenerateForm:
-            event = _degeneracy_event(state, "u_floor")
-            break
-        except NumericalBlowup:
-            event = _degeneracy_event(state, "blowup")
-            break
-        if state.t >= next_sample - 1e-12 or state.t >= t_end - 1e-14:
-            trajectory.append(record(state))
-            while next_sample <= state.t + 1e-12:
-                next_sample += sample_every
-    return trajectory, state, event
+    return march(
+        FlowState(rho=initial.copy()),
+        lambda st, dt: step_rk4(st, dt, scheme, u_floor),
+        lambda st: cfl_dt(st.rho, scheme, safety, u_floor),
+        t_end, sample_every, record,
+        lambda st: forms.volume_potential_values(st.rho), fixed_dt)

@@ -79,13 +79,6 @@ class SymMatrixField:
     entries: np.ndarray  # shape (4, 4, *grid.dims), symmetric in the first two axes
 
     @classmethod
-    def identity(cls, grid: PeriodicGrid) -> "SymMatrixField":
-        e = np.zeros((4, 4) + grid.dims)
-        for i in range(4):
-            e[i, i] = 1.0
-        return cls(grid, e)
-
-    @classmethod
     def scalar(cls, grid: PeriodicGrid, factor: np.ndarray) -> "SymMatrixField":
         e = np.zeros((4, 4) + grid.dims)
         for i in range(4):
@@ -127,10 +120,6 @@ class FlowScheme:
     @property
     def is_scalar(self) -> bool:
         return self.kind in ("linear", "power_u", "norm_ratio")
-
-    @property
-    def needs_positive_u(self) -> bool:
-        return self.kind != "linear"
 
 
 LINEAR = FlowScheme("linear")
@@ -190,13 +179,9 @@ def norm_sq(rho: TwoForm) -> ScalarField:
 
 
 def volume_potential_values(rho: TwoForm) -> np.ndarray:
+    """u = rho_12 rho_34 - rho_13 rho_24 + rho_14 rho_23; 2u = <rho, *rho>."""
     c = rho.comps
     return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
-
-
-def volume_potential(rho: TwoForm) -> ScalarField:
-    """u = rho_12 rho_34 - rho_13 rho_24 + rho_14 rho_23; 2u = <rho, *rho>."""
-    return ScalarField(rho.grid, volume_potential_values(rho))
 
 
 def eigenvalue_values(rho: TwoForm):
@@ -253,10 +238,12 @@ def sqrt_b_values(rho: TwoForm) -> np.ndarray:
     return out
 
 
-def _require_nondegenerate(u: np.ndarray, u_floor: float, what: str) -> None:
-    m = float(u.min())
+def require_above_floor(values: np.ndarray, u_floor: float,
+                        what: str = "u") -> None:
+    """The floor check: raise DegenerateForm unless min(values) > u_floor."""
+    m = float(values.min())
     if m <= u_floor:
-        raise DegenerateForm(f"min u = {m:.6g} <= floor {u_floor:.3g} in {what}")
+        raise DegenerateForm(f"min {what} = {m:.6g} at/below floor {u_floor:.3g}")
 
 
 def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
@@ -265,7 +252,7 @@ def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
     if scheme.kind == "linear":
         return np.ones(rho.grid.dims)
     u = volume_potential_values(rho)
-    _require_nondegenerate(u, u_floor, f"weight for scheme {scheme.kind}")
+    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "power_u":
         return u ** (-scheme.r)
     if scheme.kind == "norm_ratio":
@@ -279,7 +266,7 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
     if scheme.is_scalar:
         return SymMatrixField.scalar(rho.grid, scalar_weight_values(rho, scheme, u_floor))
     u = volume_potential_values(rho)
-    _require_nondegenerate(u, u_floor, f"weight for scheme {scheme.kind}")
+    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "matrix_bh":
         return SymMatrixField(rho.grid, sqrt_b_values(rho) / u)
     a, b = matrix_ab(rho)
@@ -298,7 +285,7 @@ def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme,
     if scheme.is_scalar:
         return scalar_weight_values(rho, scheme, u_floor)
     u = volume_potential_values(rho)
-    _require_nondegenerate(u, u_floor, f"spectral radius for scheme {scheme.kind}")
+    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     lam1, _ = eigenvalue_values(rho)
     if scheme.kind in ("matrix_a1", "matrix_b1"):
         return lam1 ** 2 / u

@@ -7,6 +7,7 @@ counterexample run past its breakdown time, nondegenerate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import calculus, forms, reduced
 from .calculus import OneForm
-from .errors import CohomologyMismatch, DegenerateForm
+from .errors import DegenerateForm
 from .forms import DEFAULT_U_FLOOR, TwoForm
 from .grid import PeriodicGrid, ScalarField
 
@@ -23,16 +24,6 @@ TWO_PI = 2.0 * np.pi
 
 def make_omega(grid: PeriodicGrid) -> TwoForm:
     return forms.omega(grid)
-
-
-def make_product_vw(v: ScalarField, w: ScalarField,
-                    u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
-    """v(x1,x2) dx1^dx2 + w(x3,x4) dx3^dx4; u = v*w pointwise."""
-    rho = reduced.embed_product_vw(v, w)
-    u = forms.volume_potential_values(rho)
-    if float(u.min()) <= u_floor:
-        raise DegenerateForm(f"min v*w = {u.min():.6g} at/below the floor")
-    return rho
 
 
 def _band_limited_field(rng: np.random.Generator, grid: PeriodicGrid,
@@ -88,12 +79,10 @@ def isotopy_path(theta: OneForm, s: float,
 
 def isotopy_min_u(theta: OneForm, samples: int = 11) -> np.ndarray:
     """min u along the sampled path s = 0 .. 1."""
-    out = []
-    for s in np.linspace(0.0, 1.0, samples):
-        rho = TwoForm(theta.grid,
-                      forms.omega(theta.grid).comps + s * calculus.d_one(theta).comps)
-        out.append(float(forms.volume_potential_values(rho).min()))
-    return np.array(out)
+    base, dtheta = forms.omega(theta.grid).comps, calculus.d_one(theta).comps
+    mins = [forms.volume_potential_values(TwoForm(theta.grid, base + s * dtheta)).min()
+            for s in np.linspace(0.0, 1.0, samples)]
+    return np.array(mins, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +101,6 @@ def _sample_h0(grid1d: PeriodicGrid) -> np.ndarray:
     return np.where(x < np.pi, np.sin(2.0 * x), 0.0)
 
 
-def _heat_kernel_1d(values: np.ndarray, grid1d: PeriodicGrid, t: float) -> np.ndarray:
-    k = np.fft.fftfreq(grid1d.dims[0], 1.0 / grid1d.dims[0]) \
-        * (TWO_PI / grid1d.lengths[0])
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-k ** 2 * t)).real
-
-
 def _antiderivative_1d(values: np.ndarray, grid1d: PeriodicGrid) -> np.ndarray:
     """Mean-zero spectral antiderivative (input must be mean- and Nyquist-free)."""
     n = grid1d.dims[0]
@@ -130,34 +113,17 @@ def _antiderivative_1d(values: np.ndarray, grid1d: PeriodicGrid) -> np.ndarray:
     return np.fft.ifft(anti).real
 
 
-_PROFILE_CACHE: dict = {}
+@functools.lru_cache(maxsize=16)
+def counterexample_profiles(grid1d: PeriodicGrid, t: float):
+    """The two profiles marched by the reduced heat model to time t.
 
-
-def counterexample_profiles(grid1d: PeriodicGrid, t: float,
-                            use_solver: bool = True):
-    """The two heat-evolved profiles at time t, as ScalarFields.
-
-    The default path marches the reduced heat model; the spectral heat
-    kernel (exact for the interpolant) is available for cross-checks.
-    Results are memoized (the march to t = 1 on a fine circle is the
-    expensive part of the degeneracy scenario).
+    Memoized, since the march to t = 1 on a fine circle is the expensive part
+    of the degeneracy scenario; callers must not modify the returned fields.
     """
-    key = (grid1d.dims, grid1d.lengths, float(t), bool(use_solver))
-    if key in _PROFILE_CACHE:
-        return _PROFILE_CACHE[key]
-    out = _counterexample_profiles(grid1d, t, use_solver)
-    _PROFILE_CACHE[key] = out
-    return out
-
-
-def _counterexample_profiles(grid1d: PeriodicGrid, t: float, use_solver: bool):
     f0 = _sample_f0(grid1d)
     h0 = _sample_h0(grid1d)
     if t == 0.0:
         return ScalarField(grid1d, f0), ScalarField(grid1d, h0)
-    if not use_solver:
-        return (ScalarField(grid1d, _heat_kernel_1d(f0, grid1d, t)),
-                ScalarField(grid1d, _heat_kernel_1d(h0, grid1d, t)))
     out = []
     for v0 in (f0, h0):
         state = reduced.ReducedState("heat", (ScalarField(grid1d, v0),))

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateForm, NoConvergence
-from .forms import DEFAULT_U_FLOOR
+from .errors import NoConvergence
+from .forms import DEFAULT_U_FLOOR, require_above_floor
 from .grid import ScalarField, deriv_values
 
 
@@ -38,8 +38,7 @@ class SolitonProblem:
 
 def soliton_residual(p: SolitonProblem) -> ScalarField:
     a = p.a.values
-    if float(a.min()) <= p.u_floor:
-        raise DegenerateForm(f"min a = {a.min():.6g} at/below floor {p.u_floor:.3g}")
+    require_above_floor(a, p.u_floor, "a")
     grid = p.a.grid
     root = np.sqrt(a)
     ax = deriv_values(a, grid, 0)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, "[nope]\nx = 1\n", "b.ini")
     with pytest.raises(ConfigError):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize("section,key", [("scenario", "ny"),
+                                         ("scenario", "t_end"),
+                                         ("flow", "snapshot_every")])
+def test_config_rejects_keys_nothing_reads(tmp_path, section, key):
+    # the grid's second axis sets ny, [flow] t_end the horizon, and the
+    # final snapshot is written on every clean run
+    text = FLOW_INI.format(out=tmp_path / "out").replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    assert cli.main(["flow", write_config(tmp_path, text)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_missing_file():
@@ -186,6 +201,51 @@ dir = {out}
     assert abs(float(last[2]) - float(first[2])) < 1e-9  # mass conserved
 
 
+HEAT_INI = """
+[reduced]
+model = heat
+dims = 64
+amplitude = 0.5
+t_end = 0.02
+[output]
+dir = {out}
+"""
+
+
+def test_main_reduced_honours_fixed_dt(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, HEAT_INI.format(out=out)
+                        .replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = 0.005"))
+    assert cli.main(["reduced", path]) == cli.EXIT_OK
+    rows = [[float(c) for c in r.split(",")]
+            for r in (out / "series.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 5
+    assert [r[1] for r in rows[1:]] == pytest.approx([0.005] * 4, rel=1e-12)
+    bad = write_config(tmp_path, HEAT_INI.format(out=tmp_path / "bad")
+                       .replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = banana"),
+                       "bad.ini")
+    assert cli.main(["reduced", bad]) == cli.EXIT_CONFIG
+
+
+def test_main_counterexample_sets_kind_and_defaults(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_flow", lambda cfg: seen.append(cfg) or 0)
+    path = write_config(tmp_path, "[grid]\ndims = 8 8 8 8\n"
+                        "[scenario]\nkind = omega\n")
+    assert cli.main(["counterexample", path]) == cli.EXIT_OK
+    cfg = seen.pop()
+    assert cfg.get("scenario", "kind") == "counterexample"
+    assert cfg.get("flow", "scheme") == "linear"
+    assert cfg.get("flow", "t_end", cast=float) == 1.0
+    path = write_config(tmp_path, "[flow]\nscheme = conformal\nt_end = 0.5\n",
+                        "kept.ini")
+    assert cli.main(["counterexample", path]) == cli.EXIT_OK
+    cfg = seen.pop()
+    assert cfg.get("scenario", "kind") == "counterexample"
+    assert cfg.get("flow", "scheme") == "conformal"
+    assert cfg.get("flow", "t_end", cast=float) == 0.5
+
+
 def test_main_reduced_rejects_degenerate_start(tmp_path):
     path = write_config(tmp_path, """
 [reduced]
@@ -257,3 +317,21 @@ def test_main_usage_errors_are_config_errors(tmp_path):
     assert cli.main([]) == cli.EXIT_CONFIG
     assert cli.main(["flow", path, "--bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["poincare", "--probes", "many"]) == cli.EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# benchmark contract: perfbench/launch.py traces the reduced march by name
+
+def test_bench_trace_mode_wraps_the_reduced_march(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = write_config(tmp_path, HEAT_INI.format(out=tmp_path / "out"))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), str(report), "1",
+         "reduced.run_reduced", "--", "reduced", path],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    assert data["trace"]["reduced.step_rk4_reduced"]["calls"] > 0
+    assert data["aliases_before"] == [] and data["aliases_after"] == []
+    assert data["main_loop_at"] is not None
