@@ -105,12 +105,14 @@ class RunConfig:
     def ints(self, section, key, default=None):
         if default is not None and not self._parser.has_option(section, key):
             return default
-        return tuple(int(tok) for tok in self.get(section, key).split())
+        return self.get(section, key,
+                        cast=lambda raw: tuple(int(tok) for tok in raw.split()))
 
     def floats(self, section, key, default=None):
         if default is not None and not self._parser.has_option(section, key):
             return default
-        return tuple(float(tok) for tok in self.get(section, key).split())
+        return self.get(section, key,
+                        cast=lambda raw: tuple(float(tok) for tok in raw.split()))
 
     def digest(self) -> str:
         blob = "\n".join(f"{s}.{k}={self._parser[s][k]}"
@@ -119,10 +121,25 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _grid_from_config(cfg: RunConfig) -> PeriodicGrid:
-    dims = cfg.ints("grid", "dims")
-    lengths = cfg.floats("grid", "lengths", default=())
-    return PeriodicGrid(dims, lengths)
+def _grid_from_config(cfg: RunConfig, section: str, ranks, default=None,
+                      lengths=()) -> PeriodicGrid:
+    """The grid of `section`.dims, whose rank must be one of `ranks`."""
+    dims = cfg.ints(section, "dims", default)
+    if len(dims) not in ranks:
+        raise ConfigError(f"{section}.dims needs {' or '.join(map(str, ranks))} "
+                          f"sizes, got {len(dims)}")
+    try:
+        return PeriodicGrid(dims, lengths)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid for {section}.dims: {exc}") from exc
+
+
+def _scheme_from_config(cfg: RunConfig) -> forms.FlowScheme:
+    name = cfg.get("flow", "scheme", "conformal")
+    try:
+        return forms.scheme_from_name(name)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for flow.scheme: {name!r} ({exc})") from exc
 
 
 def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
@@ -251,9 +268,10 @@ def _event_exit(event) -> int:
 
 
 def cmd_flow(cfg: RunConfig) -> int:
-    grid = _grid_from_config(cfg)
+    grid = _grid_from_config(cfg, "grid", (4,),
+                             lengths=cfg.floats("grid", "lengths", default=()))
     initial = _scenario_from_config(cfg, grid)
-    scheme = forms.scheme_from_name(cfg.get("flow", "scheme", "conformal"))
+    scheme = _scheme_from_config(cfg)
     t_end = cfg.get("flow", "t_end", cast=float)
     sample_every = cfg.get("flow", "sample_every", t_end / 50.0, float)
     out_dir = Path(cfg.get("output", "dir", "."))
@@ -277,8 +295,11 @@ def cmd_flow(cfg: RunConfig) -> int:
 
 def cmd_reduced(cfg: RunConfig) -> int:
     model = cfg.get("reduced", "model")
-    dims = cfg.ints("reduced", "dims")
-    grid = PeriodicGrid(dims)
+    if model not in reduced.MODELS:
+        raise ConfigError(f"unknown reduced model {model!r}; "
+                          f"choose from {', '.join(reduced.MODELS)}")
+    grid = _grid_from_config(cfg, "reduced",
+                             (2,) if model == "ab_system" else (1, 2))
     amp = cfg.get("reduced", "amplitude", 0.5, float)
     if model == "ab_system":
         a = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x1))
@@ -326,8 +347,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 
 def cmd_soliton(cfg: RunConfig) -> int:
-    dims = cfg.ints("soliton", "dims", default=(128, 128))
-    grid = PeriodicGrid(dims)
+    grid = _grid_from_config(cfg, "soliton", (2,), default=(128, 128))
     v = (cfg.get("soliton", "v1", 1.0, float), cfg.get("soliton", "v2", 0.5, float))
     manufactured = cfg.get("soliton", "manufactured", "yes") != "no"
     if manufactured:
@@ -472,11 +492,18 @@ _SUITES = {"algebra": _suite_algebra, "calculus": _suite_calculus,
            "inequalities": _suite_inequalities}
 
 
-def cmd_verify(suite: str, resolution: int) -> int:
+# At 16 points the matrix-b lambda identities carry aliasing residuals up to
+# 2.5e-5 against their 1e-7 bound; at 24 every identity check passes.
+_DEFAULT_RESOLUTION = {"identities": 24}
+
+
+def cmd_verify(suite: str, resolution=None) -> int:
     if suite not in _SUITES:
         print(f"error: unknown suite {suite!r}; choose from {sorted(_SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    if resolution is None:
+        resolution = _DEFAULT_RESOLUTION.get(suite, 16)
     checks = _SUITES[suite](resolution)
     failed = 0
     for name, measured, bound in checks:
@@ -509,7 +536,8 @@ def main(argv=None) -> int:
                        default=[], metavar="SECTION.KEY=VALUE")
     p = sub.add_parser("verify")
     p.add_argument("suite")
-    p.add_argument("--resolution", type=int, default=16)
+    p.add_argument("--resolution", type=int, default=None,
+                   help="grid points per axis (default 24 for identities, 16 otherwise)")
     p = sub.add_parser("poincare")
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--probes", type=int, default=50)

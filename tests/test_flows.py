@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,38 @@ def test_flow_dissipates_energy(grid8):
             "ik...,i...,k...->...", h.entries, xi.comps, xi.comps)))
         assert gateaux == pytest.approx(quad, rel=1e-12, abs=1e-12)
         assert gateaux <= 1e-12
+
+
+def test_flow_rhs_builds_no_weight_matrix(grid8, monkeypatch):
+    # the flux is matrix-free for every scheme: no explicit (4, 4, *dims) weight
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow_rhs built an explicit weight matrix")
+
+    rho = random_form(grid8, 0.3, seed=1)
+    for name in ("weight_h", "matrix_ab", "sqrt_b_values", "as_skew_matrix"):
+        monkeypatch.setattr(forms, name, refuse)
+    for scheme in forms.ALL_SCHEMES:
+        assert np.isfinite(flow_rhs(rho, scheme).comps).all()
+
+
+def test_matrix_flux_memory_close_to_scalar():
+    # the matrix weights peak no higher than 1.5x the conformal scalar weight
+    # (holding (4, 4, *dims) weight fields made that about 2.5x)
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+
+    def peak(scheme):
+        flow_rhs(rho, scheme)  # fill the cached spectral symbols first
+        tracemalloc.start()
+        try:
+            flow_rhs(rho, scheme)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    conformal = peak(forms.CONFORMAL)
+    matrix = peak(forms.MATRIX_B2)
+    assert matrix <= 1.5 * conformal, (matrix, conformal)
 
 
 def conformal_rhs(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:

@@ -172,6 +172,43 @@ def test_degenerate_form_raises(grid8):
     assert forms.scalar_weight_values(rho, forms.LINEAR).max() == 1.0
 
 
+def _flux_oracle_forms(grid):
+    """Two random probes and an omega-like form whose eigenvalues meet,
+    lambda1 = lambda2, where sin x1 = 0 (its anti-self-dual part vanishes)."""
+    meeting = omega(grid)
+    asd = 0.3 * np.sin(grid.coordinates()[0]) * np.ones(grid.dims)
+    meeting.comps[0] += asd
+    meeting.comps[5] -= asd
+    lam1, lam2 = eigenvalue_values(meeting)
+    assert (lam1 == lam2).any() and (lam1 != lam2).any()
+    return [random_form(grid, 0.3, seed=14), random_form(grid, 0.6, seed=15),
+            meeting]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_weight_apply_matches_explicit_matrix(grid8, scheme):
+    # the matrix-free flux against the einsum of the explicit weight matrix
+    rng = np.random.default_rng(31)
+    for rho in _flux_oracle_forms(grid8):
+        xi = rng.standard_normal((4,) + grid8.dims)
+        want = np.einsum("ik...,k...->i...", weight_h(rho, scheme).entries, xi)
+        got = forms.weight_apply(rho, scheme, xi)
+        assert got.shape == xi.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", [s for s in ALL_SCHEMES if not s.is_scalar],
+                         ids=lambda s: s.kind)
+def test_weight_apply_raises_at_the_floor(grid8, scheme):
+    xi = np.ones((4,) + grid8.dims)
+    with pytest.raises(DegenerateForm):
+        forms.weight_apply(TwoForm.zero(grid8), scheme, xi)
+    half = omega(grid8) * 0.5  # u = 0.25 everywhere
+    with pytest.raises(DegenerateForm):
+        forms.weight_apply(half, scheme, xi, u_floor=0.25)
+    assert np.isfinite(forms.weight_apply(half, scheme, xi, u_floor=0.2)).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_pointwise_identities_on_random_constant_forms(seed):
