@@ -1,6 +1,13 @@
 """Numerical simulator for nonlinear Hodge heat flows of symplectic 2-forms
 on the flat four-torus, with reduced models, diagnostics, and a CLI."""
 
+import os
+
+# A run uses one core: the short-axis derivatives are small matrix products,
+# which a second BLAS thread made slower, at nearly twice the CPU time.
+# Set before numpy loads; a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (BadSeries, CohomologyMismatch, DegenerateForm,
                      FormatError, HodgeFlowError, NoConvergence,
                      NumericalBlowup)

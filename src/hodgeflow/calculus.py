@@ -60,11 +60,11 @@ def _axis_sums(out: np.ndarray, terms, comps: np.ndarray, grid: PeriodicGrid,
                D: np.ndarray = None) -> np.ndarray:
     """out[target] += or -= d_a comps[source] over each axis a's terms.  The
     d_a come from the gradient bundle D[a] = d_a comps when it is given, else
-    from one batched deriv_values call per axis on that axis's sources."""
+    from one deriv_values call per axis on that axis's sources."""
     for a, axis_terms in enumerate(terms):
         src = [s for s, _, _ in axis_terms]
         Da = D[a] if D is not None else dict(
-            zip(src, deriv_values(comps[src], grid, a)))
+            zip(src, deriv_values(comps, grid, a, src)))
         for s, t, plus in axis_terms:
             (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
     return out

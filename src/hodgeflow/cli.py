@@ -14,6 +14,7 @@ import hashlib
 import json
 import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,26 @@ def _scheme_from_config(cfg: RunConfig) -> forms.FlowScheme:
         raise ConfigError(f"bad value for flow.scheme: {name!r} ({exc})") from exc
 
 
+def _time_settings(cfg: RunConfig, section: str, samples: int):
+    """(t_end, sample_every, safety, fixed_dt) of `section`, checked before a
+    run starts; sample_every defaults to t_end / samples, and fixed_dt to
+    None, the CFL step."""
+    t_end = cfg.get(section, "t_end", cast=float)
+    sample_every = cfg.get(section, "sample_every", t_end / samples, float)
+    safety = cfg.get(section, "safety", 0.25, float)
+    fixed_dt = cfg.get(section, "fixed_dt", 0.0, float)
+    for key, value in (("t_end", t_end), ("sample_every", sample_every)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{section}.{key} must be positive and finite, "
+                              f"got {value!r}")
+    if not 0.0 < safety <= 1.0:
+        raise ConfigError(f"{section}.safety must lie in (0, 1], got {safety!r}")
+    if not 0.0 <= fixed_dt < np.inf:
+        raise ConfigError(f"{section}.fixed_dt must be positive (0 for the CFL "
+                          f"step), got {fixed_dt!r}")
+    return t_end, sample_every, safety, fixed_dt or None
+
+
 def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
     kind = cfg.get("scenario", "kind", default="omega")
     if kind == "omega":
@@ -163,10 +184,13 @@ def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
         b = ScalarField.from_function(g2, lambda x1, x2: amp * np.sin(x2))
         return reduced.embed_ab(a, b, dims34=grid.dims[2:])
     if kind == "counterexample":
-        n1d = cfg.get("scenario", "n1d", 512, int)
-        a0 = cfg.get("scenario", "a0", "auto")
-        scen = scenarios.make_example_counterexample(
-            PeriodicGrid((n1d,)), "auto" if a0 == "auto" else float(a0))
+        n1d = cfg.get("scenario", "n1d", scenarios.MIN_N1D, int)
+        if n1d < scenarios.MIN_N1D or n1d % 2:
+            raise ConfigError(f"scenario.n1d needs an even count >= "
+                              f"{scenarios.MIN_N1D}, got {n1d}")
+        a0 = cfg.get("scenario", "a0", "auto",
+                     lambda raw: raw if raw == "auto" else float(raw))
+        scen = scenarios.make_example_counterexample(PeriodicGrid((n1d,)), a0)
         return scen.two_form(t=0.0, nx=grid.dims[0], ny=grid.dims[1],
                              dims34=grid.dims[2:])
     raise ConfigError(f"unknown scenario kind {kind!r}")
@@ -270,17 +294,14 @@ def _event_exit(event) -> int:
 def cmd_flow(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, "grid", (4,),
                              lengths=cfg.floats("grid", "lengths", default=()))
-    initial = _scenario_from_config(cfg, grid)
     scheme = _scheme_from_config(cfg)
-    t_end = cfg.get("flow", "t_end", cast=float)
-    sample_every = cfg.get("flow", "sample_every", t_end / 50.0, float)
+    t_end, sample_every, safety, fixed_dt = _time_settings(cfg, "flow", 50)
+    initial = _scenario_from_config(cfg, grid)
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fixed_dt = cfg.get("flow", "fixed_dt", 0.0, float) or None
     trajectory, final, event = flows.run_flow(
-        initial, scheme, t_end, sample_every,
-        safety=cfg.get("flow", "safety", 0.25, float),
+        initial, scheme, t_end, sample_every, safety=safety,
         u_floor=cfg.get("flow", "u_floor", forms.DEFAULT_U_FLOOR, float),
         q1_weight=cfg.get("diagnostics", "q1_weight", 10.0, float),
         monitor_a=cfg.get("diagnostics", "monitor_a", 10.0, float),
@@ -300,6 +321,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
                           f"choose from {', '.join(reduced.MODELS)}")
     grid = _grid_from_config(cfg, "reduced",
                              (2,) if model == "ab_system" else (1, 2))
+    t_end, sample_every, safety, fixed_dt = _time_settings(cfg, "reduced", 20)
     amp = cfg.get("reduced", "amplitude", 0.5, float)
     if model == "ab_system":
         a = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x1))
@@ -312,17 +334,13 @@ def cmd_reduced(cfg: RunConfig) -> int:
             base = ScalarField.from_function(
                 grid, lambda x1, x2: 1.0 + amp * np.sin(x1))
         state = reduced.ReducedState(model, (base,))
-    t_end = cfg.get("reduced", "t_end", cast=float)
-    fixed_dt = cfg.get("reduced", "fixed_dt", 0.0, float) or None
     try:
         # precondition: the initial data must already satisfy positivity
         reduced.reduced_cfl_dt(
             state, u_floor=cfg.get("reduced", "u_floor",
                                    forms.DEFAULT_U_FLOOR, float))
         trajectory, final, event = reduced.run_reduced(
-            state, t_end,
-            sample_every=cfg.get("reduced", "sample_every", t_end / 20.0, float),
-            safety=cfg.get("reduced", "safety", 0.25, float),
+            state, t_end, sample_every=sample_every, safety=safety,
             u_floor=cfg.get("reduced", "u_floor", forms.DEFAULT_U_FLOOR, float),
             fixed_dt=fixed_dt)
     except DegenerateForm as exc:
@@ -504,13 +522,17 @@ def cmd_verify(suite: str, resolution=None) -> int:
         return EXIT_CONFIG
     if resolution is None:
         resolution = _DEFAULT_RESOLUTION.get(suite, 16)
+    started = time.perf_counter()
     checks = _SUITES[suite](resolution)
+    wall_s = time.perf_counter() - started
     failed = 0
     for name, measured, bound in checks:
         ok = measured <= bound
         failed += not ok
         print(f"[{'pass' if ok else 'FAIL'}] {suite}/{name}: "
               f"{measured:.3e} (bound {bound:.3e})")
+    print(f"{suite}: {len(checks) - failed}/{len(checks)} checks passed "
+          f"at resolution {resolution} in {wall_s:.2f} s")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 

@@ -88,6 +88,8 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     a DegeneracyEvent at the last accepted state when a step raises
     DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").
     """
+    if not sample_every > 0:
+        raise ValueError("sample_every must be positive")  # else it never ends
     trajectory = [record(state)]
     next_sample = sample_every
     event = None

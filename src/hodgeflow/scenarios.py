@@ -20,6 +20,8 @@ from .forms import DEFAULT_U_FLOOR, TwoForm
 from .grid import PeriodicGrid, ScalarField
 
 TWO_PI = 2.0 * np.pi
+# Fewest points of the 1D grid on which the counterexample's profiles are built.
+MIN_N1D = 512
 
 
 def make_omega(grid: PeriodicGrid) -> TwoForm:
@@ -205,8 +207,9 @@ class CounterexampleScenario:
 def make_example_counterexample(grid1d: PeriodicGrid,
                                 A0="auto") -> CounterexampleScenario:
     """Build the scenario; A0 = "auto" picks twice the degeneracy threshold."""
-    if grid1d.rank != 1 or grid1d.dims[0] < 512:
-        raise ValueError("the counterexample needs a rank-1 grid with >= 512 points")
+    if grid1d.rank != 1 or grid1d.dims[0] < MIN_N1D:
+        raise ValueError(f"the counterexample needs a rank-1 grid with >= "
+                         f"{MIN_N1D} points")
     f1, h1 = counterexample_profiles(grid1d, 1.0)
     peak = float(np.abs(f1.values * h1.values).max())
     threshold = 1.0 / peak

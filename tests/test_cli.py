@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,9 +235,21 @@ dir = {out}
      .replace("dims = 64", "dims = 32")),
     ("reduced", HEAT_INI.replace("dims = 64", "dims = 8 8 8 8")),
     ("soliton", SOLITON_INI.replace("dims = 32 32", "dims = 32")),
+    ("counterexample", FLOW_INI.replace("seed = 3", "seed = 3\nn1d = 7")),
+    ("counterexample", FLOW_INI.replace("seed = 3", "seed = 3\nn1d = 256")),
+    ("counterexample", FLOW_INI.replace("seed = 3", "seed = 3\na0 = abc")),
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nsafety = 2")),
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = -1")),
+    ("flow", FLOW_INI.replace("sample_every = 0.01", "sample_every = 0")),
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nfixed_dt = -1")),
+    ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = 0.02\nsafety = 2")),
+    ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = -1")),
 ], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
-        "ab-system-1d", "reduced-4d", "soliton-1d"])
+        "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
+        "a0-not-float", "flow-safety-2", "flow-t-end-negative",
+        "flow-sample-every-0", "flow-fixed-dt-negative", "reduced-safety-2",
+        "reduced-t-end-negative"])
 def test_bad_input_is_a_config_error(tmp_path, command, text):
     # a value the run cannot use ends in "config error: ..." and exit 1, as a
     # user sees it from the command line, never in a traceback
@@ -325,6 +338,28 @@ def test_verify_default_resolution_per_suite(monkeypatch):
                     "reductions": 16, "inequalities": 16}
     assert cli.main(["verify", "identities", "--resolution", "8"]) == cli.EXIT_OK
     assert seen["identities"] == 8
+
+
+def test_verify_prints_suite_wall_time(capsys):
+    assert cli.main(["verify", "calculus", "--resolution", "8"]) == cli.EXIT_OK
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert re.fullmatch(r"calculus: 3/3 checks passed at resolution 8 "
+                        r"in \d+\.\d\d s", last), last
+
+
+def test_import_defaults_blas_to_one_thread():
+    # a run uses one core unless the user asks for more BLAS threads
+    root = Path(__file__).resolve().parent.parent
+    probe = ("import hodgeflow, os, sys; "
+             "sys.stdout.write(os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(root / "src")
+    for preset, want in ((None, "1"), ("3", "3")):
+        run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
+        proc = subprocess.run([sys.executable, "-c", probe], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
 
 
 def test_main_verify_reductions():

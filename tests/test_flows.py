@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hodgeflow import calculus, flows, forms
+from hodgeflow import grid as grid_module
 from hodgeflow.diagnostics import make_record
 from hodgeflow.flows import (FlowState, _check_u, cfl_dt, flow_rhs, rk4,
                              run_flow, step_rk4)
@@ -181,6 +183,13 @@ def test_run_flow_rejects_non_closed(grid8):
         run_flow(rho, forms.LINEAR, 0.1, sample_every=0.1)
 
 
+@pytest.mark.parametrize("sample_every", [0.0, -0.1])
+def test_run_flow_rejects_nonpositive_sample_every(grid8, sample_every):
+    # the sampling cadence never advances otherwise, and the march never ends
+    with pytest.raises(ValueError):
+        run_flow(forms.omega(grid8), forms.LINEAR, 0.1, sample_every=sample_every)
+
+
 def test_run_flow_reports_degeneracy():
     # a small copy of the degeneracy scenario: u = 1 initially but the
     # unweighted flow drives it through the floor almost immediately
@@ -201,9 +210,11 @@ FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
 
 
 def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
-    # the spectral kernel's transform counts: flow_rhs takes one rfft/irfft
-    # pair per axis for d* and one for d; make_record one pair per axis for
-    # the whole gradient bundle; no complex transforms anywhere
+    # on 8^4 every axis is short (<= DENSE_MAX), so each derivative is one
+    # product with the cached differentiation matrix and neither flow_rhs nor
+    # make_record runs a transform; the derivative budget is 8 deriv_values
+    # calls per flow_rhs (one per axis for d*, one for d) and 4 per record
+    # (one gradient bundle)
     calls = {}
 
     def counting(name, fn):
@@ -214,18 +225,19 @@ def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
 
     for name in FFT_ENTRY_POINTS:
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    original = grid_module.deriv_values
+    deriv = counting("deriv_values", original)
+    for mod in [m for n, m in sys.modules.items() if n.startswith("hodgeflow")]:
+        if getattr(mod, "deriv_values", None) is original:
+            monkeypatch.setattr(mod, "deriv_values", deriv)
     rho = random_form(grid8, 0.05, band=3, seed=9)
     ref = calculus.periods(rho)
+    flow_rhs(rho, forms.CONFORMAL)  # builds the cached matrix if it is cold
 
     calls.clear()
     flow_rhs(rho, forms.CONFORMAL)
-    assert sum(calls.values()) <= 16, calls
-    rhs_calls = dict(calls)
+    assert calls == {"deriv_values": 8}, calls
 
     calls.clear()
     make_record(rho, 0.0, 0.0, ref)
-    assert sum(calls.values()) <= 8, calls
-
-    for counts in (rhs_calls, calls):
-        assert not any(counts.get(n) for n in ("fft", "ifft", "fft2", "ifft2",
-                                               "fftn", "ifftn")), counts
+    assert calls == {"deriv_values": 4}, calls

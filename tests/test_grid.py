@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeflow.errors import NumericalBlowup
-from hodgeflow.grid import (PeriodicGrid, ScalarField, deriv_values,
-                            gradient_values, integrate, laplacian,
-                            laplacian_values, spectral_partial)
+from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _diff_matrix,
+                            deriv_values, gradient_values, integrate,
+                            laplacian, laplacian_values, spectral_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +43,13 @@ ORACLE_GRIDS = [
     (PeriodicGrid((512,)), (3,)),
     (PeriodicGrid((16, 8), (2 * np.pi, 3.0)), (2, 3)),
     (PeriodicGrid((8, 8, 8, 8), (2 * np.pi, 3.0, 1.0, 5.5)), (6,)),
+    # one axis on each side of DENSE_MAX: matrix product and rfft/irfft pair
+    (PeriodicGrid((DENSE_MAX, DENSE_MAX + 2), (2 * np.pi, 3.0)), (2,)),
 ]
 
 
 @pytest.mark.parametrize("grid,lead", ORACLE_GRIDS,
-                         ids=["8", "512", "16x8", "8^4-mixed"])
+                         ids=["8", "512", "16x8", "8^4-mixed", "dense-max-pm"])
 def test_real_fft_kernel_matches_complex_oracle(grid, lead):
     vals = np.random.default_rng(sum(grid.dims)).standard_normal(lead + grid.dims)
     for axis in range(grid.rank):
@@ -61,7 +63,7 @@ def test_real_fft_kernel_matches_complex_oracle(grid, lead):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [8, 512])
+@pytest.mark.parametrize("n", [8, DENSE_MAX, DENSE_MAX + 2, 512])
 def test_rfft_nyquist_convention(n):
     # d/dx cos(N/2 x) = 0 (Nyquist weight zeroed) and
     # Lap cos(N/2 x) = -(N/2)^2 cos(N/2 x) (Nyquist kept), in 1D and along
@@ -77,6 +79,45 @@ def test_rfft_nyquist_convention(n):
     assert np.abs(deriv_values(nyq, g, 1)).max() < 1e-12
     assert np.abs(laplacian_values(nyq, g) + (n // 2) ** 2 * nyq).max() \
         < 1e-12 * (n // 2) ** 2
+
+
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid((16,)),
+    PeriodicGrid((16, 8), (2 * np.pi, 3.0)),
+    PeriodicGrid((8, 12, 8, 10), (1.0, 2.0, 3.0, 4.0)),
+    PeriodicGrid((DENSE_MAX, 8)),
+], ids=["16", "16x8", "8x12x8x10", "dense-max-x8"])
+def test_dense_axes_map_constants_to_exactly_zero(grid):
+    rng = np.random.default_rng(3)
+    const = np.full((3,) + grid.dims, 3.7)
+    for axis in range(grid.rank):
+        assert not deriv_values(const, grid, axis).any()
+        assert not deriv_values(const, grid, axis, [2, 0]).any()
+        # random across the other axes, constant along this one
+        shape = list((3,) + grid.dims)
+        shape[1 + axis] = 1
+        along = np.broadcast_to(rng.standard_normal(shape), (3,) + grid.dims)
+        assert not deriv_values(along, grid, axis).any()
+        assert not deriv_values(along, grid, axis, [1]).any()
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32, DENSE_MAX])
+@pytest.mark.parametrize("length", [2 * np.pi, 3.0])
+def test_diff_matrix_is_exactly_antisymmetric(n, length):
+    D = _diff_matrix(n, length)
+    assert D.shape == (n, n)
+    assert np.array_equal(D.T, -D)
+    assert not np.diag(D).any()
+
+
+@pytest.mark.parametrize("grid", [PeriodicGrid((16, 8, 8, 24)),
+                                  PeriodicGrid((8, DENSE_MAX + 2))],
+                         ids=["dense", "dense-and-fft"])
+def test_components_selects_leading_entries(grid):
+    vals = np.random.default_rng(4).standard_normal((6,) + grid.dims)
+    for axis in range(grid.rank):
+        want = deriv_values(vals[[4, 1, 2]], grid, axis)
+        assert np.array_equal(deriv_values(vals, grid, axis, [4, 1, 2]), want)
 
 
 def test_gradient_values_shape_and_axis_order():
