@@ -245,13 +245,20 @@ def snapshot_read(path) -> FlowState:
     comps = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.dims).copy()
     if ncomp != 6:
         raise FormatError(f"expected 6 components, snapshot has {ncomp}")
+    state = FlowState(rho=TwoForm(grid, comps))
     meta_path = Path(str(path) + ".json")
-    t = step = dt = 0
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        t, step, dt = meta.get("t", 0.0), meta.get("step", 0), meta.get("dt", 0.0)
-    return FlowState(rho=TwoForm(grid, comps), t=float(t), step=int(step),
-                     dt=float(dt))
+        try:
+            meta = json.loads(meta_path.read_text())
+            if not isinstance(meta, dict):
+                raise ValueError("not a JSON object")
+            state.t = float(meta.get("t", 0.0))
+            state.step = int(meta.get("step", 0))
+            state.dt = float(meta.get("dt", 0.0))
+        except (OSError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad snapshot sidecar {str(meta_path)!r}: "
+                              f"{exc}") from exc
+    return state
 
 
 def write_series(trajectory, path) -> None:
@@ -262,24 +269,32 @@ def write_series(trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_summary(out_dir: Path, trajectory, event, extra=None) -> None:
+def _write_summary(out_dir: Path, trajectory, final, event, extra=None) -> None:
+    """summary.json of a flow or reduced run: sample count, final t, the
+    final state's step count and the degeneracy event, plus `extra`."""
     summary = {"samples": len(trajectory),
                "final_t": trajectory[-1].t if trajectory else None,
+               "steps": final.step,
                "event": None}
     if event is not None:
         summary["event"] = {"t": event.t, "cause": event.cause,
                             "min_u": event.min_u,
                             "location": list(event.location)}
-    e0 = [(r.t, r.E0) for r in trajectory
-          if np.isfinite(r.E0) and r.E0 > 0]
-    late = e0[len(e0) // 2:]
-    if len(late) >= 10:
-        rate, r2 = diagnostics.decay_rate_fit(late)
-        summary["decay_rate"] = rate
-        summary["decay_r_squared"] = r2
     if extra:
         summary.update(extra)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1))
+
+
+def _decay_fit(trajectory) -> dict:
+    """decay_rate and decay_r_squared of E0 over the late half of a flow
+    run, or nothing when that half holds fewer than 10 positive values."""
+    e0 = [(r.t, r.E0) for r in trajectory
+          if np.isfinite(r.E0) and r.E0 > 0]
+    late = e0[len(e0) // 2:]
+    if len(late) < 10:
+        return {}
+    rate, r2 = diagnostics.decay_rate_fit(late)
+    return {"decay_rate": rate, "decay_r_squared": r2}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +325,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
         snapshot_write(final, out_dir / "final.nhf", scheme.kind, cfg.digest())
-    _write_summary(out_dir, trajectory, event)
+    _write_summary(out_dir, trajectory, final, event, _decay_fit(trajectory))
     return _event_exit(event)
 
 
@@ -353,6 +368,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
         lines.append(",".join(format(v, ".17e") for v in
                               (rec.t, rec.dt, rec.mass, rec.minU, rec.maxU)))
     (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    _write_summary(out_dir, trajectory, final, event)
     return _event_exit(event)
 
 

@@ -10,8 +10,9 @@ Along an axis of at most DENSE_MAX points the i*k symbol is applied as one
 matrix product with the dense spectral differentiation matrix of that axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): on the short axes of the 4D
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
-arithmetic.  Longer axes use one rfft/irfft pair.  The Laplacian is one
-rfftn/irfftn round trip on every grid.
+arithmetic.  Longer axes use one rfft/irfft pair.  A Fourier multiplier over
+all grid axes, the Laplacian among them, is one real-FFT round trip
+(`multiplier_values`).
 """
 
 from __future__ import annotations
@@ -165,12 +166,29 @@ def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
-def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Sum of repeated spectral partials over all axes (one rfftn round trip)."""
+def multiplier_values(values: np.ndarray, grid: PeriodicGrid,
+                      symbol: np.ndarray) -> np.ndarray:
+    """Apply a Fourier multiplier over the grid axes of `values`.
+
+    One forward and one inverse real transform, with `symbol` multiplying the
+    half spectrum (rfftn layout: last grid axis halved) in between.  On a
+    rank-1 grid the rfft/irfft pair is called directly: it computes the same
+    values as the rfftn round trip with less per-call overhead.
+    """
+    if grid.rank == 1:
+        spec = np.fft.rfft(values, axis=-1)
+        spec *= symbol
+        return np.fft.irfft(spec, n=grid.dims[0], axis=-1)
     grid_axes = tuple(range(values.ndim - grid.rank, values.ndim))
     spec = np.fft.rfftn(values, axes=grid_axes)
-    spec *= _laplacian_symbol(grid.dims, grid.lengths)
+    spec *= symbol
     return np.fft.irfftn(spec, s=grid.dims, axes=grid_axes)
+
+
+def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Sum of repeated spectral partials over all axes (one real-FFT round trip)."""
+    return multiplier_values(values, grid,
+                             _laplacian_symbol(grid.dims, grid.lengths))
 
 
 @dataclass

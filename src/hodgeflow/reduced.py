@@ -5,11 +5,14 @@ Product data reduce the conformal flow to the fast diffusion equation
 du/dt = 2 Lap(sqrt(u)); shear data (a, b) reduce it to a coupled system;
 the u^-2 b weight reduces to inverse diffusion dv/dt = Lap(-1/v) on each
 factor; the sqrt(b)/u weight reduces to log diffusion dv/dt = Lap(log v).
-Each model is an adapter onto `flows.rk4` and `flows.march`.
+Each model is an adapter onto `flows.rk4` and `flows.march`.  The heat model
+is linear with constant coefficients, so its RK4 step is a Fourier multiplier:
+the RK4 amplification factor of each mode, applied with one real-FFT pair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,8 +22,9 @@ from . import forms
 from .errors import CohomologyMismatch
 from .flows import march, rk4
 from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
-from .grid import (PeriodicGrid, ScalarField, deriv_values, gradient_values,
-                   integrate, laplacian_values)
+from .grid import (PeriodicGrid, ScalarField, _laplacian_symbol, check_finite,
+                   deriv_values, gradient_values, integrate, laplacian_values,
+                   multiplier_values)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
@@ -60,9 +64,8 @@ def _shear_u(y: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 def _rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
                 u_floor: float) -> np.ndarray:
-    """Right-hand side of `model` on stacked field values y, (fields, *dims)."""
-    if model == "heat":
-        return laplacian_values(y, grid)
+    """Right-hand side of a nonlinear `model` on stacked field values y,
+    (fields, *dims)."""
     if model == "ab_system":
         u = _shear_u(y, grid)
         forms.require_above_floor(u, u_floor)
@@ -156,12 +159,28 @@ def _record(state: ReducedState) -> ReducedRecord:
                          minU=float(vals.min()), maxU=float(vals.max()))
 
 
+@functools.lru_cache(maxsize=8)
+def _heat_factor(dims: tuple, lengths: tuple, dt: float) -> np.ndarray:
+    """R(dt*lambda) = 1 + z + z^2/2 + z^3/6 + z^4/24 on the half spectrum,
+    lambda = -|k|^2: what one RK4 step of s' = lambda*s does to each mode,
+    computed by `rk4` itself from s = 1."""
+    lam = _laplacian_symbol(dims, lengths)
+    factor = rk4(np.ones(lam.shape), lambda s: lam * s, dt)
+    factor.setflags(write=False)
+    return factor
+
+
 def step_rk4_reduced(state: ReducedState, dt: float,
                      u_floor: float = DEFAULT_U_FLOOR) -> ReducedState:
-    """One RK4 step of the model on its stacked fields; re-checks positivity."""
+    """One RK4 step of the model on its stacked fields (for heat, one real-FFT
+    pair with the cached `_heat_factor`); re-checks positivity."""
     grid = state.fields[0].grid
-    y = rk4(np.stack([f.values for f in state.fields]),
-            lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
+    y = np.stack([f.values for f in state.fields])
+    if state.model == "heat":
+        y = multiplier_values(y, grid, _heat_factor(grid.dims, grid.lengths, dt))
+        check_finite(y, "heat step")
+    else:
+        y = rk4(y, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
     if state.model != "heat":

@@ -126,6 +126,16 @@ def test_snapshot_truncated(tmp_path, grid8):
         snapshot_read(path)
 
 
+@pytest.mark.parametrize("sidecar", ["{not json", '{"t": "abc"}',
+                                     '{"step": null}', "[1, 2]"])
+def test_snapshot_malformed_sidecar(tmp_path, grid8, sidecar):
+    path = tmp_path / "state.nhf"
+    snapshot_write(FlowState(rho=random_form(grid8, 0.2, seed=7)), path)
+    Path(str(path) + ".json").write_text(sidecar)
+    with pytest.raises(FormatError):
+        snapshot_read(path)
+
+
 def test_snapshot_missing_file():
     with pytest.raises(FormatError):
         snapshot_read("/does/not/exist.nhf")
@@ -280,6 +290,16 @@ def test_main_reduced_honours_fixed_dt(tmp_path):
     assert cli.main(["reduced", bad]) == cli.EXIT_CONFIG
 
 
+def test_main_reduced_writes_summary(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, HEAT_INI.format(out=out)
+                        .replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = 0.005"))
+    assert cli.main(["reduced", path]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {"samples": 5, "final_t": pytest.approx(0.02),
+                       "steps": 4, "event": None}
+
+
 def test_main_counterexample_sets_kind_and_defaults(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_flow", lambda cfg: seen.append(cfg) or 0)
@@ -393,6 +413,7 @@ def test_main_flow_with_too_few_late_samples_skips_the_fit(tmp_path):
     assert cli.main(["flow", path]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == 14
+    assert summary["steps"] == 13
     assert "decay_rate" not in summary
 
 
@@ -426,7 +447,12 @@ def test_bench_trace_mode_wraps_the_reduced_march(tmp_path):
         cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(report.read_text())
-    assert data["trace"]["reduced.step_rk4_reduced"]["calls"] > 0
+    trace = data["trace"]
+    steps = trace["reduced.step_rk4_reduced"]["calls"]
+    assert steps > 0
+    # each heat step is one real-FFT pair and no Laplacian call
+    assert trace["fft"]["calls"] == 2 * steps
+    assert trace["grid.laplacian_values"]["calls"] == 0
     assert data["aliases_before"] == [] and data["aliases_after"] == []
     assert data["main_loop_at"] is not None
 

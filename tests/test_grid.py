@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from hodgeflow.errors import NumericalBlowup
 from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _diff_matrix,
-                            deriv_values, gradient_values, integrate,
-                            laplacian, laplacian_values, spectral_partial)
+                            _laplacian_symbol, deriv_values, gradient_values,
+                            integrate, laplacian, laplacian_values,
+                            multiplier_values, spectral_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,20 @@ def test_rfft_nyquist_convention(n):
     assert np.abs(deriv_values(nyq, g, 1)).max() < 1e-12
     assert np.abs(laplacian_values(nyq, g) + (n // 2) ** 2 * nyq).max() \
         < 1e-12 * (n // 2) ** 2
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("lead", [(), (1,), (3, 2)])
+def test_rank1_multiplier_equals_the_rfftn_round_trip(n, lead):
+    # the rank-1 rfft/irfft pair is the rfftn/irfftn round trip, bit for bit
+    grid = PeriodicGrid((n,), (3.0,))
+    vals = np.random.default_rng(n).standard_normal(lead + grid.dims)
+    symbol = _laplacian_symbol(grid.dims, grid.lengths)
+    axes = (vals.ndim - 1,)
+    want = np.fft.irfftn(np.fft.rfftn(vals, axes=axes) * symbol, s=grid.dims,
+                         axes=axes)
+    assert np.array_equal(multiplier_values(vals, grid, symbol), want)
+    assert np.array_equal(laplacian_values(vals, grid), want)
 
 
 @pytest.mark.parametrize("grid", [

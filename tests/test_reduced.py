@@ -3,8 +3,11 @@ import pytest
 import sympy as sp
 
 from hodgeflow import forms, reduced
-from hodgeflow.errors import CohomologyMismatch, DegenerateForm
-from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
+from hodgeflow import grid as grid_module
+from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
+from hodgeflow.flows import rk4
+from hodgeflow.grid import (PeriodicGrid, ScalarField, _laplacian_symbol,
+                            integrate, laplacian_values)
 from hodgeflow.reduced import (ReducedState, ab_system_rhs, embed_ab,
                                embed_product, embed_product_vw,
                                fast_diffusion_rhs, heat_rhs,
@@ -146,6 +149,91 @@ def test_step_rejects_bad_dt():
     state = ReducedState("heat", (ScalarField.constant(grid, 1.0),))
     with pytest.raises(ValueError):
         step_rk4_reduced(state, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the heat step as a Fourier multiplier, against the four-stage RK4 on the
+# Laplacian (the path it replaced)
+
+HEAT_GRIDS = [PeriodicGrid((512,)), PeriodicGrid((32, 16), (2 * np.pi, 3.0))]
+HEAT_IDS = ["512", "32x16-mixed"]
+# a power of two, so 200 steps land exactly on t_end; |dt k^2| <= 1.1 on both
+# grids, inside the RK4 stability interval
+HEAT_DT = 2.0 ** -16
+
+
+def rk4_laplacian_oracle(values, grid, dt, steps):
+    y = values[None]
+    for _ in range(steps):
+        y = rk4(y, lambda v: laplacian_values(v, grid), dt)
+    return y[0]
+
+
+def heat_state(grid, seed=5):
+    vals = np.random.default_rng(seed).standard_normal(grid.dims)
+    return ReducedState("heat", (ScalarField(grid, vals),))
+
+
+@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
+def test_heat_step_matches_four_stage_rk4(grid):
+    state = heat_state(grid)
+    dt = reduced_cfl_dt(state)
+    want = rk4_laplacian_oracle(state.fields[0].values, grid, dt, 1)
+    got = step_rk4_reduced(state, dt).fields[0].values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
+def test_heat_march_matches_four_stage_rk4(grid):
+    state = heat_state(grid)
+    _, final, event = run_reduced(state, 200 * HEAT_DT, fixed_dt=HEAT_DT)
+    assert event is None and final.step == 200
+    want = rk4_laplacian_oracle(state.fields[0].values, grid, HEAT_DT, 200)
+    got = final.fields[0].values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
+def test_heat_factor_is_the_rk4_polynomial(grid):
+    for dt in (HEAT_DT, reduced_cfl_dt(heat_state(grid))):
+        z = dt * _laplacian_symbol(grid.dims, grid.lengths)
+        want = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+        got = reduced._heat_factor(grid.dims, grid.lengths, dt)
+        assert got.shape == z.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("grid,pair", zip(HEAT_GRIDS, [("rfft", "irfft"),
+                                                         ("rfftn", "irfftn")]),
+                         ids=HEAT_IDS)
+def test_heat_step_is_one_real_fft_pair(grid, pair, monkeypatch):
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
+                 "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    lap = counting("laplacian_values", grid_module.laplacian_values)
+    for mod in (grid_module, reduced):
+        monkeypatch.setattr(mod, "laplacian_values", lap)
+    state = heat_state(grid)
+    dt = reduced_cfl_dt(state)
+    step_rk4_reduced(state, dt)
+    assert calls == {pair[0]: 1, pair[1]: 1}, calls
+
+
+def test_heat_step_rejects_non_finite_data():
+    grid = PeriodicGrid((16,))
+    vals = np.ones(grid.dims)
+    vals[3] = np.nan
+    state = ReducedState("heat", (ScalarField(grid, vals),))
+    with pytest.raises(NumericalBlowup):
+        step_rk4_reduced(state, 1e-3)
 
 
 # ---------------------------------------------------------------------------
