@@ -48,25 +48,35 @@ class ThreeForm:
 
 
 # Per axis a, the terms (source, target, plus) that make up
-#   (d zeta)_ij = d_i zeta_j - d_j zeta_i   and   (d* rho)_k = sum_l d_l rho_kl
+#   (d zeta)_ij = d_i zeta_j - d_j zeta_i   and   (d* rho)_k = sum_l d_l rho_kl,
+# and, for the 3-form stored by omitted axis m with i < j < k the other axes,
+#   (d rho)_m = d_i rho_jk - d_j rho_ik + d_k rho_ij   (sign: a's place in ijk).
 _D_ONE_TERMS = tuple(tuple((j, PAIR_INDEX[(min(a, j), max(a, j))], a < j)
                            for j in range(4) if j != a) for a in range(4))
 _CODIFF_TERMS = tuple(tuple((p, i + j - a, j == a)
                             for p, (i, j) in enumerate(COMPONENT_PAIRS) if a in (i, j))
                       for a in range(4))
+_D_TWO_TERMS = tuple(tuple((PAIR_INDEX[tuple(b for b in range(4) if b not in (a, m))],
+                            m, sum(b < a for b in range(4) if b != m) != 1)
+                           for m in range(4) if m != a)
+                     for a in range(4))
+
+
+def add_axis_terms(out: np.ndarray, axis_terms, Da) -> None:
+    """out[target] += or -= Da[source] over one axis's terms, Da[s] = d_a comps[s]."""
+    for s, t, plus in axis_terms:
+        (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
 
 
 def _axis_sums(out: np.ndarray, terms, comps: np.ndarray, grid: PeriodicGrid,
                D: np.ndarray = None) -> np.ndarray:
-    """out[target] += or -= d_a comps[source] over each axis a's terms.  The
-    d_a come from the gradient bundle D[a] = d_a comps when it is given, else
-    from one deriv_values call per axis on that axis's sources."""
+    """add_axis_terms over every axis a.  The d_a come from the gradient
+    bundle D[a] = d_a comps when it is given, else from one deriv_values call
+    per axis on that axis's sources."""
     for a, axis_terms in enumerate(terms):
         src = [s for s, _, _ in axis_terms]
-        Da = D[a] if D is not None else dict(
-            zip(src, deriv_values(comps, grid, a, src)))
-        for s, t, plus in axis_terms:
-            (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
+        add_axis_terms(out, axis_terms, D[a] if D is not None else dict(
+            zip(src, deriv_values(comps, grid, a, src))))
     return out
 
 
@@ -79,16 +89,13 @@ def d_one(zeta: OneForm) -> TwoForm:
     return TwoForm(grid, out)
 
 
-def d_two(rho: TwoForm, D: np.ndarray = None) -> ThreeForm:
-    """Exterior derivative of a 2-form, stored by omitted axis; D is the
-    gradient bundle D[j] = d_j rho, if at hand."""
+def d_two(rho: TwoForm) -> ThreeForm:
+    """Exterior derivative of a 2-form, stored by omitted axis."""
     check_finite(rho.comps, "d_two input")
-    D = gradient_values(rho.comps, rho.grid) if D is None else D
-    out = np.stack([D[i, PAIR_INDEX[(j, k)]] - D[j, PAIR_INDEX[(i, k)]]
-                    + D[k, PAIR_INDEX[(i, j)]]
-                    for (i, j, k) in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))])
+    grid = rho.grid
+    out = _axis_sums(np.zeros((4,) + grid.dims), _D_TWO_TERMS, rho.comps, grid)
     check_finite(out, "d_two output")
-    return ThreeForm(rho.grid, out)
+    return ThreeForm(grid, out)
 
 
 def codiff_two(rho: TwoForm, D: np.ndarray = None) -> OneForm:
@@ -122,11 +129,10 @@ def periods(rho: TwoForm) -> np.ndarray:
     return means * areas
 
 
-def grad_norm_sq(rho: TwoForm, D: np.ndarray = None) -> ScalarField:
-    """|grad rho|^2: squared spectral partials summed over axes and components;
-    D is the gradient bundle D[j] = d_j rho, if at hand."""
+def grad_norm_sq(rho: TwoForm) -> ScalarField:
+    """|grad rho|^2: squared spectral partials summed over axes and components."""
     check_finite(rho.comps, "grad_norm_sq input")
-    D = gradient_values(rho.comps, rho.grid) if D is None else D
+    D = gradient_values(rho.comps, rho.grid)
     return ScalarField(rho.grid, np.einsum("jc...,jc...->...", D, D))
 
 

@@ -271,7 +271,8 @@ def write_series(trajectory, path) -> None:
 
 def _write_summary(out_dir: Path, trajectory, final, event, extra=None) -> None:
     """summary.json of a flow or reduced run: sample count, final t, the
-    final state's step count and the degeneracy event, plus `extra`."""
+    final state's step count and the degeneracy event, plus `extra` (the
+    march's wall_s, dt_min and dt_max, and a flow's decay fit)."""
     summary = {"samples": len(trajectory),
                "final_t": trajectory[-1].t if trajectory else None,
                "steps": final.step,
@@ -315,17 +316,19 @@ def cmd_flow(cfg: RunConfig) -> int:
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    stats = {}
     trajectory, final, event = flows.run_flow(
         initial, scheme, t_end, sample_every, safety=safety,
         u_floor=cfg.get("flow", "u_floor", forms.DEFAULT_U_FLOOR, float),
         q1_weight=cfg.get("diagnostics", "q1_weight", 10.0, float),
         monitor_a=cfg.get("diagnostics", "monitor_a", 10.0, float),
         monitor_b=cfg.get("diagnostics", "monitor_b", 100.0, float),
-        fixed_dt=fixed_dt)
+        fixed_dt=fixed_dt, stats=stats)
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
         snapshot_write(final, out_dir / "final.nhf", scheme.kind, cfg.digest())
-    _write_summary(out_dir, trajectory, final, event, _decay_fit(trajectory))
+    _write_summary(out_dir, trajectory, final, event,
+                   {**stats, **_decay_fit(trajectory)})
     return _event_exit(event)
 
 
@@ -349,6 +352,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
             base = ScalarField.from_function(
                 grid, lambda x1, x2: 1.0 + amp * np.sin(x1))
         state = reduced.ReducedState(model, (base,))
+    stats = {}
     try:
         # precondition: the initial data must already satisfy positivity
         reduced.reduced_cfl_dt(
@@ -357,7 +361,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
         trajectory, final, event = reduced.run_reduced(
             state, t_end, sample_every=sample_every, safety=safety,
             u_floor=cfg.get("reduced", "u_floor", forms.DEFAULT_U_FLOOR, float),
-            fixed_dt=fixed_dt)
+            fixed_dt=fixed_dt, stats=stats)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -368,7 +372,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
         lines.append(",".join(format(v, ".17e") for v in
                               (rec.t, rec.dt, rec.mass, rec.minU, rec.maxU)))
     (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
-    _write_summary(out_dir, trajectory, final, event)
+    _write_summary(out_dir, trajectory, final, event, stats)
     return _event_exit(event)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import calculus, flows, forms
 from .errors import BadSeries, CohomologyMismatch, DegenerateForm
 from .forms import DEFAULT_U_FLOOR, SQRT2, FlowScheme, TwoForm
-from .grid import (ScalarField, check_finite, gradient_values, integrate,
-                   laplacian_values)
+from .grid import (ScalarField, check_finite, deriv_values, gradient_values,
+                   integrate, laplacian_values)
 
 _TINY = 1e-300
 
@@ -104,9 +104,26 @@ def decay_rate_fit(series) -> tuple:
     return -float(slope), r_squared
 
 
-def _grad_u_values(rho: TwoForm, D: np.ndarray) -> np.ndarray:
-    """Pointwise u_j = <*rho, d_j rho> from the gradient bundle D[j] = d_j rho."""
-    return np.einsum("c...,jc...->j...", forms.hodge_star(rho).comps, D)
+def _derivative_fields(rho: TwoForm):
+    """(d* rho, d rho, grad u, |grad rho|^2) as arrays, streamed over the axes:
+    each D_a = d_a rho comes from one deriv_values call and is folded into all
+    four before the next, so no (4, 6, *dims) gradient bundle is held.
+    u_a = <*rho, D_a> reads *rho by index and sign."""
+    grid, c = rho.grid, rho.comps
+    xi = np.zeros((4,) + grid.dims)
+    drho = np.zeros((4,) + grid.dims)
+    grad_u = np.zeros((4,) + grid.dims)
+    grad_sq = np.zeros(grid.dims)
+    term = np.empty(grid.dims)
+    for a in range(4):
+        Da = deriv_values(c, grid, a)
+        calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da)
+        calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da)
+        for n, (src, plus) in enumerate(forms.STAR_TERMS):
+            np.multiply(c[src], Da[n], out=term)
+            (np.add if plus else np.subtract)(grad_u[a], term, out=grad_u[a])
+            grad_sq += np.multiply(Da[n], Da[n], out=term)
+    return xi, drho, grad_u, grad_sq
 
 
 def _grad_log_u_sup(u: np.ndarray, grad_u: np.ndarray, u_floor: float) -> float:
@@ -117,21 +134,20 @@ def _grad_log_u_sup(u: np.ndarray, grad_u: np.ndarray, u_floor: float) -> float:
 
 def grad_log_u_sup(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> float:
     """sup over the grid of |grad u| / u."""
-    grad_u = _grad_u_values(rho, gradient_values(rho.comps, rho.grid))
+    grad_u = _derivative_fields(rho)[2]
     return _grad_log_u_sup(forms.volume_potential_values(rho), grad_u, u_floor)
 
 
-def _shi_values(rho: TwoForm, D: np.ndarray, grad_u: np.ndarray, a: float,
-                b: float) -> np.ndarray:
-    return (calculus.grad_norm_sq(rho, D).values
-            + a * np.einsum("j...,j...->...", grad_u, grad_u)
+def _shi_values(rho: TwoForm, grad_sq: np.ndarray, grad_u: np.ndarray,
+                a: float, b: float) -> np.ndarray:
+    return (grad_sq + a * np.einsum("j...,j...->...", grad_u, grad_u)
             + b * forms.norm_sq_values(rho) + 1.0)
 
 
 def shi_monitor(rho: TwoForm, a: float, b: float) -> ScalarField:
     """f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 (>= 1 pointwise)."""
-    D = gradient_values(rho.comps, rho.grid)
-    return ScalarField(rho.grid, _shi_values(rho, D, _grad_u_values(rho, D), a, b))
+    _, _, grad_u, grad_sq = _derivative_fields(rho)
+    return ScalarField(rho.grid, _shi_values(rho, grad_sq, grad_u, a, b))
 
 
 def poincare_ratio(rho: TwoForm) -> float:
@@ -158,21 +174,22 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
                 q1_weight: float = 10.0, monitor_a: float = 10.0,
                 monitor_b: float = 100.0,
                 u_floor: float = DEFAULT_U_FLOOR) -> TrajectoryRecord:
-    """One diagnostics row; every derivative comes from one gradient bundle."""
+    """One diagnostics row; every derivative comes from one pass over the axes."""
     check_finite(rho.comps, "make_record input")
+    xi, drho, grad_u, grad_sq = _derivative_fields(rho)
+    d_rho_residual = float(np.abs(drho).max())
     u = forms.volume_potential_values(rho)
-    lam1, lam2 = forms.eigenvalue_values(rho)
-    D = gradient_values(rho.comps, rho.grid)
-    grad_u = _grad_u_values(rho, D)
     try:
         e0 = normalized_energy(rho)
-        q1 = _coexact_energy(calculus.codiff_two(rho, D)) + q1_weight * e0
+        q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + q1_weight * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
     try:
         sup_grad_log_u = _grad_log_u_sup(u, grad_u, u_floor)
     except DegenerateForm:
         sup_grad_log_u = float("nan")
+    f_max = float(_shi_values(rho, grad_sq, grad_u, monitor_a, monitor_b).max())
+    lam1, lam2 = forms.eigenvalue_values(rho)
     per = calculus.periods(rho)
     drift = float(np.abs(per - ref_periods).max()
                   / max(1.0, float(np.abs(ref_periods).max())))
@@ -180,10 +197,8 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
         t=t, dt=dt, E=energy(rho), E0=e0,
         minU=float(u.min()), maxU=float(u.max()), meanU=float(u.mean()),
         minLambda2=float(lam2.min()), maxLambda1=float(lam1.max()),
-        supGradLogU=sup_grad_log_u, Q1=q1,
-        fMax=float(_shi_values(rho, D, grad_u, monitor_a, monitor_b).max()),
-        dRhoResidual=calculus.max_abs_three(calculus.d_two(rho, D)),
-        periodDrift=drift)
+        supGradLogU=sup_grad_log_u, Q1=q1, fMax=f_max,
+        dRhoResidual=d_rho_residual, periodDrift=drift)
 
 
 # ---------------------------------------------------------------------------

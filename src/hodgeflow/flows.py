@@ -10,6 +10,7 @@ models in `reduced` use them too.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,10 +47,13 @@ def _check_u(rho: TwoForm, u_floor: float) -> np.ndarray:
 
 
 def flow_rhs(rho: TwoForm, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
-    """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy."""
-    xi = calculus.codiff_two(rho)
-    sigma = -forms.weight_apply(rho, scheme, xi.comps, u_floor)
+             u_floor: float = DEFAULT_U_FLOOR,
+             u: Optional[np.ndarray] = None) -> TwoForm:
+    """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy.  `u` is
+    the volume potential of rho, if at hand."""
+    sigma = forms.weight_apply(rho, scheme, calculus.codiff_two(rho).comps,
+                               u_floor, u)
+    np.negative(sigma, out=sigma)
     return calculus.d_one(calculus.OneForm(rho.grid, sigma))
 
 
@@ -65,20 +69,31 @@ def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25,
 
 def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
         dt: float) -> np.ndarray:
-    """The classical four-stage explicit update of y' = f(y), for any model."""
+    """The classical four-stage explicit update of y' = f(y), for any model.
+
+    Low storage: one accumulator takes k1 + 2 k2 + 2 k3 + k4 in that order,
+    so the sum is the textbook one to the bit, and each stage's k is dropped
+    once the next stage's input is formed.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    check_finite(new, "RK4 step")
-    return new
+    acc = f(y)  # k1, then the running sum
+    if np.may_share_memory(acc, y):
+        acc = acc.copy()  # it is written in place below
+    k = acc
+    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        k = y + c * dt * k  # the stage input; the last k is dropped here
+        k = f(k)  # k2, k3, k4
+        acc += weight * k
+    acc *= dt / 6.0
+    acc += y  # y + (dt/6) * sum: the addition commutes, so the same bits
+    check_finite(acc, "RK4 step")
+    return acc
 
 
 def march(state, step, cfl, t_end: float, sample_every: float, record,
-          positivity, fixed_dt: Optional[float] = None):
+          positivity, fixed_dt: Optional[float] = None,
+          stats: Optional[dict] = None):
     """The one time-marching loop, shared by the 4D flow and the reduced models.
 
     `state` carries t, step and dt; `step(state, dt)` returns the next state,
@@ -86,17 +101,22 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     one trajectory row, and `positivity(state)` the field kept above the floor.
     Returns (trajectory, final_state, event); `event` is None on a clean run and
     a DegeneracyEvent at the last accepted state when a step raises
-    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").
+    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").  A given
+    `stats` dict receives `wall_s`, the loop's perf_counter time, and `dt_min`
+    and `dt_max` over the accepted steps (None when no step was accepted).
     """
     if not sample_every > 0:
         raise ValueError("sample_every must be positive")  # else it never ends
+    started = time.perf_counter()
     trajectory = [record(state)]
     next_sample = sample_every
     event = None
+    dt_min, dt_max = np.inf, 0.0
     while state.t < t_end - 1e-14:
         try:
             dt = fixed_dt if fixed_dt is not None else cfl(state)
-            state = step(state, min(dt, t_end - state.t))
+            dt = min(dt, t_end - state.t)
+            state = step(state, dt)
         except (DegenerateForm, NumericalBlowup) as exc:
             vals = positivity(state)
             loc = np.unravel_index(int(np.argmin(vals)), vals.shape)
@@ -105,10 +125,18 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
                 min_u=float(vals.min()),
                 cause="u_floor" if isinstance(exc, DegenerateForm) else "blowup")
             break
+        if dt < dt_min:
+            dt_min = dt
+        if dt > dt_max:
+            dt_max = dt
         if state.t >= next_sample - 1e-12 or state.t >= t_end - 1e-14:
             trajectory.append(record(state))
             while next_sample <= state.t + 1e-12:
                 next_sample += sample_every
+    if stats is not None:
+        stats.update(wall_s=time.perf_counter() - started,
+                     dt_min=dt_min if dt_max > 0 else None,
+                     dt_max=dt_max if dt_max > 0 else None)
     return trajectory, state, event
 
 
@@ -119,8 +147,7 @@ def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
 
     def stage(comps: np.ndarray) -> np.ndarray:
         r = TwoForm(grid, comps)
-        _check_u(r, u_floor)
-        return flow_rhs(r, scheme, u_floor).comps
+        return flow_rhs(r, scheme, u_floor, _check_u(r, u_floor)).comps
 
     new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
     _check_u(new, u_floor)
@@ -131,11 +158,11 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
              sample_every: float, safety: float = 0.25,
              u_floor: float = DEFAULT_U_FLOOR, q1_weight: float = 10.0,
              monitor_a: float = 10.0, monitor_b: float = 100.0,
-             fixed_dt: Optional[float] = None):
+             fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
     """Integrate the flow, sampling diagnostics at the requested cadence.
 
-    Returns (trajectory, final_state, event) from `march`; never raises for
-    the terminal conditions (u at the floor, blowup).
+    Returns (trajectory, final_state, event) from `march`, which also fills
+    `stats`; never raises for the terminal conditions (u at the floor, blowup).
     """
     from . import diagnostics
 
@@ -155,4 +182,4 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
         lambda st, dt: step_rk4(st, dt, scheme, u_floor),
         lambda st: cfl_dt(st.rho, scheme, safety, u_floor),
         t_end, sample_every, record,
-        lambda st: forms.volume_potential_values(st.rho), fixed_dt)
+        lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats)

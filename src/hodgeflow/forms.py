@@ -147,10 +147,15 @@ def omega(grid: PeriodicGrid) -> TwoForm:
     return w
 
 
+# The Hodge star as (source, plus) per component: (*rho)_n = +-rho_source,
+# so that *rho can be read by index and sign instead of copied.
+STAR_TERMS = ((5, True), (4, False), (3, True), (2, True), (1, False), (0, True))
+
+
 def hodge_star(rho: TwoForm) -> TwoForm:
     """Hodge star of the flat metric: an isometric involution on 2-forms."""
     c = rho.comps
-    starred = np.stack([c[5], -c[4], c[3], c[2], -c[1], c[0]])
+    starred = np.stack([c[s] if plus else -c[s] for s, plus in STAR_TERMS])
     return TwoForm(rho.grid, starred)
 
 
@@ -177,11 +182,18 @@ def volume_potential_values(rho: TwoForm) -> np.ndarray:
     return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
 
 
+def _dual_part_norm(c: np.ndarray, same, flip) -> np.ndarray:
+    """|rho+| (same=np.add, flip=np.subtract) or |rho-| (the other way round),
+    from |rho+-|^2 = ((c0 +- c5)^2 + (c1 -+ c4)^2 + (c2 +- c3)^2) / 2."""
+    return np.sqrt(0.5 * (same(c[0], c[5]) ** 2 + flip(c[1], c[4]) ** 2
+                          + same(c[2], c[3]) ** 2))
+
+
 def eigenvalue_values(rho: TwoForm):
-    """(lambda1, lambda2) as arrays, from the norms of the SD/ASD parts."""
-    plus, minus = sd_asd_split(rho)
-    sp = np.sqrt(norm_sq_values(plus))
-    sm = np.sqrt(norm_sq_values(minus))
+    """(lambda1, lambda2) = (|rho+| +- |rho-|) / sqrt2 as arrays, with the
+    norms of the SD/ASD parts in closed form (no split forms are built)."""
+    sp = _dual_part_norm(rho.comps, np.add, np.subtract)
+    sm = _dual_part_norm(rho.comps, np.subtract, np.add)
     return (sp + sm) / SQRT2, (sp - sm) / SQRT2
 
 
@@ -240,11 +252,13 @@ def require_above_floor(values: np.ndarray, u_floor: float,
 
 
 def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
-                         u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
-    """Pointwise conformal factor for the scalar schemes."""
+                         u_floor: float = DEFAULT_U_FLOOR,
+                         u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pointwise conformal factor for the scalar schemes; `u` is the volume
+    potential of rho, if at hand."""
     if scheme.kind == "linear":
         return np.ones(rho.grid.dims)
-    u = volume_potential_values(rho)
+    u = volume_potential_values(rho) if u is None else u
     require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "power_u":
         return u ** (-scheme.r)
@@ -269,19 +283,31 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
     return SymMatrixField(rho.grid, base / u ** power)
 
 
-def _skew_apply(comps: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v pointwise for the skew matrix M whose six components are `comps`."""
+# The skew mat-vec M v as terms (i, j, source, plus) per component n of the
+# pair (i, j): M_ij = +-comps[source], out[i] += M_ij v[j], out[j] -= M_ij v[i].
+_SKEW_TERMS = tuple((i, j, n, True) for n, (i, j) in enumerate(COMPONENT_PAIRS))
+_STAR_SKEW_TERMS = tuple((i, j, src, plus) for (i, j), (src, plus)
+                         in zip(COMPONENT_PAIRS, STAR_TERMS))
+
+
+def _skew_apply(comps: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
+    """M v pointwise for the skew matrix M read from `comps` through `terms`:
+    _SKEW_TERMS for rho itself, _STAR_SKEW_TERMS for *rho."""
     out = np.zeros_like(v)
     term = np.empty_like(v[0])
-    for n, (i, j) in enumerate(COMPONENT_PAIRS):
-        out[i] += np.multiply(comps[n], v[j], out=term)
-        out[j] -= np.multiply(comps[n], v[i], out=term)
+    for i, j, src, plus in terms:
+        np.multiply(comps[src], v[j], out=term)
+        (np.add if plus else np.subtract)(out[i], term, out=out[i])
+        np.multiply(comps[src], v[i], out=term)
+        (np.subtract if plus else np.add)(out[j], term, out=out[j])
     return out
 
 
 def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
-                 u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
-    """h xi pointwise for a 1-form xi of shape (4, *dims), without building h.
+                 u_floor: float = DEFAULT_U_FLOOR,
+                 u: Optional[np.ndarray] = None) -> np.ndarray:
+    """h xi pointwise for a 1-form xi of shape (4, *dims), without building h;
+    `u` is the volume potential of rho, if at hand.
 
     a = R R^T and b = S S^T for the skew matrices R of rho and S of *rho, so
     a xi = -R(R xi) and b xi = -S(S xi); sqrt(b) xi = (u xi + b xi)/(lambda1 +
@@ -289,11 +315,11 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     matrix this must agree with.
     """
     if scheme.is_scalar:
-        return scalar_weight_values(rho, scheme, u_floor) * xi
-    u = volume_potential_values(rho)
+        return scalar_weight_values(rho, scheme, u_floor, u) * xi
+    u = volume_potential_values(rho) if u is None else u
     require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
-    skew = rho.comps if scheme.kind in ("matrix_a1", "matrix_a2") \
-        else hodge_star(rho).comps
+    terms = _SKEW_TERMS if scheme.kind in ("matrix_a1", "matrix_a2") \
+        else _STAR_SKEW_TERMS
     if scheme.kind == "matrix_bh":
         lam1, lam2 = eigenvalue_values(rho)
         scale = np.maximum(lam1 + lam2, EIG_EPS) * u
@@ -303,8 +329,8 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     # one slab of the first grid axis at a time, so that the mat-vec
     # operands stay in cache: about 40% faster than whole fields at 24^4
     for k in range(xi.shape[1]):
-        v = xi[:, k]
-        twice = _skew_apply(skew[:, k], _skew_apply(skew[:, k], v))  # -(a or b) v
+        v, slab = xi[:, k], rho.comps[:, k]
+        twice = _skew_apply(slab, _skew_apply(slab, v, terms), terms)  # -(a or b) v
         if scheme.kind == "matrix_bh":
             twice = u[k] * v - twice
         np.divide(twice, scale[k], out=out[:, k])

@@ -191,13 +191,15 @@ def step_rk4_reduced(state: ReducedState, dt: float,
 def run_reduced(state: ReducedState, t_end: float,
                 sample_every: Optional[float] = None, safety: float = 0.25,
                 u_floor: float = DEFAULT_U_FLOOR,
-                fixed_dt: Optional[float] = None):
-    """March a reduced model to t_end; returns (trajectory, final, event)."""
+                fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
+    """March a reduced model to t_end; returns (trajectory, final, event), and
+    fills `stats` as `march` does."""
     if sample_every is None:
         sample_every = max(t_end / 20.0, 1e-12)
     return march(state, lambda st, dt: step_rk4_reduced(st, dt, u_floor),
                  lambda st: reduced_cfl_dt(st, safety, u_floor),
-                 t_end, sample_every, _record, _positivity_field, fixed_dt)
+                 t_end, sample_every, _record, _positivity_field, fixed_dt,
+                 stats)
 
 
 # ---------------------------------------------------------------------------

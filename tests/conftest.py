@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,17 @@ def grid2_32():
 def random_form(grid, eps=0.2, band=2, seed=0):
     """Closed band-limited probe near the reference form."""
     return scenarios.make_random_near_omega(grid, eps, band=band, seed=seed)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of the second of two calls (the first fills caches)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(x, y):

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import re
@@ -296,8 +297,26 @@ def test_main_reduced_writes_summary(tmp_path):
                         .replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = 0.005"))
     assert cli.main(["reduced", path]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
+    assert summary.pop("wall_s") > 0.0
     assert summary == {"samples": 5, "final_t": pytest.approx(0.02),
-                       "steps": 4, "event": None}
+                       "steps": 4, "event": None,
+                       "dt_min": pytest.approx(0.005), "dt_max": pytest.approx(0.005)}
+
+
+def test_main_flow_summary_reports_wall_time_and_dt_range(tmp_path):
+    # three CFL steps, the last one clipped to t_end: the dt range covers the
+    # dt column of every record after the first, and steps is the same count
+    out = tmp_path / "out"
+    assert cli.main(["flow", write_config(tmp_path, FLOW_INI.format(out=out))]) \
+        == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 3 and summary["samples"] == 4
+    assert summary["wall_s"] > 0.0
+    assert 0.0 < summary["dt_min"] <= summary["dt_max"]
+    rows = (out / "series.csv").read_text().strip().split("\n")[2:]
+    dts = [float(row.split(",")[1]) for row in rows]
+    assert min(dts) == summary["dt_min"] and max(dts) == summary["dt_max"]
+    assert "wall_s" not in (out / "series.csv").read_text()
 
 
 def test_main_counterexample_sets_kind_and_defaults(tmp_path, monkeypatch):
@@ -380,6 +399,50 @@ def test_import_defaults_blas_to_one_thread():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == want
+
+
+MALLOC_PROBE = """
+import ctypes, sys
+import hodgeflow
+import numpy as np
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes = ()
+libc.mallinfo2.restype = MallInfo2
+before = libc.mallinfo2().hblks
+held = np.ones(1 << 20)  # 8 MiB
+sys.stdout.write(str(libc.mallinfo2().hblks - before))
+"""
+
+
+def test_import_keeps_freed_arrays_on_the_heap():
+    # an 8 MiB array comes from the heap, not from its own mmap (glibc's
+    # default above 128 KiB), unless the user has set the threshold
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(root / "src")
+    for preset, mapped in ((None, "0"),
+                           (("MALLOC_MMAP_THRESHOLD_", "131072"), "1"),
+                           (("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072"), "1")):
+        run_env = env if preset is None else {**env, preset[0]: preset[1]}
+        proc = subprocess.run([sys.executable, "-c", MALLOC_PROBE], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == mapped, preset
+
+
+def test_heap_setting_is_skipped_without_mallopt(monkeypatch):
+    import hodgeflow
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    hodgeflow._keep_freed_memory_on_heap()  # no mallopt: nothing to do
 
 
 def test_main_verify_reductions():

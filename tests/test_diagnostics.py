@@ -9,9 +9,9 @@ from hodgeflow.diagnostics import (CSV_COLUMNS, TrajectoryRecord, decay_rate_fit
                                    sobolev_poincare_ratio)
 from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
                              NumericalBlowup)
-from hodgeflow.grid import PeriodicGrid
+from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
 
-from conftest import random_form
+from conftest import random_form, traced_peak
 
 
 def test_energy_of_reference(grid8):
@@ -210,3 +210,82 @@ def test_make_record_rejects_non_finite_form(grid8):
     rho.comps[2, 1, 2, 3, 4] = np.nan
     with pytest.raises(NumericalBlowup):
         make_record(rho, 0.0, 0.0, calculus.periods(forms.omega(grid8)))
+
+
+def d_two_stacked(D):
+    """(d rho)_m = d_i rho_jk - d_j rho_ik + d_k rho_ij per omitted axis m,
+    from the gradient bundle D[j] = d_j rho, stacked as one expression."""
+    P = forms.PAIR_INDEX
+    return np.stack([D[i, P[(j, k)]] - D[j, P[(i, k)]] + D[k, P[(i, j)]]
+                     for (i, j, k) in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))])
+
+
+def bundle_make_record(rho, t, dt, ref_periods, q1_weight=10.0, monitor_a=10.0,
+                       monitor_b=100.0, u_floor=forms.DEFAULT_U_FLOOR):
+    """make_record as it was built on one (4, 6, *dims) gradient bundle: the
+    oracle of the record streamed over the axes."""
+    grid = rho.grid
+    u = forms.volume_potential_values(rho)
+    lam1, lam2 = forms.eigenvalue_values(rho)
+    D = gradient_values(rho.comps, grid)
+    grad_u = np.einsum("c...,jc...->j...", forms.hodge_star(rho).comps, D)
+    try:
+        e0 = normalized_energy(rho)
+        xi = calculus.codiff_two(rho, D).comps
+        q1 = integrate(ScalarField(grid, np.einsum("c...,c...->...", xi, xi))) \
+            + q1_weight * e0
+    except CohomologyMismatch:
+        e0 = q1 = float("nan")
+    grad_u_sq = np.einsum("j...,j...->...", grad_u, grad_u)
+    sup = float((np.sqrt(grad_u_sq) / u).max()) if u.min() > u_floor else float("nan")
+    shi = (np.einsum("jc...,jc...->...", D, D) + monitor_a * grad_u_sq
+           + monitor_b * forms.norm_sq_values(rho) + 1.0)
+    per = calculus.periods(rho)
+    return TrajectoryRecord(
+        t=t, dt=dt, E=energy(rho), E0=e0,
+        minU=float(u.min()), maxU=float(u.max()), meanU=float(u.mean()),
+        minLambda2=float(lam2.min()), maxLambda1=float(lam1.max()),
+        supGradLogU=sup, Q1=q1, fMax=float(shi.max()),
+        dRhoResidual=float(np.abs(d_two_stacked(D)).max()),
+        periodDrift=float(np.abs(per - ref_periods).max()
+                          / max(1.0, float(np.abs(ref_periods).max()))))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("scheme", [forms.CONFORMAL, forms.MATRIX_B2],
+                         ids=lambda s: s.kind)
+def test_streamed_record_matches_bundle_oracle(n, scheme):
+    grid = PeriodicGrid((n,) * 4)
+    state = flows.FlowState(rho=random_form(grid, 0.05, band=3, seed=n))
+    ref = calculus.periods(forms.omega(grid))
+    dt = 0.5 * flows.cfl_dt(state.rho, scheme)
+    for _ in range(3):  # the initial data and two RK4 steps of the trajectory
+        got = make_record(state.rho, state.t, state.dt, ref)
+        want = bundle_make_record(state.rho, state.t, state.dt, ref)
+        for name in CSV_COLUMNS:
+            g, w = getattr(got, name), getattr(want, name)
+            if name in ("dRhoResidual", "periodDrift"):  # rounding residuals
+                assert abs(g - w) <= 1e-15, name
+            else:
+                assert g == pytest.approx(w, rel=1e-13, abs=0.0), name
+        state = flows.step_rk4(state, dt, scheme)
+
+
+def test_d_two_by_axis_terms_is_the_stacked_formula(grid12):
+    for seed in (1, 2):
+        rho = random_form(grid12, 0.3, seed=seed)
+        rho.comps[0] += np.sin(grid12.coordinates()[3]) * np.ones(grid12.dims)  # not closed
+        want = d_two_stacked(gradient_values(rho.comps, grid12))
+        assert np.abs(want).max() > 0.1
+        assert np.array_equal(calculus.d_two(rho).comps, want)
+
+
+def test_record_and_d_two_hold_no_gradient_bundle():
+    # at 16^4: make_record peaks at 5.3 forms and d_two at 1.7; the bundle
+    # alone is 4 forms, and with it they peaked at 7.2 and 6.0
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+    ref = calculus.periods(rho)
+    form = rho.comps.nbytes
+    assert traced_peak(lambda: make_record(rho, 0.0, 0.0, ref)) <= 6.0 * form
+    assert traced_peak(lambda: calculus.d_two(rho)) <= 2.0 * form

@@ -12,7 +12,7 @@ from hodgeflow.flows import (FlowState, _check_u, cfl_dt, flow_rhs, rk4,
 from hodgeflow.forms import DEFAULT_U_FLOOR, TwoForm
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
 
-from conftest import random_form
+from conftest import random_form, traced_peak
 
 
 def test_rhs_is_exact_form(grid8):
@@ -241,3 +241,58 @@ def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
     calls.clear()
     make_record(rho, 0.0, 0.0, ref)
     assert calls == {"deriv_values": 4}, calls
+
+
+def rk4_textbook(y, f, dt):
+    """The four stages held at once and combined in one expression: the
+    update `rk4` made before it kept a single accumulator."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_is_bitwise_the_textbook_combination():
+    # a nonlinear vector ODE (a damped, coupled pendulum chain)
+    y0 = np.random.default_rng(5).standard_normal(64)
+
+    def f(y):
+        return np.sin(np.roll(y, 1)) - 0.3 * y * np.abs(y) + np.cos(y) ** 3
+
+    for dt in (1e-3, 0.037, 0.25):
+        assert np.array_equal(rk4(y0, f, dt), rk4_textbook(y0, f, dt))
+
+
+def test_rk4_matrix_b2_step_is_bitwise_the_textbook_combination(grid8):
+    rho = random_form(grid8, 0.05, band=3, seed=9)
+    dt = 0.5 * cfl_dt(rho, forms.MATRIX_B2)
+    got = step_rk4(FlowState(rho=rho), dt, forms.MATRIX_B2).rho.comps
+    want = rk4_textbook(rho.comps, lambda c: flow_rhs(
+        TwoForm(grid8, c), forms.MATRIX_B2).comps, dt)
+    assert np.array_equal(got, want)
+
+
+def test_rk4_leaves_the_state_alone_when_f_returns_its_input():
+    # y' = y with f returning its argument, or a view of it: the accumulator
+    # must not be the state itself
+    y0 = np.array([1.0, -2.0, 0.5])
+    dt = 0.1
+    for f in (lambda y: y, lambda y: y.reshape(y.shape)):
+        y = y0.copy()
+        got = rk4(y, f, dt)
+        assert np.array_equal(y, y0)
+        assert np.array_equal(got, rk4_textbook(y0, f, dt))
+        amp = 1.0 + dt + dt ** 2 / 2.0 + dt ** 3 / 6.0 + dt ** 4 / 24.0
+        assert np.abs(got - amp * y0).max() <= 4e-16 * np.abs(y0).max() * amp
+
+
+def test_rk4_step_memory_in_forms():
+    # at 16^4 one RK4 step peaks at 4.8 forms of memory; the textbook
+    # storage, k1..k4 held at once, peaked at 7.8
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+    state = FlowState(rho=rho)
+    for scheme in (forms.CONFORMAL, forms.MATRIX_B2):
+        peak = traced_peak(lambda: step_rk4(state, 1e-4, scheme))
+        assert peak <= 5.5 * rho.comps.nbytes, (scheme.kind, peak)

@@ -11,7 +11,7 @@ from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
                              weight_h, weight_spectral_radius)
 from hodgeflow.grid import PeriodicGrid
 
-from conftest import random_form
+from conftest import random_form, traced_peak
 
 
 def sample_points(grid, count, seed=0):
@@ -224,3 +224,37 @@ def test_pointwise_identities_on_random_constant_forms(seed):
     A = as_skew_matrix(rho)[:, :, 0, 0, 0, 0]
     assert np.linalg.det(A) == pytest.approx(float(u.flat[0]) ** 2,
                                              rel=1e-8, abs=1e-10)
+
+
+def _eigenvalues_from_split(rho):
+    """lambda1, lambda2 as (|rho+| +- |rho-|)/sqrt2 from the built SD/ASD
+    forms: the route `eigenvalue_values` took before its closed form."""
+    plus, minus = sd_asd_split(rho)
+    sp = np.sqrt(norm_sq_values(plus))
+    sm = np.sqrt(norm_sq_values(minus))
+    return (sp + sm) / forms.SQRT2, (sp - sm) / forms.SQRT2
+
+
+def test_eigenvalues_closed_form_matches_split(grid8):
+    # random data, omega itself (lambda1 = lambda2 = 1, rho- = 0) and data
+    # with u < 0 somewhere (lambda2 < 0 there)
+    negative = random_form(grid8, 0.3, seed=3)
+    negative.comps[0] -= 1.3 * np.cos(grid8.coordinates()[1]) * np.ones(grid8.dims)
+    assert volume_potential_values(negative).min() < 0.0
+    for rho in (random_form(grid8, 0.6, seed=21), omega(grid8), negative):
+        want1, want2 = _eigenvalues_from_split(rho)
+        got1, got2 = eigenvalue_values(rho)
+        scale = np.abs(want1).max()
+        ulp = np.spacing(scale)
+        assert np.abs(got1 - want1).max() <= 4 * ulp
+        assert np.abs(got2 - want2).max() <= 4 * ulp
+    lam1, lam2 = eigenvalue_values(omega(grid8))
+    assert np.array_equal(lam1, np.ones(grid8.dims)) and np.array_equal(lam1, lam2)
+
+
+def test_eigenvalues_hold_no_whole_form_temporaries():
+    # at 16^4 the closed form peaks at two thirds of a form (four scalar
+    # fields); the SD/ASD split held three forms
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+    assert traced_peak(lambda: eigenvalue_values(rho)) <= rho.comps.nbytes
