@@ -68,15 +68,14 @@ def add_axis_terms(out: np.ndarray, axis_terms, Da) -> None:
         (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
 
 
-def _axis_sums(out: np.ndarray, terms, comps: np.ndarray, grid: PeriodicGrid,
-               D: np.ndarray = None) -> np.ndarray:
-    """add_axis_terms over every axis a.  The d_a come from the gradient
-    bundle D[a] = d_a comps when it is given, else from one deriv_values call
-    per axis on that axis's sources."""
+def _axis_sums(out: np.ndarray, terms, comps: np.ndarray,
+               grid: PeriodicGrid) -> np.ndarray:
+    """add_axis_terms over every axis a, with one deriv_values call per axis
+    on that axis's sources."""
     for a, axis_terms in enumerate(terms):
         src = [s for s, _, _ in axis_terms]
-        add_axis_terms(out, axis_terms, D[a] if D is not None else dict(
-            zip(src, deriv_values(comps, grid, a, src))))
+        add_axis_terms(out, axis_terms,
+                       dict(zip(src, deriv_values(comps, grid, a, src))))
     return out
 
 
@@ -98,12 +97,11 @@ def d_two(rho: TwoForm) -> ThreeForm:
     return ThreeForm(grid, out)
 
 
-def codiff_two(rho: TwoForm, D: np.ndarray = None) -> OneForm:
-    """Formal adjoint of d on 2-forms: (d* rho)_k = sum_l d_l rho_kl; D is the
-    gradient bundle D[l] = d_l rho, if at hand."""
+def codiff_two(rho: TwoForm) -> OneForm:
+    """Formal adjoint of d on 2-forms: (d* rho)_k = sum_l d_l rho_kl."""
     check_finite(rho.comps, "codiff_two input")
     out = _axis_sums(np.zeros((4,) + rho.grid.dims), _CODIFF_TERMS, rho.comps,
-                     rho.grid, D)
+                     rho.grid)
     check_finite(out, "codiff_two output")
     return OneForm(rho.grid, out)
 

@@ -15,12 +15,13 @@ import json
 import struct
 import sys
 import time
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import calculus, diagnostics, flows, forms, reduced, scenarios, soliton
-from .diagnostics import CSV_COLUMNS
+from .diagnostics import TrajectoryRecord
 from .errors import (DegenerateForm, FormatError, HodgeFlowError, NoConvergence,
                      NumericalBlowup)
 from .flows import FlowState
@@ -226,8 +227,8 @@ def snapshot_read(path) -> FlowState:
     try:
         (rank,) = struct.unpack_from("<I", raw, off)
         off += 4
-        if rank not in (1, 2, 4):
-            raise FormatError(f"bad snapshot rank {rank}")
+        if rank != 4:
+            raise FormatError(f"bad snapshot rank {rank}: a 2-form needs rank 4")
         dims = struct.unpack_from(f"<{rank}I", raw, off)
         off += 4 * rank
         lengths = struct.unpack_from(f"<{rank}d", raw, off)
@@ -236,15 +237,18 @@ def snapshot_read(path) -> FlowState:
         off += 4
     except struct.error as exc:
         raise FormatError("truncated snapshot header") from exc
-    count = ncomp * int(np.prod(dims))
+    if ncomp != 6:
+        raise FormatError(f"expected 6 components, snapshot has {ncomp}")
+    try:
+        grid = PeriodicGrid(dims, lengths)
+    except ValueError as exc:
+        raise FormatError(f"bad snapshot grid: {exc}") from exc
+    count = 6 * int(np.prod(dims))
     payload = raw[off:]
     if len(payload) != 8 * count:
         raise FormatError(f"snapshot payload has {len(payload)} bytes, "
                           f"expected {8 * count}")
-    grid = PeriodicGrid(dims, lengths)
-    comps = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.dims).copy()
-    if ncomp != 6:
-        raise FormatError(f"expected 6 components, snapshot has {ncomp}")
+    comps = np.frombuffer(payload, dtype="<f8").reshape((6,) + grid.dims).copy()
     state = FlowState(rho=TwoForm(grid, comps))
     meta_path = Path(str(path) + ".json")
     if meta_path.exists():
@@ -261,11 +265,14 @@ def snapshot_read(path) -> FlowState:
     return state
 
 
-def write_series(trajectory, path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
+def write_series(trajectory, path, record_type=TrajectoryRecord) -> None:
+    """series.csv: one row per record, the columns in the field order of
+    `record_type` (a flow's TrajectoryRecord or reduced.ReducedRecord)."""
+    columns = [f.name for f in dataclass_fields(record_type)]
+    lines = [",".join(columns)]
     for rec in trajectory:
         lines.append(",".join(format(getattr(rec, col), ".17e")
-                              for col in CSV_COLUMNS))
+                              for col in columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -367,11 +374,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
         return EXIT_CONFIG
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["t,dt,mass,minU,maxU"]
-    for rec in trajectory:
-        lines.append(",".join(format(v, ".17e") for v in
-                              (rec.t, rec.dt, rec.mass, rec.minU, rec.maxU)))
-    (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    write_series(trajectory, out_dir / "series.csv", reduced.ReducedRecord)
     _write_summary(out_dir, trajectory, final, event, stats)
     return _event_exit(event)
 
@@ -509,12 +512,7 @@ def _suite_reductions(n: int):
 
 def _suite_inequalities(n: int):
     grid = PeriodicGrid((n,) * 4)
-    checks = []
-    worst = 0.0
-    for seed in range(10):
-        rho = scenarios.make_random_near_omega(grid, 0.05, band=3, seed=seed)
-        worst = max(worst, diagnostics.poincare_ratio(rho))
-    checks.append(("poincare ratio <= 1", worst, 1.0 + 1e-8))
+    checks = [("poincare ratio <= 1", _max_poincare_ratio(grid, 10), 1.0 + 1e-8)]
     mode = forms.omega(grid)
     x1 = grid.coordinates()[0]
     zeta = calculus.OneForm.zero(grid)
@@ -523,6 +521,13 @@ def _suite_inequalities(n: int):
     ratio = diagnostics.poincare_ratio(lowest)
     checks.append(("lowest mode attains 1", abs(ratio - 1.0), 1e-8))
     return checks
+
+
+def _max_poincare_ratio(grid: PeriodicGrid, probes: int) -> float:
+    """Largest Poincare ratio over the random probes of seeds 0 .. probes-1
+    (0 for no probes)."""
+    return max((diagnostics.poincare_ratio(scenarios.make_random_near_omega(
+        grid, 0.05, band=3, seed=seed)) for seed in range(probes)), default=0.0)
 
 
 _SUITES = {"algebra": _suite_algebra, "calculus": _suite_calculus,
@@ -557,11 +562,7 @@ def cmd_verify(suite: str, resolution=None) -> int:
 
 
 def cmd_poincare(resolution: int, probes: int = 50) -> int:
-    grid = PeriodicGrid((resolution,) * 4)
-    worst = 0.0
-    for seed in range(probes):
-        rho = scenarios.make_random_near_omega(grid, 0.05, band=3, seed=seed)
-        worst = max(worst, diagnostics.poincare_ratio(rho))
+    worst = _max_poincare_ratio(PeriodicGrid((resolution,) * 4), probes)
     print(f"max ratio over {probes} random probes: {worst:.12f}")
     return EXIT_OK if worst <= 1.0 + 1e-8 else EXIT_VERIFY
 

@@ -58,8 +58,9 @@ def energy(rho: TwoForm) -> float:
 
 
 def _require_class_omega(rho: TwoForm, tol: float = 1e-8) -> None:
-    drift = calculus.periods(rho) - calculus.periods(forms.omega(rho.grid))
-    worst = float(np.abs(drift).max())
+    L = rho.grid.lengths
+    omega_periods = np.array([L[0] * L[1], 0.0, 0.0, 0.0, 0.0, L[2] * L[3]])
+    worst = float(np.abs(calculus.periods(rho) - omega_periods).max())
     if worst > tol:
         raise CohomologyMismatch(
             f"periods differ from the reference class by {worst:.3g}")
@@ -68,7 +69,10 @@ def _require_class_omega(rho: TwoForm, tol: float = 1e-8) -> None:
 def normalized_energy(rho: TwoForm) -> float:
     """Integral of |rho - omega|^2 for forms in the class of omega."""
     _require_class_omega(rho)
-    return integrate(forms.norm_sq(rho - forms.omega(rho.grid)))
+    diff = rho.copy()
+    diff.comps[0] -= 1.0  # omega is 1 on rho_12 and rho_34, 0 elsewhere
+    diff.comps[5] -= 1.0
+    return integrate(forms.norm_sq(diff))
 
 
 def _coexact_energy(xi: calculus.OneForm) -> float:
@@ -208,57 +212,54 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
 class _FlowGeometry:
     """Shared pointwise data for the identity checks of one form.
 
-    All first derivatives of derived scalars are chain-ruled from the exact
-    spectral derivatives of the rho components; Laplacians of derived fields
-    are spectral (and carry the aliasing error the residual measures).
+    The pointwise fields come from their definitions in `forms`; all first
+    derivatives of derived scalars are chain-ruled from the one bundle of
+    exact spectral derivatives of the rho components.  Laplacians of derived
+    fields are spectral (and carry the aliasing error the residual measures).
     """
 
-    def __init__(self, rho: TwoForm):
+    def __init__(self, rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR):
         grid = rho.grid
         self.rho = rho
         self.grid = grid
-        star = forms.hodge_star(rho)
+        self.u_floor = u_floor
+        self.star = forms.hodge_star(rho)
         self.R = forms.as_skew_matrix(rho)          # rho_ij
-        self.S = forms.as_skew_matrix(star)         # (*rho)_ij
+        self.S = forms.as_skew_matrix(self.star)    # (*rho)_ij
         self.u = forms.volume_potential_values(rho)
         self.rho_sq = forms.norm_sq_values(rho)
-        plus, minus = forms.sd_asd_split(rho)
-        self.sp = np.sqrt(forms.norm_sq_values(plus))   # |rho+|
-        self.sm = np.sqrt(forms.norm_sq_values(minus))  # |rho-|
+        self.sp, self.sm = forms.dual_part_norms(rho)   # |rho+|, |rho-|
         self.lam1 = (self.sp + self.sm) / SQRT2
         self.lam2 = (self.sp - self.sm) / SQRT2
-        a, b = forms.matrix_ab(rho)
-        self.a = a.entries
-        self.b = b.entries
+        self.xi = calculus.codiff_two(rho).comps    # xi_k = rho_kl,l
 
         # Exact first derivatives: D[j] = d_j rho (six components each).
         self.Drho = gradient_values(rho.comps, grid)
-        self.xi = calculus.codiff_two(rho, self.Drho).comps  # xi_k = rho_kl,l
-        star_perm = np.array([5, 4, 3, 2, 1, 0])
-        star_sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
-                             ).reshape((1, 6) + (1,) * 4)
-        self.Dstar = self.Drho[:, star_perm] * star_sign  # d_j (*rho)
-        self.Dplus = 0.5 * (self.Drho + self.Dstar)
-        self.Dminus = 0.5 * (self.Drho - self.Dstar)
 
-        # Chain-ruled gradients of the derived scalars.
+        # Chain-ruled gradients of the derived scalars; |rho+-|^2 =
+        # (|rho|^2 +- 2u) / 2 gives grad |rho+-| = (grad|rho|^2 / 4 +-
+        # grad u / 2) / |rho+-|.
         self.grad_rho_sq = 2.0 * np.einsum("c...,jc...->j...", rho.comps, self.Drho)
-        self.grad_u = np.einsum("c...,jc...->j...", star.comps, self.Drho)
+        self.grad_u = np.einsum("c...,jc...->j...", self.star.comps, self.Drho)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.grad_sp = np.einsum("c...,jc...->j...", plus.comps, self.Drho) \
+            self.grad_sp = (0.25 * self.grad_rho_sq + 0.5 * self.grad_u) \
                 / np.where(self.sp > 0, self.sp, 1.0)
-            self.grad_sm = np.einsum("c...,jc...->j...", minus.comps, self.Drho) \
+            self.grad_sm = (0.25 * self.grad_rho_sq - 0.5 * self.grad_u) \
                 / np.where(self.sm > 0, self.sm, 1.0)
         self.grad_lam1 = (self.grad_sp + self.grad_sm) / SQRT2
         self.grad_lam2 = (self.grad_sp - self.grad_sm) / SQRT2
 
-        # Full gradient magnitudes of the SD/ASD parts.
-        self.grad_plus_sq = np.einsum("jc...,jc...->...", self.Dplus, self.Dplus)
-        self.grad_minus_sq = np.einsum("jc...,jc...->...", self.Dminus, self.Dminus)
+        # Full gradient magnitudes of the SD/ASD parts: <d_j rho, *d_j rho> =
+        # 2 u(d_j rho) gives |grad rho+-|^2 = (|grad rho|^2 +- 2 sum_j u(d_j rho)) / 2.
+        grad_sq = np.einsum("jc...,jc...->...", self.Drho, self.Drho)
+        star_pair = 2.0 * sum(forms.volume_potential_values(TwoForm(grid, Dj))
+                              for Dj in self.Drho)
+        self.grad_plus_sq = 0.5 * (grad_sq + star_pair)
+        self.grad_minus_sq = 0.5 * (grad_sq - star_pair)
 
         # Laplacians.
-        self.lap_comps = laplacian_values(rho.comps, grid)
-        self.lapR = forms.as_skew_matrix(TwoForm(grid, self.lap_comps))
+        self.lapR = forms.as_skew_matrix(
+            TwoForm(grid, laplacian_values(rho.comps, grid)))
 
     def lap(self, values: np.ndarray) -> np.ndarray:
         return laplacian_values(values, self.grid)
@@ -274,54 +275,44 @@ class _FlowGeometry:
                 / (SQRT2 * self.sm)
         return j, k
 
+    def scalar_weight_grad(self, scheme: FlowScheme) -> np.ndarray:
+        """grad f of the scalar weight f = 1, u^-r or |rho|^2 / u."""
+        u, gu = self.u, self.grad_u
+        if scheme.kind == "linear":
+            return np.zeros((4,) + self.grid.dims)
+        if scheme.kind == "power_u":
+            return -scheme.r * u ** (-scheme.r - 1.0) * gu
+        return (self.grad_rho_sq * u - self.rho_sq * gu) / u ** 2
+
     def weight_and_grad(self, scheme: FlowScheme):
         """(h_ik, d_j h_ik) with the derivative chain-ruled pointwise.
 
         Returned shapes: (4, 4, *dims) and (4, 4, 4, *dims) with the
         derivative axis first.
         """
-        grid_shape = (1,) * 4
-        eye = np.eye(4).reshape(4, 4, *grid_shape)
-        u, gu = self.u, self.grad_u
+        eye = np.eye(4).reshape((4, 4) + (1,) * 4)
+        h = forms.weight_h(self.rho, scheme, self.u_floor).entries
         if scheme.is_scalar:
-            if scheme.kind == "linear":
-                f = np.ones(self.grid.dims)
-                gf = np.zeros((4,) + self.grid.dims)
-            elif scheme.kind == "power_u":
-                f = u ** (-scheme.r)
-                gf = -scheme.r * u ** (-scheme.r - 1.0) * gu
-            else:  # norm_ratio
-                f = self.rho_sq / u
-                gf = (self.grad_rho_sq * u - self.rho_sq * gu) / u ** 2
-            return f * eye, gf[:, None, None] * eye[None]
+            return h, self.scalar_weight_grad(scheme)[:, None, None] * eye[None]
 
-        # d_j of the matrices a and b, chain-ruled from d_j rho.
-        DR = np.stack([forms.as_skew_matrix(TwoForm(self.grid, self.Drho[j]))
-                       for j in range(4)])
-        DS = np.stack([forms.as_skew_matrix(TwoForm(self.grid, self.Dstar[j]))
-                       for j in range(4)])
-        Da = np.einsum("jip...,kp...->jik...", DR, self.R) \
-            + np.einsum("ip...,jkp...->jik...", self.R, DR)
-        Db = np.einsum("jip...,kp...->jik...", DS, self.S) \
-            + np.einsum("ip...,jkp...->jik...", self.S, DS)
-
-        if scheme.kind == "matrix_a1":
-            return self.a / u, (Da * u - self.a[None] * gu[:, None, None]) / u ** 2
-        if scheme.kind == "matrix_a2":
-            return (self.a / u ** 2,
-                    Da / u ** 2 - 2.0 * self.a[None] * gu[:, None, None] / u ** 3)
-        if scheme.kind == "matrix_b1":
-            return self.b / u, (Db * u - self.b[None] * gu[:, None, None]) / u ** 2
-        if scheme.kind == "matrix_b2":
-            return (self.b / u ** 2,
-                    Db / u ** 2 - 2.0 * self.b[None] * gu[:, None, None] / u ** 3)
-        # matrix_bh: sqrt(b) = (u I + b) / (lam1 + lam2), h = sqrt(b) / u
+        # h = M / u^p for M = a = R R^T or b = S S^T, or M = sqrt(b) =
+        # (u I + b) / (lambda1 + lambda2) with p = 1; d_j M = P + P^T with
+        # P = (d_j X) X^T for X = R or S.
+        u, gu = self.u, self.grad_u
+        X = self.R if scheme.kind in ("matrix_a1", "matrix_a2") else self.S
+        power = 2 if scheme.kind in ("matrix_a2", "matrix_b2") else 1
         trace = self.lam1 + self.lam2
-        gtrace = self.grad_lam1 + self.grad_lam2
-        sqrtb = (u * eye + self.b) / trace
-        Dsqrtb = (gu[:, None, None] * eye[None] + Db) / trace \
-            - sqrtb[None] * gtrace[:, None, None] / trace
-        return sqrtb / u, (Dsqrtb * u - sqrtb[None] * gu[:, None, None]) / u ** 2
+        Dh = np.empty((4,) + h.shape)
+        for j in range(4):
+            Dj = TwoForm(self.grid, self.Drho[j])
+            DX = forms.as_skew_matrix(Dj if X is self.R else forms.hodge_star(Dj))
+            P = np.einsum("ip...,kp...->ik...", DX, X)
+            DM = P + P.swapaxes(0, 1)
+            if scheme.kind == "matrix_bh":
+                DM = (gu[j] * eye + DM
+                      - u * h * (self.grad_lam1[j] + self.grad_lam2[j])) / trace
+            Dh[j] = DM / u ** power - power * h * (gu[j] / u)
+        return h, Dh
 
 
 def jk_quantities(rho: TwoForm, mask_eps: float):
@@ -349,7 +340,7 @@ def _lhs_gateaux(geo: _FlowGeometry, rhs_form: TwoForm, quantity: str) -> np.nda
     """Chain-rule derivative of the tracked quantity along the flow update."""
     dot = rhs_form.comps
     rho_dot = np.einsum("c...,c...->...", geo.rho.comps, dot)
-    star_dot = np.einsum("c...,c...->...", forms.hodge_star(geo.rho).comps, dot)
+    star_dot = np.einsum("c...,c...->...", geo.star.comps, dot)
     if quantity == "rho_sq":
         return 2.0 * rho_dot
     if quantity == "u":
@@ -379,16 +370,11 @@ def _rhs_general(geo: _FlowGeometry, h, Dh, quantity: str) -> np.ndarray:
     return 0.5 * first + second
 
 
-def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme, quantity: str,
-                      u_floor: float) -> np.ndarray:
+def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme,
+                      quantity: str) -> np.ndarray:
     """Dual-part identities for the scalar weights f*identity."""
-    f = forms.scalar_weight_values(geo.rho, scheme, u_floor)
-    if scheme.kind == "linear":
-        gf = np.zeros((4,) + geo.grid.dims)
-    elif scheme.kind == "power_u":
-        gf = -scheme.r * geo.u ** (-scheme.r - 1.0) * geo.grad_u
-    else:
-        gf = (geo.grad_rho_sq * geo.u - geo.rho_sq * geo.grad_u) / geo.u ** 2
+    f = forms.scalar_weight_values(geo.rho, scheme, geo.u_floor, geo.u)
+    gf = geo.scalar_weight_grad(scheme)
     plus = quantity == "rho_plus_sq"
     part = 0.5 * (geo.R + geo.S) if plus else 0.5 * (geo.R - geo.S)
     part_sq = 0.5 * (geo.rho_sq + 2.0 * geo.u) if plus \
@@ -403,7 +389,7 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
     """Catalogued eigenvalue identities (defined where |rho-| and
     lambda1 - lambda2 stay away from zero)."""
     first = quantity == "lambda1"
-    lam1, lam2, u, xi, b = geo.lam1, geo.lam2, geo.u, geo.xi, geo.b
+    lam1, lam2, u, xi = geo.lam1, geo.lam2, geo.u, geo.xi
     j_q, k_q = geo.jk()
     lap_lam = geo.lap(lam1 if first else lam2)
     gap = lam1 ** 2 - lam2 ** 2
@@ -411,15 +397,18 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
         if scheme.kind == "linear":
             return lap_lam - j_q - k_q if first else lap_lam - j_q + k_q
 
-        bxx = np.einsum("ik...,i...,k...->...", b, xi, xi)
         xx = np.einsum("k...,k...->...", xi, xi)
         Rxi = np.einsum("kj...,k...->j...", geo.R, xi)
         Sxi = np.einsum("kj...,k...->j...", geo.S, xi)
+        bxx = np.einsum("j...,j...->...", Sxi, Sxi)  # xi^T b xi, b = S S^T
+
+        if scheme.kind in ("matrix_a1", "matrix_b1"):
+            # grad(|rho|^2 / u) along R xi (a1) or S xi (b1)
+            f_term = np.einsum("j...,j...->...",
+                               geo.scalar_weight_grad(forms.NORM_RATIO),
+                               Rxi if scheme.kind == "matrix_a1" else Sxi) / gap
 
         if scheme.kind == "matrix_a1":
-            ratio_f = geo.rho_sq / u
-            grad_f = (geo.grad_rho_sq * u - geo.rho_sq * geo.grad_u) / u ** 2
-            f_term = np.einsum("j...,j...->...", grad_f, Rxi) / gap
             if first:
                 return (lam1 / lam2 * (lap_lam - j_q - k_q)
                         + (lam1 * bxx - u * lam2 * xx) / (u * gap)
@@ -448,8 +437,6 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
             return (u_dot - lam2 * _rhs_lambda(geo, scheme, "lambda1")) / lam1
 
         if scheme.kind == "matrix_b1":
-            grad_f = (geo.grad_rho_sq * u - geo.rho_sq * geo.grad_u) / u ** 2
-            f_term = np.einsum("j...,j...->...", grad_f, Sxi) / gap
             if first:
                 return (lam2 / lam1 * (lap_lam - j_q - k_q)
                         - (lam1 * bxx - u * lam2 * xx) / (u * gap)
@@ -500,7 +487,7 @@ def evolution_residual(rho: TwoForm, scheme: FlowScheme, quantity: str,
     if quantity in ("rho_plus_sq", "rho_minus_sq") and scheme.kind not in _SPLIT_SCHEMES:
         raise ValueError(f"no dual-part identity catalogued for {scheme.kind!r}")
 
-    geo = _FlowGeometry(rho)
+    geo = _FlowGeometry(rho, u_floor)
     lhs = _lhs_gateaux(geo, flows.flow_rhs(rho, scheme, u_floor), quantity)
 
     if quantity in ("rho_sq", "u"):
@@ -508,7 +495,7 @@ def evolution_residual(rho: TwoForm, scheme: FlowScheme, quantity: str,
         rhs = _rhs_general(geo, h, Dh, quantity)
         mask = np.ones(rho.grid.dims, dtype=bool)
     elif quantity in ("rho_plus_sq", "rho_minus_sq"):
-        rhs = _rhs_split_scalar(geo, scheme, quantity, u_floor)
+        rhs = _rhs_split_scalar(geo, scheme, quantity)
         mask = np.ones(rho.grid.dims, dtype=bool)
     else:
         if mask_eps is None:

@@ -182,18 +182,19 @@ def volume_potential_values(rho: TwoForm) -> np.ndarray:
     return c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
 
 
-def _dual_part_norm(c: np.ndarray, same, flip) -> np.ndarray:
-    """|rho+| (same=np.add, flip=np.subtract) or |rho-| (the other way round),
-    from |rho+-|^2 = ((c0 +- c5)^2 + (c1 -+ c4)^2 + (c2 +- c3)^2) / 2."""
-    return np.sqrt(0.5 * (same(c[0], c[5]) ** 2 + flip(c[1], c[4]) ** 2
-                          + same(c[2], c[3]) ** 2))
+def dual_part_norms(rho: TwoForm):
+    """(|rho+|, |rho-|) as arrays, in the closed form
+    |rho+-|^2 = ((c0 +- c5)^2 + (c1 -+ c4)^2 + (c2 +- c3)^2) / 2
+    (no split forms are built)."""
+    c = rho.comps
+    return tuple(np.sqrt(0.5 * (same(c[0], c[5]) ** 2 + flip(c[1], c[4]) ** 2
+                                + same(c[2], c[3]) ** 2))
+                 for same, flip in ((np.add, np.subtract), (np.subtract, np.add)))
 
 
 def eigenvalue_values(rho: TwoForm):
-    """(lambda1, lambda2) = (|rho+| +- |rho-|) / sqrt2 as arrays, with the
-    norms of the SD/ASD parts in closed form (no split forms are built)."""
-    sp = _dual_part_norm(rho.comps, np.add, np.subtract)
-    sm = _dual_part_norm(rho.comps, np.subtract, np.add)
+    """(lambda1, lambda2) = (|rho+| +- |rho-|) / sqrt2 as arrays."""
+    sp, sm = dual_part_norms(rho)
     return (sp + sm) / SQRT2, (sp - sm) / SQRT2
 
 

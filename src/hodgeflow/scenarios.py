@@ -15,7 +15,6 @@ import numpy as np
 
 from . import calculus, forms, reduced
 from .calculus import OneForm
-from .errors import DegenerateForm
 from .forms import DEFAULT_U_FLOOR, TwoForm
 from .grid import PeriodicGrid, ScalarField
 
@@ -73,9 +72,8 @@ def isotopy_path(theta: OneForm, s: float,
         raise ValueError("path parameter s must lie in [0, 1]")
     rho = TwoForm(theta.grid,
                   forms.omega(theta.grid).comps + s * calculus.d_one(theta).comps)
-    u = forms.volume_potential_values(rho)
-    if float(u.min()) <= u_floor:
-        raise DegenerateForm(f"path degenerates at s = {s}: min u = {u.min():.6g}")
+    forms.require_above_floor(forms.volume_potential_values(rho), u_floor,
+                              f"u on the path at s = {s}")
     return rho
 
 

@@ -2,6 +2,7 @@ import ctypes
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgeflow import cli, forms
+from hodgeflow import cli, diagnostics, forms, reduced
 from hodgeflow.cli import (ConfigError, RunConfig, snapshot_read, snapshot_write,
                            write_series)
 from hodgeflow.errors import FormatError
@@ -137,6 +138,20 @@ def test_snapshot_malformed_sidecar(tmp_path, grid8, sidecar):
         snapshot_read(path)
 
 
+@pytest.mark.parametrize("dims", [(8, 8), (7, 8, 8, 8), (8, 8, 8, 6)],
+                         ids=["rank-2", "axis-7", "axis-6"])
+def test_snapshot_bad_grid_header(tmp_path, dims):
+    # a header whose payload length matches but whose grid cannot hold a 2-form
+    rank = len(dims)
+    path = tmp_path / "bad.nhf"
+    path.write_bytes(cli.SNAPSHOT_MAGIC + struct.pack("<I", rank)
+                     + struct.pack(f"<{rank}I", *dims)
+                     + struct.pack(f"<{rank}d", *([2 * np.pi] * rank))
+                     + struct.pack("<I", 6) + bytes(8 * 6 * int(np.prod(dims))))
+    with pytest.raises(FormatError):
+        snapshot_read(path)
+
+
 def test_snapshot_missing_file():
     with pytest.raises(FormatError):
         snapshot_read("/does/not/exist.nhf")
@@ -179,7 +194,7 @@ dir = {out}
 """)
     assert cli.main(["flow", path]) == cli.EXIT_OK
     rows = (out / "series.csv").read_text().strip().split("\n")[1:]
-    e0_col = cli.CSV_COLUMNS.index("E0")
+    e0_col = diagnostics.CSV_COLUMNS.index("E0")
     for row in rows:
         assert float(row.split(",")[e0_col]) < 1e-24
 
@@ -212,6 +227,17 @@ dir = {out}
     first = rows[1].split(",")
     last = rows[-1].split(",")
     assert abs(float(last[2]) - float(first[2])) < 1e-9  # mass conserved
+
+
+def test_write_series_takes_the_reduced_columns_from_the_record(tmp_path):
+    recs = [reduced.ReducedRecord(t=0.1 * k, dt=1.0 / 3.0, mass=2.0 * np.pi + k,
+                                  minU=0.5, maxU=1.5 - 1e-17 * k) for k in range(3)]
+    path = tmp_path / "series.csv"
+    write_series(recs, path, reduced.ReducedRecord)
+    lines = ["t,dt,mass,minU,maxU"] + [
+        ",".join(format(v, ".17e") for v in (r.t, r.dt, r.mass, r.minU, r.maxU))
+        for r in recs]
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 HEAT_INI = """

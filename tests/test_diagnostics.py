@@ -11,7 +11,7 @@ from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
                              NumericalBlowup)
 from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
 
-from conftest import random_form, traced_peak
+from conftest import random_form, rel_err, traced_peak
 
 
 def test_energy_of_reference(grid8):
@@ -29,6 +29,21 @@ def test_normalized_energy_oracle(grid8):
     # rho - omega has the single component 0.2 cos x1 on the (1,3) pair
     want = 0.04 * 0.5 * grid.volume
     assert normalized_energy(rho) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(8, 42), (12, 7)])
+def test_normalized_energy_is_the_difference_oracle_exactly(n, seed):
+    grid = PeriodicGrid((n,) * 4, (2 * np.pi, 3.0, 2 * np.pi, 5.0))
+    rho = random_form(grid, 0.05, band=3, seed=seed)
+    want = integrate(forms.norm_sq(rho - forms.omega(grid)))
+    assert normalized_energy(rho) == want
+
+
+def test_normalized_energy_builds_no_omega():
+    # one copy of rho (1.17 forms with the squared norm); with omega and
+    # rho - omega it peaked at 2.0
+    rho = random_form(PeriodicGrid((16,) * 4), 0.05, band=3, seed=10)
+    assert traced_peak(lambda: normalized_energy(rho)) < 1.5 * rho.comps.nbytes
 
 
 def test_normalized_energy_rejects_wrong_class(grid8):
@@ -231,7 +246,9 @@ def bundle_make_record(rho, t, dt, ref_periods, q1_weight=10.0, monitor_a=10.0,
     grad_u = np.einsum("c...,jc...->j...", forms.hodge_star(rho).comps, D)
     try:
         e0 = normalized_energy(rho)
-        xi = calculus.codiff_two(rho, D).comps
+        xi = np.zeros((4,) + grid.dims)
+        for a in range(4):
+            calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], D[a])
         q1 = integrate(ScalarField(grid, np.einsum("c...,c...->...", xi, xi))) \
             + q1_weight * e0
     except CohomologyMismatch:
@@ -289,3 +306,89 @@ def test_record_and_d_two_hold_no_gradient_bundle():
     form = rho.comps.nbytes
     assert traced_peak(lambda: make_record(rho, 0.0, 0.0, ref)) <= 6.0 * form
     assert traced_peak(lambda: calculus.d_two(rho)) <= 2.0 * form
+
+
+def split_route_gradients(rho):
+    """grad|rho+|, grad|rho-|, |grad rho+|^2 and |grad rho-|^2 from the SD/ASD
+    split forms and the bundles d_j(*rho) and d_j rho+-: the oracle of the
+    closed forms in the identity geometry."""
+    plus, minus = forms.sd_asd_split(rho)
+    sp = np.sqrt(forms.norm_sq_values(plus))
+    sm = np.sqrt(forms.norm_sq_values(minus))
+    Drho = gradient_values(rho.comps, rho.grid)
+    star_perm = np.array([5, 4, 3, 2, 1, 0])
+    star_sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]).reshape((1, 6) + (1,) * 4)
+    Dstar = Drho[:, star_perm] * star_sign
+    Dplus, Dminus = 0.5 * (Drho + Dstar), 0.5 * (Drho - Dstar)
+    return (np.einsum("c...,jc...->j...", plus.comps, Drho) / sp,
+            np.einsum("c...,jc...->j...", minus.comps, Drho) / sm,
+            np.einsum("jc...,jc...->...", Dplus, Dplus),
+            np.einsum("jc...,jc...->...", Dminus, Dminus))
+
+
+def test_dual_part_gradients_match_split_route_oracle():
+    from hodgeflow.cli import _identity_probe
+    rho = _identity_probe(PeriodicGrid((12,) * 4))
+    geo = diagnostics._FlowGeometry(rho)
+    got = (geo.grad_sp, geo.grad_sm, geo.grad_plus_sq, geo.grad_minus_sq)
+    for name, g, w in zip(("grad_sp", "grad_sm", "grad_plus_sq", "grad_minus_sq"),
+                          got, split_route_gradients(rho)):
+        assert rel_err(g, w) < 1e-13, name
+    plus, minus = forms.sd_asd_split(rho)
+    assert rel_err(geo.sp, np.sqrt(forms.norm_sq_values(plus))) < 1e-15
+    assert rel_err(geo.sm, np.sqrt(forms.norm_sq_values(minus))) < 1e-15
+
+
+def ab_route_weight_grad(geo, scheme):
+    """d_j h for the matrix schemes from both a and b and both their 4x4x4
+    derivative stacks, with one derivative rule per scheme: the oracle of
+    the one power-p rule."""
+    rho, u, gu = geo.rho, geo.u, geo.grad_u[:, None, None]
+    a, b = (m.entries for m in forms.matrix_ab(rho))
+    R, S = forms.as_skew_matrix(rho), forms.as_skew_matrix(forms.hodge_star(rho))
+    D = gradient_values(rho.comps, rho.grid)
+    DR = np.stack([forms.as_skew_matrix(forms.TwoForm(rho.grid, Dj)) for Dj in D])
+    DS = np.stack([forms.as_skew_matrix(forms.hodge_star(forms.TwoForm(rho.grid, Dj)))
+                   for Dj in D])
+    Da = (np.einsum("jip...,kp...->jik...", DR, R)
+          + np.einsum("ip...,jkp...->jik...", R, DR))
+    Db = (np.einsum("jip...,kp...->jik...", DS, S)
+          + np.einsum("ip...,jkp...->jik...", S, DS))
+    if scheme.kind == "matrix_a1":
+        return (Da * u - a[None] * gu) / u ** 2
+    if scheme.kind == "matrix_a2":
+        return Da / u ** 2 - 2.0 * a[None] * gu / u ** 3
+    if scheme.kind == "matrix_b1":
+        return (Db * u - b[None] * gu) / u ** 2
+    if scheme.kind == "matrix_b2":
+        return Db / u ** 2 - 2.0 * b[None] * gu / u ** 3
+    eye = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
+    trace = geo.lam1 + geo.lam2
+    gtrace = (geo.grad_lam1 + geo.grad_lam2)[:, None, None]
+    sqrtb = (u * eye + b) / trace
+    Dsqrtb = (gu * eye[None] + Db) / trace - sqrtb[None] * gtrace / trace
+    return (Dsqrtb * u - sqrtb[None] * gu) / u ** 2
+
+
+@pytest.mark.parametrize("scheme", [s for s in forms.ALL_SCHEMES if not s.is_scalar],
+                         ids=lambda s: s.kind)
+def test_matrix_weight_grad_matches_ab_route_oracle(scheme):
+    from hodgeflow.cli import _identity_probe
+    rho = _identity_probe(PeriodicGrid((8,) * 4))
+    geo = diagnostics._FlowGeometry(rho)
+    h, Dh = geo.weight_and_grad(scheme)
+    assert np.array_equal(h, forms.weight_h(rho, scheme).entries)
+    assert rel_err(Dh, ab_route_weight_grad(geo, scheme)) < 1e-13
+
+
+@pytest.mark.parametrize("scheme,quantity,forms_at_most", [
+    # measured 33.2, 48.8 and 23.0 forms; with the split route, both of a
+    # and b and their derivative stacks, they peaked at 50.7, 114.0 and 40.5
+    (forms.CONFORMAL, "rho_sq", 40.0),
+    (forms.MATRIX_B2, "u", 60.0),
+    (forms.MATRIX_A1, "lambda1", 30.0)], ids=lambda v: getattr(v, "kind", v))
+def test_evolution_residual_memory(scheme, quantity, forms_at_most):
+    from hodgeflow.cli import _identity_probe
+    rho = _identity_probe(PeriodicGrid((16,) * 4))
+    peak = traced_peak(lambda: evolution_residual(rho, scheme, quantity))
+    assert peak <= forms_at_most * rho.comps.nbytes

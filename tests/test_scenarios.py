@@ -57,6 +57,19 @@ def test_isotopy_path(grid8):
     assert len(mins) == 5 and mins[0] == pytest.approx(1.0)
 
 
+def test_isotopy_path_raises_at_a_degenerate_s(grid8):
+    # d(theta) adds 2 cos x1 to rho_12, so u = 1 + 2 s cos x1 on the path
+    x1 = grid8.coordinates()[0]
+    theta = OneForm.zero(grid8)
+    theta.comps[1] = 2.0 * np.sin(x1) * np.ones(grid8.dims)
+    assert forms.volume_potential_values(isotopy_path(theta, 0.25)).min() \
+        == pytest.approx(0.5)
+    with pytest.raises(DegenerateForm):
+        isotopy_path(theta, 1.0)
+    with pytest.raises(DegenerateForm):  # the floor is the caller's
+        isotopy_path(theta, 0.25, u_floor=0.6)
+
+
 # ---------------------------------------------------------------------------
 # the degeneracy counterexample
 
