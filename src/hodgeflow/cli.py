@@ -391,6 +391,15 @@ def cmd_soliton(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, "soliton", (2,), default=(128, 128))
     v = (cfg.get("soliton", "v1", 1.0, float), cfg.get("soliton", "v2", 0.5, float))
     manufactured = cfg.get("soliton", "manufactured", "yes") != "no"
+    tol = cfg.get("soliton", "tol", 1e-7, float)
+    max_iter = cfg.get("soliton", "max_iter", 200000, int)
+    safety = cfg.get("soliton", "safety", 0.5, float)
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"soliton.tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ConfigError(f"soliton.max_iter must be at least 1, got {max_iter!r}")
+    if not 0.0 < safety <= 1.0:
+        raise ConfigError(f"soliton.safety must lie in (0, 1], got {safety!r}")
     if manufactured:
         a_star = ScalarField.from_function(
             grid, lambda x, y: 2.0 + 0.5 * np.cos(x) * np.cos(y))
@@ -401,10 +410,8 @@ def cmd_soliton(cfg: RunConfig) -> int:
         start = ScalarField.constant(grid, 1.0)
     problem = soliton.SolitonProblem(start, v, forcing)
     try:
-        a, res_norm = soliton.solve_soliton(
-            problem, tol=cfg.get("soliton", "tol", 1e-7, float),
-            max_iter=cfg.get("soliton", "max_iter", 200000, int),
-            safety=cfg.get("soliton", "safety", 0.5, float))
+        a, res_norm = soliton.solve_soliton(problem, tol=tol,
+                                            max_iter=max_iter, safety=safety)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -524,10 +531,9 @@ def _suite_inequalities(n: int):
 
 
 def _max_poincare_ratio(grid: PeriodicGrid, probes: int) -> float:
-    """Largest Poincare ratio over the random probes of seeds 0 .. probes-1
-    (0 for no probes)."""
-    return max((diagnostics.poincare_ratio(scenarios.make_random_near_omega(
-        grid, 0.05, band=3, seed=seed)) for seed in range(probes)), default=0.0)
+    """Largest Poincare ratio over the random probes of seeds 0 .. probes-1."""
+    return max(diagnostics.poincare_ratio(scenarios.make_random_near_omega(
+        grid, 0.05, band=3, seed=seed)) for seed in range(probes))
 
 
 _SUITES = {"algebra": _suite_algebra, "calculus": _suite_calculus,
@@ -540,6 +546,14 @@ _SUITES = {"algebra": _suite_algebra, "calculus": _suite_calculus,
 _DEFAULT_RESOLUTION = {"identities": 24}
 
 
+def _check_resolution(resolution: int) -> None:
+    """A --resolution must be a valid axis of a PeriodicGrid."""
+    try:
+        PeriodicGrid((resolution,))
+    except ValueError as exc:
+        raise ConfigError(f"bad --resolution {resolution}: {exc}") from exc
+
+
 def cmd_verify(suite: str, resolution=None) -> int:
     if suite not in _SUITES:
         print(f"error: unknown suite {suite!r}; choose from {sorted(_SUITES)}",
@@ -547,6 +561,7 @@ def cmd_verify(suite: str, resolution=None) -> int:
         return EXIT_CONFIG
     if resolution is None:
         resolution = _DEFAULT_RESOLUTION.get(suite, 16)
+    _check_resolution(resolution)
     started = time.perf_counter()
     checks = _SUITES[suite](resolution)
     wall_s = time.perf_counter() - started
@@ -562,6 +577,9 @@ def cmd_verify(suite: str, resolution=None) -> int:
 
 
 def cmd_poincare(resolution: int, probes: int = 50) -> int:
+    _check_resolution(resolution)
+    if probes < 1:
+        raise ConfigError(f"--probes must be at least 1, got {probes}")
     worst = _max_poincare_ratio(PeriodicGrid((resolution,) * 4), probes)
     print(f"max ratio over {probes} random probes: {worst:.12f}")
     return EXIT_OK if worst <= 1.0 + 1e-8 else EXIT_VERIFY

@@ -214,17 +214,20 @@ def as_skew_matrix(rho: TwoForm) -> np.ndarray:
     return A
 
 
+def _gram_values(rho: TwoForm, star: bool) -> np.ndarray:
+    """M M^T pointwise for the skew matrix M of rho (a) or of *rho (b)."""
+    M = as_skew_matrix(hodge_star(rho) if star else rho)
+    return np.einsum("ip...,jp...->ij...", M, M)
+
+
 def matrix_ab(rho: TwoForm):
     """a_ij = rho_ip rho_jp and b_ij = (*rho)_ip (*rho)_jp.
 
     Both are symmetric positive semidefinite with eigenvalues
     {lambda1^2, lambda1^2, lambda2^2, lambda2^2} and a + b = |rho|^2 I.
     """
-    A = as_skew_matrix(rho)
-    B = as_skew_matrix(hodge_star(rho))
-    a = np.einsum("ip...,jp...->ij...", A, A)
-    b = np.einsum("ip...,jp...->ij...", B, B)
-    return SymMatrixField(rho.grid, a), SymMatrixField(rho.grid, b)
+    return (SymMatrixField(rho.grid, _gram_values(rho, False)),
+            SymMatrixField(rho.grid, _gram_values(rho, True)))
 
 
 def sqrt_b_values(rho: TwoForm) -> np.ndarray:
@@ -233,11 +236,10 @@ def sqrt_b_values(rho: TwoForm) -> np.ndarray:
     Well-defined at lambda1 = lambda2; the division is guarded below a tiny
     eigenvalue threshold.
     """
-    _, b = matrix_ab(rho)
+    out = _gram_values(rho, True)
     u = volume_potential_values(rho)
     lam1, lam2 = eigenvalue_values(rho)
     trace = np.maximum(lam1 + lam2, EIG_EPS)
-    out = b.entries.copy()
     for i in range(4):
         out[i, i] += u
     out /= trace
@@ -278,10 +280,9 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
     require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "matrix_bh":
         return SymMatrixField(rho.grid, sqrt_b_values(rho) / u)
-    a, b = matrix_ab(rho)
-    base = a.entries if scheme.kind in ("matrix_a1", "matrix_a2") else b.entries
-    power = 1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2
-    return SymMatrixField(rho.grid, base / u ** power)
+    gram = _gram_values(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
+    gram /= u if scheme.kind in ("matrix_a1", "matrix_b1") else u ** 2
+    return SymMatrixField(rho.grid, gram)
 
 
 # The skew mat-vec M v as terms (i, j, source, plus) per component n of the

@@ -11,8 +11,8 @@ matrix product with the dense spectral differentiation matrix of that axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): on the short axes of the 4D
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
 arithmetic.  Longer axes use one rfft/irfft pair.  A Fourier multiplier over
-all grid axes, the Laplacian among them, is one real-FFT round trip
-(`multiplier_values`).
+all grid axes goes forward with `half_spectrum` and back with
+`from_half_spectrum`; the Laplacian is one such round trip.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class PeriodicGrid:
 
 def check_finite(values: np.ndarray, what: str) -> None:
     """Raise NumericalBlowup if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalBlowup(f"non-finite values in {what}")
 
 
@@ -166,29 +166,32 @@ def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return out
 
 
-def multiplier_values(values: np.ndarray, grid: PeriodicGrid,
-                      symbol: np.ndarray) -> np.ndarray:
-    """Apply a Fourier multiplier over the grid axes of `values`.
-
-    One forward and one inverse real transform, with `symbol` multiplying the
-    half spectrum (rfftn layout: last grid axis halved) in between.  On a
-    rank-1 grid the rfft/irfft pair is called directly: it computes the same
-    values as the rfftn round trip with less per-call overhead.
-    """
+def half_spectrum(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Forward real transform over the grid axes of `values` (its trailing
+    `grid.rank` axes): the half spectrum in rfftn layout, last grid axis
+    halved.  On a rank-1 grid rfft is called directly: it computes the same
+    values as rfftn with less per-call overhead."""
     if grid.rank == 1:
-        spec = np.fft.rfft(values, axis=-1)
-        spec *= symbol
+        return np.fft.rfft(values, axis=-1)
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim - grid.rank,
+                                                 values.ndim)))
+
+
+def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The inverse of `half_spectrum`: real values on the grid (irfft on a
+    rank-1 grid, irfftn otherwise)."""
+    if grid.rank == 1:
         return np.fft.irfft(spec, n=grid.dims[0], axis=-1)
-    grid_axes = tuple(range(values.ndim - grid.rank, values.ndim))
-    spec = np.fft.rfftn(values, axes=grid_axes)
-    spec *= symbol
-    return np.fft.irfftn(spec, s=grid.dims, axes=grid_axes)
+    return np.fft.irfftn(spec, s=grid.dims,
+                         axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
 
 
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Sum of repeated spectral partials over all axes (one real-FFT round trip)."""
-    return multiplier_values(values, grid,
-                             _laplacian_symbol(grid.dims, grid.lengths))
+    """Sum of repeated spectral partials over all axes: one real-FFT round
+    trip with the cached -|k|^2 symbol."""
+    spec = half_spectrum(values, grid)
+    spec *= _laplacian_symbol(grid.dims, grid.lengths)
+    return from_half_spectrum(spec, grid)
 
 
 @dataclass

@@ -7,7 +7,9 @@ the u^-2 b weight reduces to inverse diffusion dv/dt = Lap(-1/v) on each
 factor; the sqrt(b)/u weight reduces to log diffusion dv/dt = Lap(log v).
 Each model is an adapter onto `flows.rk4` and `flows.march`.  The heat model
 is linear with constant coefficients, so its RK4 step is a Fourier multiplier:
-the RK4 amplification factor of each mode, applied with one real-FFT pair.
+the RK4 amplification factor of each mode.  A heat march stays in Fourier
+space: one forward transform when it starts, and one inverse transform for
+each state whose values are read.
 """
 
 from __future__ import annotations
@@ -23,28 +25,57 @@ from .errors import CohomologyMismatch
 from .flows import march, rk4
 from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
 from .grid import (PeriodicGrid, ScalarField, _laplacian_symbol, check_finite,
-                   deriv_values, gradient_values, integrate, laplacian_values,
-                   multiplier_values)
+                   deriv_values, from_half_spectrum, gradient_values,
+                   half_spectrum, integrate, laplacian_values)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
 
 
-@dataclass
 class ReducedState:
-    model: str
-    fields: tuple  # one ScalarField, or (a, b) for the shear system
-    t: float = 0.0
-    step: int = 0
-    dt: float = 0.0
+    """A reduced model's fields at time t, with their stacked half spectrum.
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown reduced model {self.model!r}")
-        self.fields = tuple(self.fields)
-        n = 2 if self.model == "ab_system" else 1
-        if len(self.fields) != n:
-            raise ValueError(f"model {self.model!r} needs {n} field(s)")
+    The field values and the half spectrum (`grid.half_spectrum` of the
+    stacked values, shape (fields, *half)) are two views of one state.  A
+    state is built from either one (`fields`, or `grid` and `spectrum`); the
+    other is made on first read, with one real transform, and kept.  The
+    heat march steps the spectrum, so it reads the values only where
+    something uses them.
+    """
+
+    def __init__(self, model: str, fields: Optional[tuple] = None,
+                 t: float = 0.0, step: int = 0, dt: float = 0.0, *,
+                 grid: Optional[PeriodicGrid] = None,
+                 spectrum: Optional[np.ndarray] = None):
+        if model not in MODELS:
+            raise ValueError(f"unknown reduced model {model!r}")
+        n = 2 if model == "ab_system" else 1
+        if fields is not None:
+            fields = tuple(fields)
+            if len(fields) != n:
+                raise ValueError(f"model {model!r} needs {n} field(s)")
+            grid = fields[0].grid
+        elif grid is None or spectrum is None or len(spectrum) != n:
+            raise ValueError(f"model {model!r} needs {n} field(s), or a grid "
+                             f"and their stacked spectrum")
+        self.model, self.grid = model, grid
+        self.t, self.step, self.dt = t, step, dt
+        self._fields, self._spectrum = fields, spectrum
+
+    @property
+    def fields(self) -> tuple:
+        """One ScalarField, or (a, b) for the shear system."""
+        if self._fields is None:
+            self._fields = tuple(ScalarField(self.grid, v) for v in
+                                 from_half_spectrum(self._spectrum, self.grid))
+        return self._fields
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = half_spectrum(
+                np.stack([f.values for f in self._fields]), self.grid)
+        return self._spectrum
 
 
 @dataclass
@@ -146,16 +177,15 @@ def reduced_cfl_dt(state: ReducedState, safety: float = 0.25,
                    u_floor: float = DEFAULT_U_FLOOR) -> float:
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
-    grid = state.fields[0].grid
-    h_min = min(grid.spacings)
-    return safety * h_min ** 2 / (2.0 * grid.rank * _diffusivity_max(state, u_floor))
+    h_min = min(state.grid.spacings)
+    return safety * h_min ** 2 / (2.0 * state.grid.rank
+                                  * _diffusivity_max(state, u_floor))
 
 
 def _record(state: ReducedState) -> ReducedRecord:
     vals = _positivity_field(state)
-    grid = state.fields[0].grid
     return ReducedRecord(t=state.t, dt=state.dt,
-                         mass=integrate(ScalarField(grid, vals)),
+                         mass=integrate(ScalarField(state.grid, vals)),
                          minU=float(vals.min()), maxU=float(vals.max()))
 
 
@@ -172,19 +202,25 @@ def _heat_factor(dims: tuple, lengths: tuple, dt: float) -> np.ndarray:
 
 def step_rk4_reduced(state: ReducedState, dt: float,
                      u_floor: float = DEFAULT_U_FLOOR) -> ReducedState:
-    """One RK4 step of the model on its stacked fields (for heat, one real-FFT
-    pair with the cached `_heat_factor`); re-checks positivity."""
-    grid = state.fields[0].grid
-    y = np.stack([f.values for f in state.fields])
+    """One RK4 step of the model on its stacked fields; re-checks positivity.
+
+    For heat the step is the cached `_heat_factor` times the half spectrum,
+    checked there; the new state's values are left to be rebuilt by one
+    inverse transform if something reads them.
+    """
+    grid = state.grid
     if state.model == "heat":
-        y = multiplier_values(y, grid, _heat_factor(grid.dims, grid.lengths, dt))
-        check_finite(y, "heat step")
-    else:
-        y = rk4(y, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
+        spec = state.spectrum * _heat_factor(grid.dims, grid.lengths, dt)
+        # twice the sum of |Re| + |Im| bounds every partial sum of the inverse
+        # transform: while it is finite, so are the values rebuilt from spec
+        check_finite(2.0 * np.abs(spec.view(float)).sum(), "heat step")
+        return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
+                            grid=grid, spectrum=spec)
+    y = np.stack([f.values for f in state.fields])
+    y = rk4(y, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
-    if state.model != "heat":
-        forms.require_above_floor(_positivity_field(new), u_floor)
+    forms.require_above_floor(_positivity_field(new), u_floor)
     return new
 
 

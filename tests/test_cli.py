@@ -281,12 +281,17 @@ dir = {out}
     ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nfixed_dt = -1")),
     ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = 0.02\nsafety = 2")),
     ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = -1")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\ntol = -1")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nsafety = 0")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nsafety = 2")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 0")),
 ], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
         "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
         "a0-not-float", "flow-safety-2", "flow-t-end-negative",
         "flow-sample-every-0", "flow-fixed-dt-negative", "reduced-safety-2",
-        "reduced-t-end-negative"])
+        "reduced-t-end-negative", "soliton-tol-negative", "soliton-safety-0",
+        "soliton-safety-2", "soliton-max-iter-0"])
 def test_bad_input_is_a_config_error(tmp_path, command, text):
     # a value the run cannot use ends in "config error: ..." and exit 1, as a
     # user sees it from the command line, never in a traceback
@@ -300,6 +305,29 @@ def test_bad_input_is_a_config_error(tmp_path, command, text):
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "algebra", "--resolution", "7"],
+    ["verify", "identities", "--resolution", "9"],
+    ["verify", "reductions", "--resolution", "0"],
+    ["poincare", "--resolution", "7"],
+    ["poincare", "--resolution", "8", "--probes", "-3"],
+    ["poincare", "--resolution", "8", "--probes", "0"],
+], ids=["verify-7", "verify-9", "verify-0", "poincare-7", "probes-negative",
+        "probes-0"])
+def test_bad_suite_option_is_a_config_error(args):
+    # a resolution that is no grid axis, or no probes at all, is refused
+    # before any check runs
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgeflow.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_main_reduced_honours_fixed_dt(tmp_path):
@@ -539,8 +567,12 @@ def test_bench_trace_mode_wraps_the_reduced_march(tmp_path):
     trace = data["trace"]
     steps = trace["reduced.step_rk4_reduced"]["calls"]
     assert steps > 0
-    # each heat step is one real-FFT pair and no Laplacian call
-    assert trace["fft"]["calls"] == 2 * steps
+    # the march stays in Fourier space: one forward transform, then one
+    # inverse for each record after the first, and no Laplacian call
+    records = len((tmp_path / "out" / "series.csv").read_text()
+                  .strip().split("\n")) - 1
+    assert records > 2
+    assert trace["fft"]["calls"] == 1 + (records - 1)
     assert trace["grid.laplacian_values"]["calls"] == 0
     assert data["aliases_before"] == [] and data["aliases_after"] == []
     assert data["main_loop_at"] is not None

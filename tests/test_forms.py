@@ -258,3 +258,38 @@ def test_eigenvalues_hold_no_whole_form_temporaries():
     grid = PeriodicGrid((16,) * 4)
     rho = random_form(grid, 0.05, band=3, seed=10)
     assert traced_peak(lambda: eigenvalue_values(rho)) <= rho.comps.nbytes
+
+
+def _weight_h_from_matrix_ab(rho, scheme):
+    """h through the pair (a, b) of `matrix_ab`: the route `weight_h` took
+    before it built only the Gram matrix its scheme uses."""
+    if scheme.is_scalar:
+        eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
+        return eye * forms.scalar_weight_values(rho, scheme)
+    u = volume_potential_values(rho)
+    a, b = matrix_ab(rho)
+    if scheme.kind == "matrix_bh":
+        lam1, lam2 = eigenvalue_values(rho)
+        root = b.entries.copy()
+        for i in range(4):
+            root[i, i] += u
+        root /= np.maximum(lam1 + lam2, forms.EIG_EPS)
+        return root / u
+    base = a.entries if scheme.kind in ("matrix_a1", "matrix_a2") else b.entries
+    return base / u ** (1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_weight_h_equals_the_matrix_ab_route(grid8, scheme):
+    for rho in _flux_oracle_forms(grid8):
+        assert np.array_equal(weight_h(rho, scheme).entries,
+                              _weight_h_from_matrix_ab(rho, scheme))
+
+
+def test_matrix_weight_builds_one_gram_matrix():
+    # at 16^4 a 4x4 field is 8/3 forms: building b alone keeps the matrix_b2
+    # weight under 6 forms, where building a and b peaked at 10.8
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+    assert traced_peak(lambda: weight_h(rho, forms.MATRIX_B2)) \
+        <= 6 * rho.comps.nbytes

@@ -152,8 +152,8 @@ def test_step_rejects_bad_dt():
 
 
 # ---------------------------------------------------------------------------
-# the heat step as a Fourier multiplier, against the four-stage RK4 on the
-# Laplacian (the path it replaced)
+# the heat step as a Fourier multiplier on the carried half spectrum, against
+# the four-stage RK4 on the Laplacian (the path it replaced)
 
 HEAT_GRIDS = [PeriodicGrid((512,)), PeriodicGrid((32, 16), (2 * np.pi, 3.0))]
 HEAT_IDS = ["512", "32x16-mixed"]
@@ -206,7 +206,8 @@ def test_heat_factor_is_the_rk4_polynomial(grid):
 @pytest.mark.parametrize("grid,pair", zip(HEAT_GRIDS, [("rfft", "irfft"),
                                                          ("rfftn", "irfftn")]),
                          ids=HEAT_IDS)
-def test_heat_step_is_one_real_fft_pair(grid, pair, monkeypatch):
+def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
+        grid, pair, monkeypatch):
     calls = {}
 
     def counting(name, fn):
@@ -221,10 +222,67 @@ def test_heat_step_is_one_real_fft_pair(grid, pair, monkeypatch):
     lap = counting("laplacian_values", grid_module.laplacian_values)
     for mod in (grid_module, reduced):
         monkeypatch.setattr(mod, "laplacian_values", lap)
-    state = heat_state(grid)
-    dt = reduced_cfl_dt(state)
-    step_rk4_reduced(state, dt)
-    assert calls == {pair[0]: 1, pair[1]: 1}, calls
+    forward, inverse = pair
+    # 200 steps with a record every 50: the start record reads the given
+    # values, each of the 4 later ones rebuilds its state's values once
+    traj, final, event = run_reduced(heat_state(grid), 200 * HEAT_DT,
+                                     sample_every=50 * HEAT_DT, fixed_dt=HEAT_DT)
+    assert event is None and final.step == 200 and len(traj) == 5
+    assert calls == {forward: 1, inverse: 4}, calls
+    final.fields[0].values  # read by the last record: no transform
+    assert calls == {forward: 1, inverse: 4}, calls
+    # a caller stepping the final state reuses its spectrum, and the new
+    # state's values cost one inverse transform on first read only
+    new = step_rk4_reduced(final, HEAT_DT)
+    assert calls == {forward: 1, inverse: 4}, calls
+    new.fields, new.fields
+    assert calls == {forward: 1, inverse: 5}, calls
+
+
+def test_heat_march_ends_on_the_exact_solution():
+    # the benchmark's reduced_heat_512 run at a = 0.5: 5313 steps of
+    # 1 + a sin x, whose exact heat flow is 1 + a e^-t sin x
+    grid = PeriodicGrid((512,))
+    x = grid.axis_coordinates(0)
+    a = 0.5
+    state = ReducedState("heat", (ScalarField(grid, 1.0 + a * np.sin(x)),))
+    _, final, event = run_reduced(state, 0.1, sample_every=0.01)
+    assert event is None and final.step == 5313
+    want = 1.0 + a * np.exp(-0.1) * np.sin(x)
+    assert np.abs(final.fields[0].values - want).max() <= 1e-14
+
+
+def test_heat_march_past_the_stability_interval_ends_in_blowup():
+    # dt |k|^2 = 3.9 at the Nyquist mode, outside RK4's interval [-2.79, 0]:
+    # the rounding in the top modes grows until the step reports a blowup;
+    # every record before it, and the event, read finite values
+    grid = PeriodicGrid((512,))
+    x = grid.axis_coordinates(0)
+    state = ReducedState("heat", (ScalarField(grid, 1.0 + 0.5 * np.sin(x)),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj, final, event = run_reduced(state, 1.0, sample_every=6e-5,
+                                         fixed_dt=6e-5)
+    assert event is not None and event.cause == "blowup"
+    assert event.t == final.t and 0 < final.step < 1000
+    assert len(traj) == final.step + 1
+    assert all(np.isfinite([r.mass, r.minU, r.maxU]).all() for r in traj)
+    assert np.isfinite(event.min_u)
+    assert np.isfinite(final.fields[0].values).all()
+
+
+def test_state_is_built_from_values_or_from_a_spectrum():
+    grid = PeriodicGrid((16,))
+    f = ScalarField(grid, np.random.default_rng(1).standard_normal(grid.dims))
+    state = ReducedState("heat", (f,))
+    spec = state.spectrum
+    assert spec.shape == (1, 9) and state.spectrum is spec
+    again = ReducedState("heat", grid=grid, spectrum=spec)
+    assert np.abs(again.fields[0].values - f.values).max() <= 1e-15
+    assert again.fields is again.fields
+    with pytest.raises(ValueError):
+        ReducedState("heat", grid=grid)
+    with pytest.raises(ValueError):
+        ReducedState("ab_system", grid=grid, spectrum=spec)
 
 
 def test_heat_step_rejects_non_finite_data():
