@@ -446,7 +446,7 @@ def _suite_algebra(n: int):
                            float(np.abs(lam1 ** 2 + lam2 ** 2
                                         - forms.norm_sq_values(rho)).max()))
         a, b = forms.matrix_ab(rho)
-        total = a.entries + b.entries
+        total = a + b
         eye = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
         worst["ab"] = max(worst["ab"], float(
             np.abs(total - forms.norm_sq_values(rho) * eye).max()))
@@ -504,7 +504,7 @@ def _identity_probe(grid: PeriodicGrid, eps: float = 0.003,
 
 
 def _suite_reductions(n: int):
-    g2 = PeriodicGrid((max(n, 16),) * 2)
+    g2 = PeriodicGrid((n,) * 2)
     u2 = ScalarField.from_function(g2, lambda x1, x2: 1.0 + 0.3 * np.sin(x1))
     rho = reduced.embed_product(u2)
     full = flows.flow_rhs(rho, forms.CONFORMAL)

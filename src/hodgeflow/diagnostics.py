@@ -19,10 +19,15 @@ import numpy as np
 from . import calculus, flows, forms
 from .errors import BadSeries, CohomologyMismatch, DegenerateForm
 from .forms import DEFAULT_U_FLOOR, SQRT2, FlowScheme, TwoForm
-from .grid import (ScalarField, check_finite, deriv_values, gradient_values,
-                   integrate, laplacian_values)
+from .grid import (ScalarField, check_finite, deriv_values, integrate,
+                   laplacian_values)
 
 _TINY = 1e-300
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise inner product over the leading (component) axis."""
+    return np.einsum("c...,c...->...", x, y)
 
 
 @dataclass
@@ -213,9 +218,10 @@ class _FlowGeometry:
     """Shared pointwise data for the identity checks of one form.
 
     The pointwise fields come from their definitions in `forms`; all first
-    derivatives of derived scalars are chain-ruled from the one bundle of
-    exact spectral derivatives of the rho components.  Laplacians of derived
+    derivatives of derived scalars are chain-ruled from the exact spectral
+    derivatives d_j rho, streamed one axis at a time.  Laplacians of derived
     fields are spectral (and carry the aliasing error the residual measures).
+    No matrix is built: R, S, h and d_j h are only applied to vectors.
     """
 
     def __init__(self, rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR):
@@ -224,23 +230,31 @@ class _FlowGeometry:
         self.grid = grid
         self.u_floor = u_floor
         self.star = forms.hodge_star(rho)
-        self.R = forms.as_skew_matrix(rho)          # rho_ij
-        self.S = forms.as_skew_matrix(self.star)    # (*rho)_ij
         self.u = forms.volume_potential_values(rho)
         self.rho_sq = forms.norm_sq_values(rho)
         self.sp, self.sm = forms.dual_part_norms(rho)   # |rho+|, |rho-|
         self.lam1 = (self.sp + self.sm) / SQRT2
         self.lam2 = (self.sp - self.sm) / SQRT2
-        self.xi = calculus.codiff_two(rho).comps    # xi_k = rho_kl,l
 
-        # Exact first derivatives: D[j] = d_j rho (six components each).
-        self.Drho = gradient_values(rho.comps, grid)
+        # One pass over the axes: D = d_j rho gives xi_k = rho_kl,l, the
+        # chain-ruled gradients of |rho|^2 and u, |grad rho|^2 and, from
+        # <d_j rho, *d_j rho> = 2 u(d_j rho), sum_j u(d_j rho).
+        self.xi = np.zeros((4,) + grid.dims)
+        self.grad_rho_sq = np.empty((4,) + grid.dims)
+        self.grad_u = np.empty((4,) + grid.dims)
+        grad_sq = np.zeros(grid.dims)
+        star_pair = np.zeros(grid.dims)
+        for j in range(4):
+            D = deriv_values(rho.comps, grid, j)
+            calculus.add_axis_terms(self.xi, calculus._CODIFF_TERMS[j], D)
+            self.grad_rho_sq[j] = 2.0 * _dot(rho.comps, D)
+            self.grad_u[j] = _dot(self.star.comps, D)
+            grad_sq += _dot(D, D)
+            star_pair += forms.volume_potential_values(TwoForm(grid, D))
 
-        # Chain-ruled gradients of the derived scalars; |rho+-|^2 =
-        # (|rho|^2 +- 2u) / 2 gives grad |rho+-| = (grad|rho|^2 / 4 +-
-        # grad u / 2) / |rho+-|.
-        self.grad_rho_sq = 2.0 * np.einsum("c...,jc...->j...", rho.comps, self.Drho)
-        self.grad_u = np.einsum("c...,jc...->j...", self.star.comps, self.Drho)
+        # |rho+-|^2 = (|rho|^2 +- 2u) / 2 gives grad |rho+-| = (grad|rho|^2 / 4
+        # +- grad u / 2) / |rho+-|, and |grad rho+-|^2 = (|grad rho|^2
+        # +- 2 sum_j u(d_j rho)) / 2.
         with np.errstate(divide="ignore", invalid="ignore"):
             self.grad_sp = (0.25 * self.grad_rho_sq + 0.5 * self.grad_u) \
                 / np.where(self.sp > 0, self.sp, 1.0)
@@ -248,31 +262,26 @@ class _FlowGeometry:
                 / np.where(self.sm > 0, self.sm, 1.0)
         self.grad_lam1 = (self.grad_sp + self.grad_sm) / SQRT2
         self.grad_lam2 = (self.grad_sp - self.grad_sm) / SQRT2
-
-        # Full gradient magnitudes of the SD/ASD parts: <d_j rho, *d_j rho> =
-        # 2 u(d_j rho) gives |grad rho+-|^2 = (|grad rho|^2 +- 2 sum_j u(d_j rho)) / 2.
-        grad_sq = np.einsum("jc...,jc...->...", self.Drho, self.Drho)
-        star_pair = 2.0 * sum(forms.volume_potential_values(TwoForm(grid, Dj))
-                              for Dj in self.Drho)
-        self.grad_plus_sq = 0.5 * (grad_sq + star_pair)
-        self.grad_minus_sq = 0.5 * (grad_sq - star_pair)
-
-        # Laplacians.
-        self.lapR = forms.as_skew_matrix(
-            TwoForm(grid, laplacian_values(rho.comps, grid)))
+        self.grad_plus_sq = 0.5 * (grad_sq + 2.0 * star_pair)
+        self.grad_minus_sq = 0.5 * (grad_sq - 2.0 * star_pair)
 
     def lap(self, values: np.ndarray) -> np.ndarray:
         return laplacian_values(values, self.grid)
 
+    # R v, or S v with star, for the skew matrix R of `comps` (default rho)
+    # and S of its Hodge star; R^T v = -R v.
+    def skew(self, v: np.ndarray, star: bool = False,
+             comps: np.ndarray = None) -> np.ndarray:
+        return forms._skew_apply(self.rho.comps if comps is None else comps, v,
+                                 forms._STAR_SKEW_TERMS if star else forms._SKEW_TERMS)
+
     def jk(self):
         """Kato gap quantities J (from rho+) and K (from rho-), unguarded."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            j = (self.grad_plus_sq
-                 - np.einsum("j...,j...->...", self.grad_sp, self.grad_sp)) \
-                / (SQRT2 * self.sp)
-            k = (self.grad_minus_sq
-                 - np.einsum("j...,j...->...", self.grad_sm, self.grad_sm)) \
-                / (SQRT2 * self.sm)
+            j = ((self.grad_plus_sq - _dot(self.grad_sp, self.grad_sp))
+                 / (SQRT2 * self.sp))
+            k = ((self.grad_minus_sq - _dot(self.grad_sm, self.grad_sm))
+                 / (SQRT2 * self.sm))
         return j, k
 
     def scalar_weight_grad(self, scheme: FlowScheme) -> np.ndarray:
@@ -284,35 +293,30 @@ class _FlowGeometry:
             return -scheme.r * u ** (-scheme.r - 1.0) * gu
         return (self.grad_rho_sq * u - self.rho_sq * gu) / u ** 2
 
-    def weight_and_grad(self, scheme: FlowScheme):
-        """(h_ik, d_j h_ik) with the derivative chain-ruled pointwise.
-
-        Returned shapes: (4, 4, *dims) and (4, 4, 4, *dims) with the
-        derivative axis first.
-        """
-        eye = np.eye(4).reshape((4, 4) + (1,) * 4)
-        h = forms.weight_h(self.rho, scheme, self.u_floor).entries
+    # Scalar weights give (d_j f) v.  For h = M / u^p with M = a = R R^T or
+    # b = S S^T, or M = sqrt(b) = (u I + b) / (lambda1 + lambda2) with p = 1,
+    # (d_j h) v = (d_j M) v / u^p - p (h v) d_j u / u, and X X^T = -X^2 gives
+    # (d_j X X^T) v = -(d_j X)(X v) - X((d_j X) v).
+    def weight_grad_apply(self, scheme: FlowScheme, v: np.ndarray):
+        """Yield (d_j h) v for j = 0..3, taking d_j rho one axis at a time."""
         if scheme.is_scalar:
-            return h, self.scalar_weight_grad(scheme)[:, None, None] * eye[None]
-
-        # h = M / u^p for M = a = R R^T or b = S S^T, or M = sqrt(b) =
-        # (u I + b) / (lambda1 + lambda2) with p = 1; d_j M = P + P^T with
-        # P = (d_j X) X^T for X = R or S.
+            grad_f = self.scalar_weight_grad(scheme)
+            for j in range(4):
+                yield grad_f[j] * v
+            return
         u, gu = self.u, self.grad_u
-        X = self.R if scheme.kind in ("matrix_a1", "matrix_a2") else self.S
+        star = scheme.kind not in ("matrix_a1", "matrix_a2")
         power = 2 if scheme.kind in ("matrix_a2", "matrix_b2") else 1
-        trace = self.lam1 + self.lam2
-        Dh = np.empty((4,) + h.shape)
+        h_v = forms.weight_apply(self.rho, scheme, v, self.u_floor, u)
+        x_v = self.skew(v, star)
         for j in range(4):
-            Dj = TwoForm(self.grid, self.Drho[j])
-            DX = forms.as_skew_matrix(Dj if X is self.R else forms.hodge_star(Dj))
-            P = np.einsum("ip...,kp...->ik...", DX, X)
-            DM = P + P.swapaxes(0, 1)
+            D = deriv_values(self.rho.comps, self.grid, j)
+            dm_v = -self.skew(x_v, star, D) - self.skew(self.skew(v, star, D), star)
             if scheme.kind == "matrix_bh":
-                DM = (gu[j] * eye + DM
-                      - u * h * (self.grad_lam1[j] + self.grad_lam2[j])) / trace
-            Dh[j] = DM / u ** power - power * h * (gu[j] / u)
-        return h, Dh
+                dm_v = (gu[j] * v + dm_v
+                        - u * h_v * (self.grad_lam1[j] + self.grad_lam2[j])) \
+                    / (self.lam1 + self.lam2)
+            yield dm_v / u ** power - power * h_v * (gu[j] / u)
 
 
 def jk_quantities(rho: TwoForm, mask_eps: float):
@@ -338,9 +342,8 @@ _SPLIT_SCHEMES = ("linear", "power_u", "norm_ratio")
 
 def _lhs_gateaux(geo: _FlowGeometry, rhs_form: TwoForm, quantity: str) -> np.ndarray:
     """Chain-rule derivative of the tracked quantity along the flow update."""
-    dot = rhs_form.comps
-    rho_dot = np.einsum("c...,c...->...", geo.rho.comps, dot)
-    star_dot = np.einsum("c...,c...->...", geo.star.comps, dot)
+    rho_dot = _dot(geo.rho.comps, rhs_form.comps)
+    star_dot = _dot(geo.star.comps, rhs_form.comps)
     if quantity == "rho_sq":
         return 2.0 * rho_dot
     if quantity == "u":
@@ -359,12 +362,22 @@ def _lhs_gateaux(geo: _FlowGeometry, rhs_form: TwoForm, quantity: str) -> np.nda
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
-def _rhs_general(geo: _FlowGeometry, h, Dh, quantity: str) -> np.ndarray:
-    """Weight-matrix identity for |rho|^2 and u (full-matrix index sums)."""
-    first = np.einsum("ij...,ik...,kj...->...", geo.R if quantity == "rho_sq" else geo.S,
-                      h, geo.lapR)
-    second = np.einsum("ij...,jik...,k...->...",
-                       geo.R if quantity == "rho_sq" else geo.S, Dh, geo.xi)
+# With X = R (|rho|^2) or S (u) and L the skew matrix of the Laplacian of rho,
+# the index sums X_ij h_ik L_kj and X_ij (d_j h)_ik xi_k are sum_j <X e_j,
+# h L e_j> and sum_j <X e_j, (d_j h) xi>: h and d_j h only meet vectors.
+def _rhs_general(geo: _FlowGeometry, scheme: FlowScheme,
+                 quantity: str) -> np.ndarray:
+    """Weight-matrix identity for |rho|^2 and u, matrix-free."""
+    star = quantity == "u"
+    lap = geo.lap(geo.rho.comps)
+    first = np.zeros(geo.grid.dims)
+    second = np.zeros(geo.grid.dims)
+    for e_j, dh_xi in zip(forms._unit_vectors(geo.grid.dims),
+                          geo.weight_grad_apply(scheme, geo.xi)):
+        column = geo.skew(e_j, star)
+        first += _dot(column, forms.weight_apply(
+            geo.rho, scheme, geo.skew(e_j, comps=lap), geo.u_floor, geo.u))
+        second += _dot(column, dh_xi)
     if quantity == "rho_sq":
         return first + 2.0 * second
     return 0.5 * first + second
@@ -376,13 +389,14 @@ def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme,
     f = forms.scalar_weight_values(geo.rho, scheme, geo.u_floor, geo.u)
     gf = geo.scalar_weight_grad(scheme)
     plus = quantity == "rho_plus_sq"
-    part = 0.5 * (geo.R + geo.S) if plus else 0.5 * (geo.R - geo.S)
     part_sq = 0.5 * (geo.rho_sq + 2.0 * geo.u) if plus \
         else 0.5 * (geo.rho_sq - 2.0 * geo.u)
     grad_part_sq = geo.grad_plus_sq if plus else geo.grad_minus_sq
     diffusion = f * (geo.lap(part_sq) - 2.0 * grad_part_sq)
-    transport = 2.0 * np.einsum("i...,ij...,j...->...", gf, part, geo.xi)
-    return diffusion - transport
+    # 2 <grad f, rho+- xi> with the skew matrix rho+- = (R +- S) / 2
+    part_xi = geo.skew(geo.xi)
+    (np.add if plus else np.subtract)(part_xi, geo.skew(geo.xi, True), out=part_xi)
+    return diffusion - _dot(gf, part_xi)
 
 
 def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.ndarray:
@@ -397,16 +411,15 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
         if scheme.kind == "linear":
             return lap_lam - j_q - k_q if first else lap_lam - j_q + k_q
 
-        xx = np.einsum("k...,k...->...", xi, xi)
-        Rxi = np.einsum("kj...,k...->j...", geo.R, xi)
-        Sxi = np.einsum("kj...,k...->j...", geo.S, xi)
-        bxx = np.einsum("j...,j...->...", Sxi, Sxi)  # xi^T b xi, b = S S^T
+        xx = _dot(xi, xi)
+        Rxi = -geo.skew(xi)         # R^T xi
+        Sxi = -geo.skew(xi, True)   # S^T xi
+        bxx = _dot(Sxi, Sxi)  # xi^T b xi, b = S S^T
 
         if scheme.kind in ("matrix_a1", "matrix_b1"):
             # grad(|rho|^2 / u) along R xi (a1) or S xi (b1)
-            f_term = np.einsum("j...,j...->...",
-                               geo.scalar_weight_grad(forms.NORM_RATIO),
-                               Rxi if scheme.kind == "matrix_a1" else Sxi) / gap
+            f_term = _dot(geo.scalar_weight_grad(forms.NORM_RATIO),
+                          Rxi if scheme.kind == "matrix_a1" else Sxi) / gap
 
         if scheme.kind == "matrix_a1":
             if first:
@@ -421,19 +434,15 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
             g1 = geo.grad_lam1
             g2 = geo.grad_lam2
             if first:
-                p = (np.einsum("j...,j...->...", g1, Sxi / lam2 - Rxi / lam1)
-                     / (lam1 * gap)
-                     + np.einsum("j...,j...->...", g2,
-                                 Sxi / lam2 + Rxi / lam1
-                                 - 2.0 * lam1 / lam2 ** 2 * Rxi)
+                p = (_dot(g1, Sxi / lam2 - Rxi / lam1) / (lam1 * gap)
+                     + _dot(g2, Sxi / lam2 + Rxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Rxi)
                      / (lam2 * gap))
                 return (lap_lam / lam2 ** 2 - (j_q + k_q) / lam2 ** 2
                         + (lam1 * bxx - u * lam2 * xx) / (u ** 2 * gap) + p)
             # The second eigenvalue rides along algebraically: u = lam1*lam2
             # pointwise, so its evolution is composed from the volume-potential
             # and first-eigenvalue identities.
-            h, dh = geo.weight_and_grad(scheme)
-            u_dot = _rhs_general(geo, h, dh, "u")
+            u_dot = _rhs_general(geo, scheme, "u")
             return (u_dot - lam2 * _rhs_lambda(geo, scheme, "lambda1")) / lam1
 
         if scheme.kind == "matrix_b1":
@@ -450,20 +459,14 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
             g1 = geo.grad_lam1
             g2 = geo.grad_lam2
             if first:
-                extra = (np.einsum(
-                    "j...,j...->...", g1,
-                    (2.0 * lam2 / lam1 ** 2 - 1.0 / lam2) * Sxi - Rxi / lam1)
-                    / (lam1 * gap)
-                    + np.einsum("j...,j...->...", g2, Sxi / lam2 - Rxi / lam1)
-                    / (lam2 * gap))
+                extra = (_dot(g1, (2.0 * lam2 / lam1 ** 2 - 1.0 / lam2) * Sxi
+                              - Rxi / lam1) / (lam1 * gap)
+                         + _dot(g2, Sxi / lam2 - Rxi / lam1) / (lam2 * gap))
                 return (lap_lam / lam1 ** 2 - (j_q + k_q) / lam1 ** 2
                         - lam1 * hxx / gap + xx / (lam1 * gap) + extra)
-            extra = (np.einsum(
-                "j...,j...->...", g2,
-                Rxi / lam2 + Sxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Sxi)
-                / (lam2 * gap)
-                + np.einsum("j...,j...->...", g1, Rxi / lam2 - Sxi / lam1)
-                / (lam1 * gap))
+            extra = (_dot(g2, Rxi / lam2 + Sxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Sxi)
+                     / (lam2 * gap)
+                     + _dot(g1, Rxi / lam2 - Sxi / lam1) / (lam1 * gap))
             return (lap_lam / lam2 ** 2 + (k_q - j_q) / lam2 ** 2
                     + lam2 * hxx / gap - xx / (lam2 * gap) + extra)
 
@@ -491,8 +494,7 @@ def evolution_residual(rho: TwoForm, scheme: FlowScheme, quantity: str,
     lhs = _lhs_gateaux(geo, flows.flow_rhs(rho, scheme, u_floor), quantity)
 
     if quantity in ("rho_sq", "u"):
-        h, Dh = geo.weight_and_grad(scheme)
-        rhs = _rhs_general(geo, h, Dh, quantity)
+        rhs = _rhs_general(geo, scheme, quantity)
         mask = np.ones(rho.grid.dims, dtype=bool)
     elif quantity in ("rho_plus_sq", "rho_minus_sq"):
         rhs = _rhs_split_scalar(geo, scheme, quantity)

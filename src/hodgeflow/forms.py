@@ -4,7 +4,8 @@ A 2-form is stored by its six components in the orthonormal coframe,
 ordered lexicographically by axis pair.  The Hodge star, self-dual /
 anti-self-dual split, volume potential u, the eigenvalue fields of the
 associated skew matrix, the symmetric matrices a, b and the flow weight
-matrix h are all pointwise operations on those components.
+matrix h are all pointwise operations on those components; the flow and the
+identity checks apply h to vectors without building it.
 """
 
 from __future__ import annotations
@@ -69,14 +70,6 @@ class TwoForm:
         return TwoForm(self.grid, self.comps * c)
 
     __rmul__ = __mul__
-
-
-@dataclass
-class SymMatrixField:
-    """Symmetric 4x4 matrix per grid point, stored as a full (4,4,...) array."""
-
-    grid: PeriodicGrid
-    entries: np.ndarray  # shape (4, 4, *grid.dims), symmetric in the first two axes
 
 
 @dataclass(frozen=True)
@@ -205,19 +198,44 @@ def eigenvalues(rho: TwoForm):
     return ScalarField(rho.grid, lam1), ScalarField(rho.grid, lam2)
 
 
-def as_skew_matrix(rho: TwoForm) -> np.ndarray:
-    """The antisymmetric matrix A with rho = g(A., .), shape (4, 4, *dims)."""
-    A = np.zeros((4, 4) + rho.grid.dims)
-    for n, (i, j) in enumerate(COMPONENT_PAIRS):
-        A[i, j] = rho.comps[n]
-        A[j, i] = -rho.comps[n]
-    return A
+# The skew mat-vec M v as terms (i, j, source, plus) per component n of the
+# pair (i, j): M_ij = +-comps[source], out[i] += M_ij v[j], out[j] -= M_ij v[i].
+_SKEW_TERMS = tuple((i, j, n, True) for n, (i, j) in enumerate(COMPONENT_PAIRS))
+_STAR_SKEW_TERMS = tuple((i, j, src, plus) for (i, j), (src, plus)
+                         in zip(COMPONENT_PAIRS, STAR_TERMS))
+
+
+def _skew_apply(comps: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
+    """M v pointwise for the skew matrix M read from `comps` through `terms`:
+    _SKEW_TERMS for rho itself, _STAR_SKEW_TERMS for *rho."""
+    out = np.zeros_like(v)
+    term = np.empty_like(v[0])
+    for i, j, src, plus in terms:
+        np.multiply(comps[src], v[j], out=term)
+        (np.add if plus else np.subtract)(out[i], term, out=out[i])
+        np.multiply(comps[src], v[i], out=term)
+        (np.subtract if plus else np.add)(out[j], term, out=out[j])
+    return out
+
+
+# The explicit (4, 4, *dims) builders below (matrix_ab, sqrt_b_values,
+# weight_h) serve the algebra suite and the tests.  M e_j is column j of M.
+
+
+def _unit_vectors(dims: tuple) -> list:
+    """e_0 .. e_3 as read-only (4, *dims) views."""
+    return [np.broadcast_to(e.reshape((4,) + (1,) * len(dims)), (4,) + dims)
+            for e in np.eye(4)]
 
 
 def _gram_values(rho: TwoForm, star: bool) -> np.ndarray:
-    """M M^T pointwise for the skew matrix M of rho (a) or of *rho (b)."""
-    M = as_skew_matrix(hodge_star(rho) if star else rho)
-    return np.einsum("ip...,jp...->ij...", M, M)
+    """M M^T = -M(M e_j) column by column for the skew M of rho (a) or *rho (b)."""
+    terms = _STAR_SKEW_TERMS if star else _SKEW_TERMS
+    out = np.empty((4, 4) + rho.grid.dims)
+    for j, e_j in enumerate(_unit_vectors(rho.grid.dims)):
+        np.negative(_skew_apply(rho.comps, _skew_apply(rho.comps, e_j, terms), terms),
+                    out=out[:, j])
+    return out
 
 
 def matrix_ab(rho: TwoForm):
@@ -226,8 +244,7 @@ def matrix_ab(rho: TwoForm):
     Both are symmetric positive semidefinite with eigenvalues
     {lambda1^2, lambda1^2, lambda2^2, lambda2^2} and a + b = |rho|^2 I.
     """
-    return (SymMatrixField(rho.grid, _gram_values(rho, False)),
-            SymMatrixField(rho.grid, _gram_values(rho, True)))
+    return _gram_values(rho, False), _gram_values(rho, True)
 
 
 def sqrt_b_values(rho: TwoForm) -> np.ndarray:
@@ -271,38 +288,18 @@ def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
 
 
 def weight_h(rho: TwoForm, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR) -> SymMatrixField:
+             u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
     """Realized weight matrix h for a scheme; positive definite where u > 0."""
     if scheme.is_scalar:
         eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
-        return SymMatrixField(rho.grid, eye * scalar_weight_values(rho, scheme, u_floor))
+        return eye * scalar_weight_values(rho, scheme, u_floor)
     u = volume_potential_values(rho)
     require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
     if scheme.kind == "matrix_bh":
-        return SymMatrixField(rho.grid, sqrt_b_values(rho) / u)
+        return sqrt_b_values(rho) / u
     gram = _gram_values(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
     gram /= u if scheme.kind in ("matrix_a1", "matrix_b1") else u ** 2
-    return SymMatrixField(rho.grid, gram)
-
-
-# The skew mat-vec M v as terms (i, j, source, plus) per component n of the
-# pair (i, j): M_ij = +-comps[source], out[i] += M_ij v[j], out[j] -= M_ij v[i].
-_SKEW_TERMS = tuple((i, j, n, True) for n, (i, j) in enumerate(COMPONENT_PAIRS))
-_STAR_SKEW_TERMS = tuple((i, j, src, plus) for (i, j), (src, plus)
-                         in zip(COMPONENT_PAIRS, STAR_TERMS))
-
-
-def _skew_apply(comps: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
-    """M v pointwise for the skew matrix M read from `comps` through `terms`:
-    _SKEW_TERMS for rho itself, _STAR_SKEW_TERMS for *rho."""
-    out = np.zeros_like(v)
-    term = np.empty_like(v[0])
-    for i, j, src, plus in terms:
-        np.multiply(comps[src], v[j], out=term)
-        (np.add if plus else np.subtract)(out[i], term, out=out[i])
-        np.multiply(comps[src], v[i], out=term)
-        (np.subtract if plus else np.add)(out[j], term, out=out[j])
-    return out
+    return gram
 
 
 def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hodgeflow.forms import COMPONENT_PAIRS
 from hodgeflow.grid import PeriodicGrid
 from hodgeflow import scenarios
 
@@ -25,6 +26,16 @@ def grid2_32():
 def random_form(grid, eps=0.2, band=2, seed=0):
     """Closed band-limited probe near the reference form."""
     return scenarios.make_random_near_omega(grid, eps, band=band, seed=seed)
+
+
+def as_skew_matrix(rho):
+    """The antisymmetric matrix A with rho = g(A., .), shape (4, 4, *dims):
+    the explicit matrix the program only applies to vectors."""
+    A = np.zeros((4, 4) + rho.grid.dims)
+    for n, (i, j) in enumerate(COMPONENT_PAIRS):
+        A[i, j] = rho.comps[n]
+        A[j, i] = -rho.comps[n]
+    return A
 
 
 def traced_peak(fn) -> int:

@@ -47,7 +47,7 @@ def test_criterion_01_algebra_suite():
                            float(np.abs(lam1 ** 2 + lam2 ** 2 - nsq).max()) / scale)
         a, b = forms.matrix_ab(rho)
         worst["ab"] = max(worst["ab"], float(
-            np.abs(a.entries + b.entries - nsq * eye).max()))
+            np.abs(a + b - nsq * eye).max()))
     ok = (worst["star"] <= 1e-13 and worst["2u"] <= 1e-12
           and worst["eig"] <= 1e-11 and worst["ab"] <= 1e-12)
     report("criterion-01 algebra-suite", ok,

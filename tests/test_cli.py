@@ -503,6 +503,15 @@ def test_main_verify_reductions():
     assert cli.main(["verify", "reductions", "--resolution", "16"]) == cli.EXIT_OK
 
 
+def test_verify_reductions_runs_at_the_given_resolution(capsys):
+    # the suite builds its grid at the resolution it reports: at 8 points the
+    # product-embedding residual (4.5e-3) misses its 1e-5 bound
+    assert cli.main(["verify", "reductions", "--resolution", "8"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("[FAIL] reductions/product embedding rhs: 4.4")
+    assert out[-1].startswith("reductions: 1/2 checks passed at resolution 8 in ")
+
+
 def test_main_poincare():
     assert cli.main(["poincare", "--resolution", "8", "--probes", "5"]) == cli.EXIT_OK
 

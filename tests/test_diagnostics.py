@@ -9,9 +9,10 @@ from hodgeflow.diagnostics import (CSV_COLUMNS, TrajectoryRecord, decay_rate_fit
                                    sobolev_poincare_ratio)
 from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
                              NumericalBlowup)
-from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
+from hodgeflow.grid import (PeriodicGrid, ScalarField, gradient_values, integrate,
+                            laplacian_values)
 
-from conftest import random_form, rel_err, traced_peak
+from conftest import as_skew_matrix, random_form, rel_err, traced_peak
 
 
 def test_energy_of_reference(grid8):
@@ -344,11 +345,11 @@ def ab_route_weight_grad(geo, scheme):
     derivative stacks, with one derivative rule per scheme: the oracle of
     the one power-p rule."""
     rho, u, gu = geo.rho, geo.u, geo.grad_u[:, None, None]
-    a, b = (m.entries for m in forms.matrix_ab(rho))
-    R, S = forms.as_skew_matrix(rho), forms.as_skew_matrix(forms.hodge_star(rho))
+    R, S = as_skew_matrix(rho), as_skew_matrix(forms.hodge_star(rho))
+    a, b = (np.einsum("ip...,jp...->ij...", X, X) for X in (R, S))
     D = gradient_values(rho.comps, rho.grid)
-    DR = np.stack([forms.as_skew_matrix(forms.TwoForm(rho.grid, Dj)) for Dj in D])
-    DS = np.stack([forms.as_skew_matrix(forms.hodge_star(forms.TwoForm(rho.grid, Dj)))
+    DR = np.stack([as_skew_matrix(forms.TwoForm(rho.grid, Dj)) for Dj in D])
+    DS = np.stack([as_skew_matrix(forms.hodge_star(forms.TwoForm(rho.grid, Dj)))
                    for Dj in D])
     Da = (np.einsum("jip...,kp...->jik...", DR, R)
           + np.einsum("ip...,jkp...->jik...", R, DR))
@@ -370,23 +371,61 @@ def ab_route_weight_grad(geo, scheme):
     return (Dsqrtb * u - sqrtb[None] * gu) / u ** 2
 
 
-@pytest.mark.parametrize("scheme", [s for s in forms.ALL_SCHEMES if not s.is_scalar],
-                         ids=lambda s: s.kind)
+def explicit_weight_grad(geo, scheme):
+    """d_j h as a (4, 4, 4, *dims) stack, derivative axis first."""
+    if scheme.is_scalar:
+        eye = np.eye(4).reshape((1, 4, 4) + (1,) * 4)
+        return geo.scalar_weight_grad(scheme)[:, None, None] * eye
+    return ab_route_weight_grad(geo, scheme)
+
+
+@pytest.mark.parametrize("scheme", forms.ALL_SCHEMES, ids=lambda s: s.kind)
 def test_matrix_weight_grad_matches_ab_route_oracle(scheme):
+    # (d_j h) v applied axis by axis against the oracle stack contracted with v
     from hodgeflow.cli import _identity_probe
     rho = _identity_probe(PeriodicGrid((8,) * 4))
     geo = diagnostics._FlowGeometry(rho)
-    h, Dh = geo.weight_and_grad(scheme)
-    assert np.array_equal(h, forms.weight_h(rho, scheme).entries)
-    assert rel_err(Dh, ab_route_weight_grad(geo, scheme)) < 1e-13
+    v = np.random.default_rng(5).standard_normal((4,) + rho.grid.dims)
+    for vec in (geo.xi, v):
+        got = np.stack(list(geo.weight_grad_apply(scheme, vec)))
+        want = np.einsum("jik...,k...->ji...", explicit_weight_grad(geo, scheme), vec)
+        assert rel_err(got, want) < 1e-13
+
+
+def explicit_rhs_general(geo, scheme, quantity):
+    """The weight-matrix identity for |rho|^2 and u as full-matrix index sums
+    over the explicit skew matrices, h and the d_j h stack: the oracle of the
+    matrix-free route."""
+    rho = geo.rho
+    X = as_skew_matrix(rho if quantity == "rho_sq" else forms.hodge_star(rho))
+    lapR = as_skew_matrix(
+        forms.TwoForm(rho.grid, laplacian_values(rho.comps, rho.grid)))
+    first = np.einsum("ij...,ik...,kj...->...", X, forms.weight_h(rho, scheme), lapR)
+    second = np.einsum("ij...,jik...,k...->...", X,
+                       explicit_weight_grad(geo, scheme), geo.xi)
+    if quantity == "rho_sq":
+        return first + 2.0 * second
+    return 0.5 * first + second
+
+
+@pytest.mark.parametrize("quantity", ["rho_sq", "u"])
+@pytest.mark.parametrize("scheme", forms.ALL_SCHEMES, ids=lambda s: s.kind)
+def test_matrix_free_identity_matches_explicit_oracle(scheme, quantity):
+    from hodgeflow.cli import _identity_probe
+    rho = _identity_probe(PeriodicGrid((8,) * 4))
+    geo = diagnostics._FlowGeometry(rho)
+    got = diagnostics._rhs_general(geo, scheme, quantity)
+    assert rel_err(got, explicit_rhs_general(geo, scheme, quantity)) < 1e-13
 
 
 @pytest.mark.parametrize("scheme,quantity,forms_at_most", [
-    # measured 33.2, 48.8 and 23.0 forms; with the split route, both of a
-    # and b and their derivative stacks, they peaked at 50.7, 114.0 and 40.5
-    (forms.CONFORMAL, "rho_sq", 40.0),
-    (forms.MATRIX_B2, "u", 60.0),
-    (forms.MATRIX_A1, "lambda1", 30.0)], ids=lambda v: getattr(v, "kind", v))
+    # measured 12.0, 15.0 and 11.0 forms; with h and d_j h built as
+    # (4, 4, *dims) and (4, 4, 4, *dims) stacks, R, S and lapR as skew
+    # matrices and the (4, 6, *dims) gradient bundle they peaked at 33.2,
+    # 48.8 and 23.0
+    (forms.CONFORMAL, "rho_sq", 16.0),
+    (forms.MATRIX_B2, "u", 20.0),
+    (forms.MATRIX_A1, "lambda1", 15.0)], ids=lambda v: getattr(v, "kind", v))
 def test_evolution_residual_memory(scheme, quantity, forms_at_most):
     from hodgeflow.cli import _identity_probe
     rho = _identity_probe(PeriodicGrid((16,) * 4))

@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 from hodgeflow import forms
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
-                             as_skew_matrix, eigenvalue_values, hodge_star,
-                             matrix_ab, norm_sq_values, omega, scheme_from_name,
+                             eigenvalue_values, hodge_star, matrix_ab, norm_sq_values, omega, scheme_from_name,
                              sd_asd_split, sqrt_b_values, volume_potential_values,
                              weight_h, weight_spectral_radius)
 from hodgeflow.grid import PeriodicGrid
 
-from conftest import random_form, traced_peak
+from conftest import as_skew_matrix, random_form, traced_peak
 
 
 def sample_points(grid, count, seed=0):
@@ -55,7 +54,7 @@ def test_sqrt_b_against_symmetric_eigensolver(grid8):
     idx = sample_points(grid8, 30, seed=3)
     for n in range(30):
         p = tuple(ax[n] for ax in idx)
-        B = b.entries[(slice(None), slice(None)) + p]
+        B = b[(slice(None), slice(None)) + p]
         w, v = np.linalg.eigh(B)
         oracle = v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
         assert np.abs(root[(slice(None), slice(None)) + p] - oracle).max() < 1e-9
@@ -66,7 +65,7 @@ def test_sqrt_b_squares_to_b(grid8):
     root = sqrt_b_values(rho)
     _, b = matrix_ab(rho)
     sq = np.einsum("ik...,kj...->ij...", root, root)
-    assert np.abs(sq - b.entries).max() < 1e-11
+    assert np.abs(sq - b).max() < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +101,19 @@ def test_eigenvalue_scalar_identities(grid8):
     assert np.all(lam1 >= np.abs(lam2) - 1e-12)
 
 
+def test_matrix_ab_equals_the_skew_matrix_products(grid8):
+    # the column-by-column Gram matrices against R R^T and S S^T
+    rho = random_form(grid8, 0.7, seed=9)
+    R, S = as_skew_matrix(rho), as_skew_matrix(hodge_star(rho))
+    a, b = matrix_ab(rho)
+    assert np.abs(a - np.einsum("ip...,jp...->ij...", R, R)).max() < 1e-14
+    assert np.abs(b - np.einsum("ip...,jp...->ij...", S, S)).max() < 1e-14
+
+
 def test_a_plus_b_is_norm_identity(grid8):
     rho = random_form(grid8, 0.7, seed=9)
     a, b = matrix_ab(rho)
-    total = a.entries + b.entries
+    total = a + b
     eye = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
     assert np.abs(total - norm_sq_values(rho) * eye).max() < 1e-12
 
@@ -120,7 +128,7 @@ def test_ab_eigenvalues(grid8):
         p = tuple(ax[n] for ax in idx)
         want = np.sort([lam2[p] ** 2, lam2[p] ** 2, lam1[p] ** 2, lam1[p] ** 2])
         for m in (a, b):
-            got = np.sort(np.linalg.eigvalsh(m.entries[(slice(None), slice(None)) + p]))
+            got = np.sort(np.linalg.eigvalsh(m[(slice(None), slice(None)) + p]))
             assert np.abs(got - want).max() < 1e-10
 
 
@@ -146,8 +154,8 @@ def test_weight_matrices_match_scalar_weights(grid8):
         h = weight_h(rho, scheme)
         if scheme.is_scalar:
             f = forms.scalar_weight_values(rho, scheme)
-            assert np.abs(h.entries[0, 0] - f).max() < 1e-13
-            assert np.abs(h.entries[0, 1]).max() == 0.0
+            assert np.abs(h[0, 0] - f).max() < 1e-13
+            assert np.abs(h[0, 1]).max() == 0.0
 
 
 def test_weight_spectral_radius_oracle(grid8):
@@ -158,7 +166,7 @@ def test_weight_spectral_radius_oracle(grid8):
         h = weight_h(rho, scheme)
         for n in range(15):
             p = tuple(ax[n] for ax in idx)
-            top = np.linalg.eigvalsh(h.entries[(slice(None), slice(None)) + p]).max()
+            top = np.linalg.eigvalsh(h[(slice(None), slice(None)) + p]).max()
             assert radius[p] == pytest.approx(top, rel=1e-9, abs=1e-11)
 
 
@@ -191,7 +199,7 @@ def test_weight_apply_matches_explicit_matrix(grid8, scheme):
     rng = np.random.default_rng(31)
     for rho in _flux_oracle_forms(grid8):
         xi = rng.standard_normal((4,) + grid8.dims)
-        want = np.einsum("ik...,k...->i...", weight_h(rho, scheme).entries, xi)
+        want = np.einsum("ik...,k...->i...", weight_h(rho, scheme), xi)
         got = forms.weight_apply(rho, scheme, xi)
         assert got.shape == xi.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -270,19 +278,19 @@ def _weight_h_from_matrix_ab(rho, scheme):
     a, b = matrix_ab(rho)
     if scheme.kind == "matrix_bh":
         lam1, lam2 = eigenvalue_values(rho)
-        root = b.entries.copy()
+        root = b.copy()
         for i in range(4):
             root[i, i] += u
         root /= np.maximum(lam1 + lam2, forms.EIG_EPS)
         return root / u
-    base = a.entries if scheme.kind in ("matrix_a1", "matrix_a2") else b.entries
+    base = a if scheme.kind in ("matrix_a1", "matrix_a2") else b
     return base / u ** (1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2)
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
 def test_weight_h_equals_the_matrix_ab_route(grid8, scheme):
     for rho in _flux_oracle_forms(grid8):
-        assert np.array_equal(weight_h(rho, scheme).entries,
+        assert np.array_equal(weight_h(rho, scheme),
                               _weight_h_from_matrix_ab(rho, scheme))
 
 
