@@ -480,17 +480,14 @@ def _suite_calculus(n: int):
 def _suite_identities(n: int):
     grid = PeriodicGrid((n,) * 4)
     rho = _identity_probe(grid)
-    checks = []
-    for scheme in forms.ALL_SCHEMES:
-        for quantity in ("rho_sq", "u"):
-            res = diagnostics.evolution_residual(rho, scheme, quantity)
-            checks.append((f"{scheme.kind}/{quantity}", res, 1e-7))
-    for kind in diagnostics._LAMBDA_SCHEMES:
-        for quantity in ("lambda1", "lambda2"):
-            res = diagnostics.evolution_residual(rho, forms.FlowScheme(kind),
-                                                 quantity)
-            checks.append((f"{kind}/{quantity}", res, 1e-7))
-    return checks
+    pairs = [(scheme, quantity) for scheme in forms.ALL_SCHEMES
+             for quantity in ("rho_sq", "u")]
+    pairs += [(forms.FlowScheme(kind), quantity)
+              for kind in diagnostics._LAMBDA_SCHEMES
+              for quantity in ("lambda1", "lambda2")]
+    residuals = diagnostics.evolution_residuals(rho, pairs)
+    return [(f"{scheme.kind}/{quantity}", res, 1e-7)
+            for (scheme, quantity), res in zip(pairs, residuals)]
 
 
 def _identity_probe(grid: PeriodicGrid, eps: float = 0.003,

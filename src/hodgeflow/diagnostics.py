@@ -483,25 +483,47 @@ def evolution_residual(rho: TwoForm, scheme: FlowScheme, quantity: str,
     to points where |rho-|, |rho+| and lambda1 - lambda2 exceed mask_eps
     (default 1e-3 * max |rho|).
     """
-    if quantity not in RESIDUAL_QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity in ("lambda1", "lambda2") and scheme.kind not in _LAMBDA_SCHEMES:
-        raise ValueError(f"no eigenvalue identity catalogued for {scheme.kind!r}")
-    if quantity in ("rho_plus_sq", "rho_minus_sq") and scheme.kind not in _SPLIT_SCHEMES:
-        raise ValueError(f"no dual-part identity catalogued for {scheme.kind!r}")
+    return evolution_residuals(rho, [(scheme, quantity)], mask_eps, u_floor)[0]
+
+
+def evolution_residuals(rho: TwoForm, checks, mask_eps: float = None,
+                        u_floor: float = DEFAULT_U_FLOOR) -> list:
+    """`evolution_residual` of each (scheme, quantity) pair of `checks`, in
+    order, from one geometry of rho and one flow_rhs per scheme."""
+    checks = list(checks)
+    for scheme, quantity in checks:
+        if quantity not in RESIDUAL_QUANTITIES:
+            raise ValueError(f"unknown quantity {quantity!r}")
+        if quantity in ("lambda1", "lambda2") and scheme.kind not in _LAMBDA_SCHEMES:
+            raise ValueError(f"no eigenvalue identity catalogued for {scheme.kind!r}")
+        if quantity in ("rho_plus_sq", "rho_minus_sq") and scheme.kind not in _SPLIT_SCHEMES:
+            raise ValueError(f"no dual-part identity catalogued for {scheme.kind!r}")
+    if mask_eps is None:
+        mask_eps = 1e-3 * float(np.abs(rho.comps).max())
 
     geo = _FlowGeometry(rho, u_floor)
-    lhs = _lhs_gateaux(geo, flows.flow_rhs(rho, scheme, u_floor), quantity)
+    out = [None] * len(checks)
+    for scheme in dict.fromkeys(scheme for scheme, _ in checks):
+        rhs_form = flows.flow_rhs(rho, scheme, u_floor)
+        # the scalar left sides are kept, the form is dropped before the
+        # right sides are assembled
+        lhs = {i: _lhs_gateaux(geo, rhs_form, quantity)
+               for i, (other, quantity) in enumerate(checks) if other == scheme}
+        del rhs_form
+        for i, lhs_i in lhs.items():
+            out[i] = _residual(geo, lhs_i, scheme, checks[i][1], mask_eps)
+    return out
 
+
+def _residual(geo: _FlowGeometry, lhs: np.ndarray, scheme: FlowScheme,
+              quantity: str, mask_eps: float) -> float:
     if quantity in ("rho_sq", "u"):
         rhs = _rhs_general(geo, scheme, quantity)
-        mask = np.ones(rho.grid.dims, dtype=bool)
+        mask = np.ones(geo.grid.dims, dtype=bool)
     elif quantity in ("rho_plus_sq", "rho_minus_sq"):
         rhs = _rhs_split_scalar(geo, scheme, quantity)
-        mask = np.ones(rho.grid.dims, dtype=bool)
+        mask = np.ones(geo.grid.dims, dtype=bool)
     else:
-        if mask_eps is None:
-            mask_eps = 1e-3 * float(np.abs(rho.comps).max())
         rhs = _rhs_lambda(geo, scheme, quantity)
         mask = ((geo.sm > mask_eps) & (geo.sp > mask_eps)
                 & (geo.lam1 - geo.lam2 > mask_eps))

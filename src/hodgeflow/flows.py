@@ -5,7 +5,11 @@ sigma_i = -h_ik (d* rho)_k, so every step changes rho by an exact form and
 the cohomology class is preserved structurally.  The componentwise form
 of the equation is kept in the diagnostics module as an independent oracle.
 `rk4` and `march` are the one integrator and the one time loop; the reduced
-models in `reduced` use them too.
+models in `reduced` use them too.  The LINEAR scheme is stepped exactly
+instead: on closed forms -dd* rho = sum_j D_j^2 rho componentwise, so a step
+multiplies the carried half spectrum by e^{dt * symbol}, with no step bound.
+`march` then steps from sample to sample, and bisects the time at which u
+reaches the floor.
 """
 
 from __future__ import annotations
@@ -19,20 +23,47 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
 from .forms import DEFAULT_U_FLOOR, FlowScheme, TwoForm
-from .grid import check_finite
+from .grid import (_dd_symbol, check_finite, from_half_spectrum,
+                   half_spectrum, propagate)
 
 
-@dataclass
 class FlowState:
-    rho: TwoForm
-    t: float = 0.0
-    step: int = 0
-    dt: float = 0.0
+    """The 2-form at time t; built from `rho`, or from `grid` and `spectrum`
+    (`grid.half_spectrum` of the six components).  The other view is made on
+    first read, with one 4D real transform, and kept."""
+
+    def __init__(self, rho: Optional[TwoForm] = None, t: float = 0.0,
+                 step: int = 0, dt: float = 0.0, *, grid=None,
+                 spectrum: Optional[np.ndarray] = None):
+        if rho is None and (grid is None or spectrum is None):
+            raise ValueError("a flow state needs rho, or a grid and a spectrum")
+        self.grid = rho.grid if rho is not None else grid
+        self.t, self.step, self.dt = t, step, dt
+        self._rho, self._spectrum = rho, spectrum
+
+    @property
+    def rho(self) -> TwoForm:
+        if self._rho is None:
+            self._rho = TwoForm(self.grid, from_half_spectrum(self._spectrum,
+                                                              self.grid))
+        return self._rho
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = half_spectrum(self._rho.comps, self.grid)
+        return self._spectrum
 
 
 @dataclass
 class DegeneracyEvent:
-    """Terminal record: the volume potential hit the floor (or blew up)."""
+    """Terminal record: the volume potential hit the floor (or blew up).
+
+    `t` is that of the last state that passed the floor check.  On an RK4
+    path that is the last accepted step, up to one dt before the crossing; on
+    an exact path (no step bound) the failing step is bisected, so `t` lies
+    within 1e-10 before it.
+    """
 
     t: float
     location: tuple
@@ -101,23 +132,37 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     one trajectory row, and `positivity(state)` the field kept above the floor.
     Returns (trajectory, final_state, event); `event` is None on a clean run and
     a DegeneracyEvent at the last accepted state when a step raises
-    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").  A given
-    `stats` dict receives `wall_s`, the loop's perf_counter time, and `dt_min`
-    and `dt_max` over the accepted steps (None when no step was accepted).
+    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").  A `cfl`
+    of inf marks an exact step: it goes straight to the next sample time or
+    t_end, and one that meets the floor is bisected (`_last_above_floor`).
+    A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
+    `dt_min` and `dt_max` over the accepted steps (None when none was).
     """
     if not sample_every > 0:
         raise ValueError("sample_every must be positive")  # else it never ends
     started = time.perf_counter()
     trajectory = [record(state)]
     next_sample = sample_every
+    while next_sample <= state.t + 1e-12:
+        next_sample += sample_every
     event = None
     dt_min, dt_max = np.inf, 0.0
     while state.t < t_end - 1e-14:
+        exact = False
         try:
             dt = fixed_dt if fixed_dt is not None else cfl(state)
+            if dt == np.inf:
+                exact = True
+                if next_sample < t_end - 1e-12:
+                    dt = next_sample - state.t
             dt = min(dt, t_end - state.t)
             state = step(state, dt)
         except (DegenerateForm, NumericalBlowup) as exc:
+            if exact and isinstance(exc, DegenerateForm):
+                last = _last_above_floor(state, step, dt)
+                if last is not state:
+                    state = last
+                    dt_min, dt_max = min(dt_min, last.dt), max(dt_max, last.dt)
             vals = positivity(state)
             loc = np.unravel_index(int(np.argmin(vals)), vals.shape)
             event = DegeneracyEvent(
@@ -138,6 +183,30 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
                      dt_min=dt_min if dt_max > 0 else None,
                      dt_max=dt_max if dt_max > 0 else None)
     return trajectory, state, event
+
+
+def _last_above_floor(state, step, dt: float, tol: float = 1e-10):
+    """step(state, s) for the largest s in (0, dt) that passes the floor check,
+    found by bisection to `tol`; `state` itself if none does."""
+    lo, hi, last = 0.0, dt, state
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        try:
+            last, lo = step(state, mid), mid
+        except (DegenerateForm, NumericalBlowup):
+            hi = mid
+    return last
+
+
+def step_linear(state: FlowState, dt: float,
+                u_floor: float = DEFAULT_U_FLOOR) -> FlowState:
+    """The exact step of the LINEAR scheme on a closed form: the half spectrum
+    times e^{dt * symbol} of `grid._dd_symbol`; checks u > floor."""
+    grid = state.grid
+    new = FlowState(t=state.t + dt, step=state.step + 1, dt=dt, grid=grid,
+                    spectrum=propagate(state.spectrum, _dd_symbol, grid, dt))
+    _check_u(new.rho, u_floor)
+    return new
 
 
 def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
@@ -177,9 +246,11 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
                                        q1_weight=q1_weight, monitor_a=monitor_a,
                                        monitor_b=monitor_b, u_floor=u_floor)
 
+    exact = scheme.kind == "linear"
     return march(
         FlowState(rho=initial.copy()),
-        lambda st, dt: step_rk4(st, dt, scheme, u_floor),
-        lambda st: cfl_dt(st.rho, scheme, safety, u_floor),
+        lambda st, dt: (step_linear(st, dt, u_floor) if exact
+                        else step_rk4(st, dt, scheme, u_floor)),
+        lambda st: np.inf if exact else cfl_dt(st.rho, scheme, safety, u_floor),
         t_end, sample_every, record,
         lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats)

@@ -12,7 +12,9 @@ matrix product with the dense spectral differentiation matrix of that axis
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
 arithmetic.  Longer axes use one rfft/irfft pair.  A Fourier multiplier over
 all grid axes goes forward with `half_spectrum` and back with
-`from_half_spectrum`; the Laplacian is one such round trip.
+`from_half_spectrum`; the Laplacian is one such round trip.  The linear
+models step exactly: `propagate` multiplies a carried half spectrum by
+e^{dt*symbol}, for the Laplacian's symbol or for that of -dd* (Nyquist zeroed).
 """
 
 from __future__ import annotations
@@ -55,14 +57,54 @@ def _diff_matrix(n: int, length: float) -> np.ndarray:
     return D
 
 
-@functools.lru_cache(maxsize=None)
-def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
-    """-|k|^2 on the rfftn half spectrum (last axis halved), Nyquist kept."""
-    ks = [np.fft.fftfreq(n, 1.0 / n) * (TWO_PI / L) for n, L in zip(dims, lengths)]
-    ks[-1] = np.fft.rfftfreq(dims[-1], 1.0 / dims[-1]) * (TWO_PI / lengths[-1])
+def _half_symbol(dims: tuple, lengths: tuple, nyquist: bool) -> np.ndarray:
+    """-sum_j k_j^2 on the rfftn half spectrum (last axis halved), with each
+    axis's Nyquist wavenumber kept or zeroed."""
+    ks = []
+    for a, (n, L) in enumerate(zip(dims, lengths)):
+        freq = np.fft.rfftfreq if a == len(dims) - 1 else np.fft.fftfreq
+        k = freq(n, 1.0 / n) * (TWO_PI / L)
+        if not nyquist:
+            k[n // 2] = 0.0
+        ks.append(k)
     total = -sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
     total.setflags(write=False)
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
+    """-|k|^2 on the half spectrum, Nyquist kept: the Laplacian."""
+    return _half_symbol(dims, lengths, True)
+
+
+@functools.lru_cache(maxsize=None)
+def _dd_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
+    """-sum_j k'_j^2 with k' the Nyquist-zeroed wavenumber of `_ik_symbol`:
+    the symbol of -dd* on closed forms, sum_j D_j^2 componentwise.  Not the
+    Laplacian's: it leaves each axis's Nyquist mode undamped on that axis."""
+    return _half_symbol(dims, lengths, False)
+
+
+@functools.lru_cache(maxsize=8)
+def _propagator(symbol, dims: tuple, lengths: tuple, dt: float) -> np.ndarray:
+    """e^{dt * symbol} on the half spectrum: the exact step of s' = symbol * s."""
+    factor = np.exp(dt * symbol(dims, lengths))
+    factor.setflags(write=False)
+    return factor
+
+
+def propagate(spec: np.ndarray, symbol, grid: PeriodicGrid,
+              dt: float) -> np.ndarray:
+    """The half spectrum `spec` advanced by dt under the cached `_propagator`
+    of `symbol`; raises NumericalBlowup if it is not finite."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    out = spec * _propagator(symbol, grid.dims, grid.lengths, dt)
+    # twice the sum of |Re| + |Im| bounds every partial sum of the inverse
+    # transform: while it is finite, so are the values rebuilt from out
+    check_finite(2.0 * np.abs(out.view(float)).sum(), "exact step")
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,16 @@ Product data reduce the conformal flow to the fast diffusion equation
 du/dt = 2 Lap(sqrt(u)); shear data (a, b) reduce it to a coupled system;
 the u^-2 b weight reduces to inverse diffusion dv/dt = Lap(-1/v) on each
 factor; the sqrt(b)/u weight reduces to log diffusion dv/dt = Lap(log v).
-Each model is an adapter onto `flows.rk4` and `flows.march`.  The heat model
-is linear with constant coefficients, so its RK4 step is a Fourier multiplier:
-the RK4 amplification factor of each mode.  A heat march stays in Fourier
-space: one forward transform when it starts, and one inverse transform for
-each state whose values are read.
+Each model is an adapter onto `flows.march`, the nonlinear ones through
+`flows.rk4`.  The heat model is linear with constant coefficients, so it is
+stepped exactly: each mode is multiplied by e^{-dt |k|^2}, with no step
+bound, so a march steps from sample to sample.  It stays in Fourier space:
+one forward transform when it starts, and one inverse transform for each
+state whose values are read.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +24,9 @@ from . import forms
 from .errors import CohomologyMismatch
 from .flows import march, rk4
 from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
-from .grid import (PeriodicGrid, ScalarField, _laplacian_symbol, check_finite,
-                   deriv_values, from_half_spectrum, gradient_values,
-                   half_spectrum, integrate, laplacian_values)
+from .grid import (PeriodicGrid, ScalarField, _laplacian_symbol, deriv_values,
+                   from_half_spectrum, gradient_values, half_spectrum,
+                   integrate, laplacian_values, propagate)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
@@ -162,8 +162,6 @@ def _positivity_field(state: ReducedState) -> np.ndarray:
 
 def _diffusivity_max(state: ReducedState, u_floor: float) -> float:
     """Largest pointwise diffusion coefficient, for the parabolic step bound."""
-    if state.model == "heat":
-        return 1.0
     v = _positivity_field(state)
     forms.require_above_floor(v, u_floor)
     if state.model in ("fast_diffusion", "ab_system"):
@@ -175,8 +173,11 @@ def _diffusivity_max(state: ReducedState, u_floor: float) -> float:
 
 def reduced_cfl_dt(state: ReducedState, safety: float = 0.25,
                    u_floor: float = DEFAULT_U_FLOOR) -> float:
+    """The parabolic step bound; inf for heat, whose step is exact."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
+    if state.model == "heat":
+        return np.inf
     h_min = min(state.grid.spacings)
     return safety * h_min ** 2 / (2.0 * state.grid.rank
                                   * _diffusivity_max(state, u_floor))
@@ -189,31 +190,17 @@ def _record(state: ReducedState) -> ReducedRecord:
                          minU=float(vals.min()), maxU=float(vals.max()))
 
 
-@functools.lru_cache(maxsize=8)
-def _heat_factor(dims: tuple, lengths: tuple, dt: float) -> np.ndarray:
-    """R(dt*lambda) = 1 + z + z^2/2 + z^3/6 + z^4/24 on the half spectrum,
-    lambda = -|k|^2: what one RK4 step of s' = lambda*s does to each mode,
-    computed by `rk4` itself from s = 1."""
-    lam = _laplacian_symbol(dims, lengths)
-    factor = rk4(np.ones(lam.shape), lambda s: lam * s, dt)
-    factor.setflags(write=False)
-    return factor
-
-
 def step_rk4_reduced(state: ReducedState, dt: float,
                      u_floor: float = DEFAULT_U_FLOOR) -> ReducedState:
     """One RK4 step of the model on its stacked fields; re-checks positivity.
 
-    For heat the step is the cached `_heat_factor` times the half spectrum,
-    checked there; the new state's values are left to be rebuilt by one
-    inverse transform if something reads them.
+    Heat takes the exact step instead: the half spectrum times e^{dt*lambda},
+    lambda = -|k|^2, checked by `propagate`; the new state's values are left
+    to be rebuilt by one inverse transform if something reads them.
     """
     grid = state.grid
     if state.model == "heat":
-        spec = state.spectrum * _heat_factor(grid.dims, grid.lengths, dt)
-        # twice the sum of |Re| + |Im| bounds every partial sum of the inverse
-        # transform: while it is finite, so are the values rebuilt from spec
-        check_finite(2.0 * np.abs(spec.view(float)).sum(), "heat step")
+        spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
     y = np.stack([f.values for f in state.fields])

@@ -38,6 +38,19 @@ def as_skew_matrix(rho):
     return A
 
 
+def fourier_d2_matrix(n, length=2.0 * np.pi):
+    """Second-derivative matrix of the trigonometric interpolant on n equally
+    spaced points of [0, length), n even (Trefethen, Spectral Methods in
+    MATLAB, ch. 3).  Built from the closed form, not from an FFT."""
+    h = 2.0 * np.pi / n
+    offset = np.arange(n)[:, None] - np.arange(n)[None, :]
+    mat = np.empty((n, n))
+    off = offset != 0
+    mat[off] = -0.5 * (-1.0) ** offset[off] / np.sin(0.5 * h * offset[off]) ** 2
+    np.fill_diagonal(mat, -np.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0)
+    return mat * (2.0 * np.pi / length) ** 2
+
+
 def traced_peak(fn) -> int:
     """tracemalloc peak of the second of two calls (the first fills caches)."""
     fn()

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single [pass]/[FAIL] line with the measured values, then
-asserts.  The expensive shared runs (the 16^4 stability flow, the heat-evolved
-degeneracy profiles) are module-scoped fixtures / memoized module calls.
+asserts.  The expensive shared run (the 16^4 stability flow) is a
+module-scoped fixture.
 """
 
 import numpy as np
@@ -196,6 +196,9 @@ def test_criterion_06_degeneracy_example():
     traj, final, event = flows.run_flow(rho, forms.LINEAR, 1.0,
                                         sample_every=0.05)
     degenerated = event is not None and event.cause == "u_floor" and event.t < 1.0
+    t_oracle = _degeneracy_time_oracle(scen.A0, 128, 16)
+    t_gap = abs(event.t - t_oracle) if degenerated else np.inf
+    above_floor = degenerated and event.min_u >= forms.DEFAULT_U_FLOOR
 
     flat = scenarios.CounterexampleScenario(g1, A0=0.0,
                                             threshold=scen.threshold)
@@ -206,35 +209,45 @@ def test_criterion_06_degeneracy_example():
         abs(r.minU - 1.0) < 1e-8 and abs(r.maxU - 1.0) < 1e-8 for r in traj0)
 
     ok = (oracle_rel < 1e-4 and min_u1 < 0.0 and u0_err < 1e-10
-          and degenerated and stays_flat)
+          and degenerated and t_gap <= 1e-8 and above_floor and stays_flat)
     report("criterion-06 degeneracy-example", ok,
            f"A={scen.threshold:.4f} oracle_rel={oracle_rel:.2e} "
            f"min_u(1)={min_u1:.3f} u0_err={u0_err:.1e} "
-           f"event_t={getattr(event, 't', None)} flat_at_zero={stays_flat}")
+           f"event_t={getattr(event, 't', None)} (oracle {t_oracle!r}, "
+           f"gap {t_gap:.1e}) flat_at_zero={stays_flat}")
+
+
+def _degeneracy_time_oracle(a0, nx, ny):
+    """First t at which min u reaches the floor under the linear flow of the
+    shear data: u = 1 - f h a0 e^-t sin y, with the sampled profiles f, h
+    evolved by expm(t D2) on the nx-point circle, and the root found by
+    brentq in the first sample interval."""
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
+
+    gx = PeriodicGrid((nx,))
+    f0, h0 = scenarios._sample_f0(gx), scenarios._sample_h0(gx)
+    d2 = conftest.fourier_d2_matrix(nx)
+    sin_y = np.sin(np.arange(ny) * 2.0 * np.pi / ny)
+
+    def gap(t):
+        prop = expm(t * d2)
+        fh = (prop @ f0) * (prop @ h0)
+        u = 1.0 - a0 * np.exp(-t) * np.outer(fh, sin_y)
+        return float(u.min()) - forms.DEFAULT_U_FLOOR
+
+    return brentq(gap, 0.0, 0.05, xtol=1e-15, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # 7. fast-diffusion properties
-
-def _fourier_d2_matrix(n):
-    """Second-derivative matrix of the trigonometric interpolant on n equally
-    spaced points of [0, 2pi), n even (Trefethen, Spectral Methods in MATLAB,
-    ch. 3).  Built from the closed form, not from an FFT."""
-    h = 2.0 * np.pi / n
-    offset = np.arange(n)[:, None] - np.arange(n)[None, :]
-    mat = np.empty((n, n))
-    off = offset != 0
-    mat[off] = -0.5 * (-1.0) ** offset[off] / np.sin(0.5 * h * offset[off]) ** 2
-    np.fill_diagonal(mat, -np.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0)
-    return mat
-
 
 def _fast_diffusion_oracle_1d(u0, t_end):
     """u_t = 2 (sqrt u)_xx on the circle by Fourier collocation and an
     implicit Radau solve: shares neither stepper nor FFT with hodgeflow."""
     from scipy.integrate import solve_ivp
 
-    d2 = _fourier_d2_matrix(u0.size)
+    d2 = conftest.fourier_d2_matrix(u0.size)
     sol = solve_ivp(lambda t, u: 2.0 * (d2 @ np.sqrt(u)), (0.0, t_end), u0,
                     method="Radau", rtol=1e-11, atol=1e-13,
                     jac=lambda t, u: d2 / np.sqrt(u)[None, :])

@@ -172,6 +172,35 @@ def test_evolution_residual_small_on_probe():
     assert evolution_residual(rho, forms.MATRIX_A2, "lambda2") < 5e-3
 
 
+def test_evolution_residuals_share_one_geometry_and_one_rhs_per_scheme(
+        monkeypatch):
+    # the batch gives each single check's residual to the bit, from one
+    # geometry of rho and one flow right-hand side per scheme
+    from hodgeflow.cli import _identity_probe
+    rho = _identity_probe(PeriodicGrid((8,) * 4))
+    pairs = [(scheme, q) for scheme in (forms.LINEAR, forms.MATRIX_B2)
+             for q in ("rho_sq", "u", "lambda1")] + [(forms.NORM_RATIO, "u")]
+    singles = [evolution_residual(rho, scheme, q) for scheme, q in pairs]
+    calls = {"geometry": 0, "flow_rhs": 0}
+    geometry, flow_rhs = diagnostics._FlowGeometry, flows.flow_rhs
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(diagnostics, "_FlowGeometry",
+                        counting("geometry", geometry))
+    monkeypatch.setattr(flows, "flow_rhs", counting("flow_rhs", flow_rhs))
+    assert diagnostics.evolution_residuals(rho, pairs) == singles
+    assert calls == {"geometry": 1, "flow_rhs": 3}
+    with pytest.raises(ValueError):
+        diagnostics.evolution_residuals(rho, pairs + [(forms.MATRIX_BHALF,
+                                                       "lambda1")])
+    assert calls == {"geometry": 1, "flow_rhs": 3}  # refused before any work
+
+
 def _old_record_fields(rho, u_floor=forms.DEFAULT_U_FLOOR):
     """The record quantities as composed before make_record shared one
     gradient bundle: each from its own public helper."""

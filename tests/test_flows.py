@@ -91,8 +91,8 @@ def test_conformal_rhs_matches_power_scheme(grid8):
 
 
 def test_linear_flow_is_componentwise_heat():
-    # on closed forms the unweighted flow is the heat semigroup; compare a
-    # fixed-step integration against the exact Fourier-kernel solution
+    # on closed forms the unweighted flow is the heat semigroup, and its
+    # step is exact: 50 fixed steps end on the Fourier-kernel solution
     grid = PeriodicGrid((12,) * 4)
     rho0 = random_form(grid, 0.2, band=2, seed=5)
     t_end = 0.05
@@ -110,7 +110,64 @@ def test_linear_flow_is_componentwise_heat():
     exact = forms.omega(grid).comps + np.fft.ifftn(
         spec * np.exp(-ksq * t_end), axes=(1, 2, 3, 4)).real
     err = np.abs(final.rho.comps - exact).max()
-    assert err < 5e-11  # RK4 time-stepping error at dt = 1e-3
+    assert err < 5e-15  # rounding
+    assert final.step == 50
+
+
+def test_linear_step_matches_rk4_at_small_dt(grid8):
+    # the exact multiplier and the RK4 step of flow_rhs agree to RK4's local
+    # error, (dt |k|^2)^5 / 120 ~ 1e-16 at dt = 1e-4
+    state = FlowState(rho=random_form(grid8, 0.2, seed=3))
+    for dt in (1e-4, 5e-4):
+        want = step_rk4(state, dt, forms.LINEAR).rho.comps
+        got = flows.step_linear(state, dt).rho.comps
+        assert np.abs(got - want).max() <= 1e-10, dt
+
+
+def test_linear_run_steps_to_samples_on_one_forward_transform(grid8,
+                                                              monkeypatch):
+    # no step bound: one exact step per sample, one forward 4D transform for
+    # the run and one inverse per state that is read, and no flow_rhs call
+    rho0 = random_form(grid8, 0.2, seed=4)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    monkeypatch.setattr(flows, "flow_rhs", counting("flow_rhs", flow_rhs))
+    traj, final, event = run_flow(rho0, forms.LINEAR, 0.05, sample_every=0.01)
+    assert event is None and final.step == 5 and len(traj) == 6
+    assert max(abs(r.t - 0.01 * i) for i, r in enumerate(traj)) <= 1e-15
+    assert final.t == 0.05
+    assert calls == {"rfftn": 1, "irfftn": 5}, calls
+
+
+def test_march_bisects_an_exact_step_that_meets_the_floor():
+    # a toy exact model whose floor check fails from t = 0.3 on: the event
+    # and the final state sit on the last passing time, within 1e-10
+    from types import SimpleNamespace
+    from hodgeflow.errors import DegenerateForm
+
+    def step(st, dt):
+        t = st.t + dt
+        if t >= 0.3:
+            raise DegenerateForm("below the floor")
+        return SimpleNamespace(t=t, step=st.step + 1, dt=dt)
+
+    stats = {}
+    traj, final, event = flows.march(
+        SimpleNamespace(t=0.0, step=0, dt=0.0), step, lambda st: np.inf, 1.0,
+        0.25, lambda st: st.t, lambda st: np.array([1.0 - st.t]),
+        stats=stats)
+    assert [r for r in traj] == [0.0, 0.25]
+    assert event.cause == "u_floor" and event.t == final.t
+    assert 0.3 - 1e-10 <= event.t < 0.3 and final.step == 2
+    assert event.min_u == 1.0 - final.t and stats["dt_min"] == final.dt
 
 
 def test_rk4_temporal_convergence_order():

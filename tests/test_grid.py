@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeflow.errors import NumericalBlowup
-from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _diff_matrix,
-                            _laplacian_symbol, deriv_values, from_half_spectrum,
-                            gradient_values, half_spectrum, integrate,
-                            laplacian, laplacian_values, spectral_partial)
+from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _dd_symbol,
+                            _diff_matrix, _laplacian_symbol, deriv_values,
+                            from_half_spectrum, gradient_values, half_spectrum,
+                            integrate, laplacian, laplacian_values, propagate,
+                            spectral_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,39 @@ def test_laplacian_keeps_nyquist():
     vals = np.cos(4 * x)
     lap = laplacian_values(vals, g)
     assert np.abs(lap + 16 * vals).max() < 1e-12
+
+
+@pytest.mark.parametrize("grid", [PeriodicGrid((8, 12, 8, 10)),
+                                  PeriodicGrid((16, 8), (2 * np.pi, 1.5)),
+                                  PeriodicGrid((256,))])
+def test_dd_symbol_is_the_sum_of_repeated_first_derivatives(grid):
+    # sum_j D_j^2 with the Nyquist-zeroed D_j (dense or FFT): it differs from
+    # the Laplacian's symbol exactly where some axis sits at its Nyquist row
+    vals = np.random.default_rng(3).standard_normal((2,) + grid.dims)
+    want = sum(deriv_values(deriv_values(vals, grid, a), grid, a)
+               for a in range(grid.rank))
+    spec = half_spectrum(vals, grid) * _dd_symbol(grid.dims, grid.lengths)
+    got = from_half_spectrum(spec, grid)
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+    differs = _dd_symbol(grid.dims, grid.lengths) \
+        != _laplacian_symbol(grid.dims, grid.lengths)
+    nyquist = np.zeros(differs.shape, dtype=bool)
+    for a, n in enumerate(grid.dims):
+        index = [slice(None)] * grid.rank
+        index[a] = n // 2
+        nyquist[tuple(index)] = True
+    assert np.array_equal(differs, nyquist)
+
+
+def test_propagate_checks_dt_and_finiteness():
+    g = PeriodicGrid((16,))
+    spec = half_spectrum(np.ones(g.dims), g)
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            propagate(spec, _laplacian_symbol, g, bad)
+    spec[3] = np.inf
+    with pytest.raises(NumericalBlowup), np.errstate(invalid="ignore"):
+        propagate(spec, _laplacian_symbol, g, 1e-3)
 
 
 def test_integrate_is_mean_times_volume():

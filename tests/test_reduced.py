@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.linalg import expm
 
 from hodgeflow import forms, reduced
 from hodgeflow import grid as grid_module
 from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
-from hodgeflow.flows import rk4
-from hodgeflow.grid import (PeriodicGrid, ScalarField, _laplacian_symbol,
-                            integrate, laplacian_values)
+from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
 from hodgeflow.reduced import (ReducedState, ab_system_rhs, embed_ab,
                                embed_product, embed_product_vw,
                                fast_diffusion_rhs, heat_rhs,
                                inverse_diffusion_rhs, log_diffusion_rhs,
                                reduced_cfl_dt, run_reduced,
                                shear_potential_values, step_rk4_reduced)
+
+from conftest import fourier_d2_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +153,31 @@ def test_step_rejects_bad_dt():
 
 
 # ---------------------------------------------------------------------------
-# the heat step as a Fourier multiplier on the carried half spectrum, against
-# the four-stage RK4 on the Laplacian (the path it replaced)
+# the heat step as the exact multiplier e^{-dt |k|^2} on the carried half
+# spectrum, against expm(t D2) of the closed-form second-derivative matrix on
+# each axis: a semigroup that shares no FFT with the program.  expm's own
+# rounding grows with |t D2|: against a long-double direct DFT it is 4e-14 at
+# 64 points and t = 1, but 1.5e-13 at 512 points and t = 1e-3 (the program's
+# step: 2e-16), so the oracle runs on the smaller grids.
 
 HEAT_GRIDS = [PeriodicGrid((512,)), PeriodicGrid((32, 16), (2 * np.pi, 3.0))]
 HEAT_IDS = ["512", "32x16-mixed"]
-# a power of two, so 200 steps land exactly on t_end; |dt k^2| <= 1.1 on both
-# grids, inside the RK4 stability interval
+ORACLE_GRIDS = [PeriodicGrid((64,)), PeriodicGrid((32, 16), (2 * np.pi, 3.0))]
+ORACLE_IDS = ["64", "32x16-mixed"]
+# a power of two, so 200 steps land exactly on t_end
 HEAT_DT = 2.0 ** -16
+# up to steps that leave RK4's stability interval [-2.79, 0] far behind:
+# dt |k|^2 reaches 1024 at 64 points
+ORACLE_DTS = (HEAT_DT, 1e-3, 0.1, 1.0)
 
 
-def rk4_laplacian_oracle(values, grid, dt, steps):
-    y = values[None]
-    for _ in range(steps):
-        y = rk4(y, lambda v: laplacian_values(v, grid), dt)
-    return y[0]
+def heat_semigroup_oracle(values, grid, t):
+    """expm(t D2) applied along each axis: the exact heat flow of the
+    sampled trigonometric interpolant."""
+    for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
+        prop = expm(t * fourier_d2_matrix(n, length))
+        values = np.moveaxis(np.tensordot(prop, values, axes=(1, axis)), 0, axis)
+    return values
 
 
 def heat_state(grid, seed=5):
@@ -174,33 +185,36 @@ def heat_state(grid, seed=5):
     return ReducedState("heat", (ScalarField(grid, vals),))
 
 
-@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
-def test_heat_step_matches_four_stage_rk4(grid):
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_heat_step_is_the_exact_semigroup_at_any_dt(grid):
     state = heat_state(grid)
-    dt = reduced_cfl_dt(state)
-    want = rk4_laplacian_oracle(state.fields[0].values, grid, dt, 1)
-    got = step_rk4_reduced(state, dt).fields[0].values
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    scale = np.abs(state.fields[0].values).max()
+    for dt in ORACLE_DTS:
+        want = heat_semigroup_oracle(state.fields[0].values, grid, dt)
+        got = step_rk4_reduced(state, dt).fields[0].values
+        assert np.abs(got - want).max() <= 1e-13 * scale, dt
 
 
-@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
-def test_heat_march_matches_four_stage_rk4(grid):
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_heat_march_steps_from_sample_to_sample(grid):
     state = heat_state(grid)
-    _, final, event = run_reduced(state, 200 * HEAT_DT, fixed_dt=HEAT_DT)
-    assert event is None and final.step == 200
-    want = rk4_laplacian_oracle(state.fields[0].values, grid, HEAT_DT, 200)
-    got = final.fields[0].values
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    traj, final, event = run_reduced(state, 0.05, sample_every=0.01)
+    assert event is None and final.step == 5 and len(traj) == 6
+    assert max(abs(r.t - 0.01 * i) for i, r in enumerate(traj)) <= 1e-15
+    want = heat_semigroup_oracle(state.fields[0].values, grid, 0.05)
+    scale = np.abs(state.fields[0].values).max()
+    assert np.abs(final.fields[0].values - want).max() <= 1e-13 * scale
+    # a march continued from that state keeps to the same sample times
+    traj, final, event = run_reduced(final, 0.08, sample_every=0.01)
+    assert event is None and final.step == 8 and len(traj) == 4
+    assert max(abs(r.t - 0.01 * i) for i, r in enumerate(traj, 5)) <= 1e-15
 
 
-@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
-def test_heat_factor_is_the_rk4_polynomial(grid):
-    for dt in (HEAT_DT, reduced_cfl_dt(heat_state(grid))):
-        z = dt * _laplacian_symbol(grid.dims, grid.lengths)
-        want = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
-        got = reduced._heat_factor(grid.dims, grid.lengths, dt)
-        assert got.shape == z.shape
-        assert np.abs(got - want).max() <= 1e-15
+def test_heat_has_no_step_bound():
+    state = heat_state(PeriodicGrid((512,)))
+    assert reduced_cfl_dt(state) == np.inf
+    with pytest.raises(ValueError):
+        reduced_cfl_dt(state, safety=0.0)
 
 
 @pytest.mark.parametrize("grid,pair", zip(HEAT_GRIDS, [("rfft", "irfft"),
@@ -240,34 +254,40 @@ def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
 
 
 def test_heat_march_ends_on_the_exact_solution():
-    # the benchmark's reduced_heat_512 run at a = 0.5: 5313 steps of
-    # 1 + a sin x, whose exact heat flow is 1 + a e^-t sin x
+    # the benchmark's reduced_heat_512 run at a = 0.5: 1 + a sin x, whose
+    # exact heat flow is 1 + a e^-t sin x, in one step per sample
     grid = PeriodicGrid((512,))
     x = grid.axis_coordinates(0)
     a = 0.5
     state = ReducedState("heat", (ScalarField(grid, 1.0 + a * np.sin(x)),))
     _, final, event = run_reduced(state, 0.1, sample_every=0.01)
-    assert event is None and final.step == 5313
+    assert event is None and final.step == 10 and final.t == 0.1
     want = 1.0 + a * np.exp(-0.1) * np.sin(x)
     assert np.abs(final.fields[0].values - want).max() <= 1e-14
 
 
-def test_heat_march_past_the_stability_interval_ends_in_blowup():
-    # dt |k|^2 = 3.9 at the Nyquist mode, outside RK4's interval [-2.79, 0]:
-    # the rounding in the top modes grows until the step reports a blowup;
-    # every record before it, and the event, read finite values
-    grid = PeriodicGrid((512,))
-    x = grid.axis_coordinates(0)
-    state = ReducedState("heat", (ScalarField(grid, 1.0 + 0.5 * np.sin(x)),))
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj, final, event = run_reduced(state, 1.0, sample_every=6e-5,
-                                         fixed_dt=6e-5)
+def test_heat_march_at_a_fixed_step_past_rk4_stability_stays_exact():
+    # dt |k|^2 = 3.9 at the Nyquist mode, outside RK4's interval [-2.79, 0],
+    # where the RK4 factor blew up; the exact step stays on the semigroup
+    grid = PeriodicGrid((64,))
+    state = heat_state(grid)
+    traj, final, event = run_reduced(state, 1.9, sample_every=0.5,
+                                     fixed_dt=3.8e-3)
+    assert event is None and final.step == 500
+    want = heat_semigroup_oracle(state.fields[0].values, grid, final.t)
+    assert np.abs(final.fields[0].values - want).max() <= 1e-13 * np.abs(
+        state.fields[0].values).max()
+
+
+def test_heat_march_on_non_finite_data_ends_in_blowup():
+    grid = PeriodicGrid((64,))
+    vals = np.ones(grid.dims)
+    vals[7] = np.inf
+    state = ReducedState("heat", (ScalarField(grid, vals),))
+    with np.errstate(invalid="ignore"):
+        traj, final, event = run_reduced(state, 1.0, sample_every=0.1)
     assert event is not None and event.cause == "blowup"
-    assert event.t == final.t and 0 < final.step < 1000
-    assert len(traj) == final.step + 1
-    assert all(np.isfinite([r.mass, r.minU, r.maxU]).all() for r in traj)
-    assert np.isfinite(event.min_u)
-    assert np.isfinite(final.fields[0].values).all()
+    assert final is state and event.t == 0.0 and len(traj) == 1
 
 
 def test_state_is_built_from_values_or_from_a_spectrum():

@@ -124,12 +124,12 @@ def _heat_kernel_1d(values: np.ndarray, grid1d: PeriodicGrid, t: float) -> np.nd
 
 
 def test_profiles_solver_vs_kernel():
-    # the marched profiles against the spectral heat kernel, which is exact
-    # for the sampled interpolant
+    # the evolved profiles against the spectral heat kernel, which is exact
+    # for the sampled interpolant: one exact step lands on it to rounding
     f, h = counterexample_profiles(GRID1D, 0.25)
     for marched, initial in ((f, _sample_f0(GRID1D)), (h, _sample_h0(GRID1D))):
         kernel = _heat_kernel_1d(initial, GRID1D, 0.25)
-        assert np.abs(marched.values - kernel).max() < 1e-9
+        assert np.abs(marched.values - kernel).max() < 1e-14
 
 
 def test_series_weights():
@@ -145,6 +145,29 @@ def test_scenario_construction_and_threshold():
     assert scen.A0 == pytest.approx(2.0 * np.e * scen.threshold)
     with pytest.raises(ValueError):
         make_example_counterexample(PeriodicGrid((128,)))
+
+
+def test_counterexample_set_up_takes_at_most_two_heat_steps_per_profile(
+        monkeypatch):
+    from hodgeflow import reduced
+    steps = []
+    step = reduced.step_rk4_reduced
+
+    def counting(state, dt, *args, **kwargs):
+        steps.append(dt)
+        return step(state, dt, *args, **kwargs)
+
+    monkeypatch.setattr(reduced, "step_rk4_reduced", counting)
+    make_example_counterexample(PeriodicGrid((512,)))
+    assert 0 < len(steps) <= 4, steps
+
+
+def test_profiles_are_fresh_on_every_call():
+    # nothing is memoized, so a caller may write to the fields it gets
+    f, _ = counterexample_profiles(GRID1D, 0.3)
+    f.values[:] = 0.0
+    again, _ = counterexample_profiles(GRID1D, 0.3)
+    assert np.abs(again.values).max() > 0.1
 
 
 def test_two_form_initially_unit_potential():
