@@ -7,9 +7,10 @@ of the equation is kept in the diagnostics module as an independent oracle.
 `rk4` and `march` are the one integrator and the one time loop; the reduced
 models in `reduced` use them too.  The LINEAR scheme is stepped exactly
 instead: on closed forms -dd* rho = sum_j D_j^2 rho componentwise, so a step
-multiplies the carried half spectrum by e^{dt * symbol}, with no step bound.
-`march` then steps from sample to sample, and bisects the time at which u
-reaches the floor.
+multiplies the carried half spectrum by e^{dt * symbol}.  The step is kept
+to `cfl_dt`, so that the floor check cannot step over a dip of u; `march`
+clips it to the sample times, and bisects the time at which u reaches the
+floor.
 """
 
 from __future__ import annotations
@@ -23,36 +24,23 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
 from .forms import DEFAULT_U_FLOOR, FlowScheme, TwoForm
-from .grid import (_dd_symbol, check_finite, from_half_spectrum,
-                   half_spectrum, propagate)
+from .grid import SpectralValues, _dd_symbol, check_finite, propagate
 
 
-class FlowState:
-    """The 2-form at time t; built from `rho`, or from `grid` and `spectrum`
-    (`grid.half_spectrum` of the six components).  The other view is made on
-    first read, with one 4D real transform, and kept."""
+class FlowState(SpectralValues):
+    """The 2-form at time t, built from `rho` or from `grid` and the half
+    spectrum of its six components (see `grid.SpectralValues`)."""
 
     def __init__(self, rho: Optional[TwoForm] = None, t: float = 0.0,
                  step: int = 0, dt: float = 0.0, *, grid=None,
                  spectrum: Optional[np.ndarray] = None):
-        if rho is None and (grid is None or spectrum is None):
-            raise ValueError("a flow state needs rho, or a grid and a spectrum")
-        self.grid = rho.grid if rho is not None else grid
+        super().__init__(grid if rho is None else rho.grid,
+                         None if rho is None else rho.comps, spectrum)
         self.t, self.step, self.dt = t, step, dt
-        self._rho, self._spectrum = rho, spectrum
 
     @property
     def rho(self) -> TwoForm:
-        if self._rho is None:
-            self._rho = TwoForm(self.grid, from_half_spectrum(self._spectrum,
-                                                              self.grid))
-        return self._rho
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = half_spectrum(self._rho.comps, self.grid)
-        return self._spectrum
+        return TwoForm(self.grid, self.values)
 
 
 @dataclass
@@ -61,8 +49,8 @@ class DegeneracyEvent:
 
     `t` is that of the last state that passed the floor check.  On an RK4
     path that is the last accepted step, up to one dt before the crossing; on
-    an exact path (no step bound) the failing step is bisected, so `t` lies
-    within 1e-10 before it.
+    an exact path the failing step is bisected, so `t` lies within 1e-10
+    before a crossing inside that step.
     """
 
     t: float
@@ -124,7 +112,7 @@ def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
 
 def march(state, step, cfl, t_end: float, sample_every: float, record,
           positivity, fixed_dt: Optional[float] = None,
-          stats: Optional[dict] = None):
+          stats: Optional[dict] = None, exact: bool = False):
     """The one time-marching loop, shared by the 4D flow and the reduced models.
 
     `state` carries t, step and dt; `step(state, dt)` returns the next state,
@@ -132,10 +120,11 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     one trajectory row, and `positivity(state)` the field kept above the floor.
     Returns (trajectory, final_state, event); `event` is None on a clean run and
     a DegeneracyEvent at the last accepted state when a step raises
-    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").  A `cfl`
-    of inf marks an exact step: it goes straight to the next sample time or
-    t_end, and one that meets the floor is bisected (`_last_above_floor`).
-    A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
+    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").
+    `exact` marks a step that is exact for any dt: it goes to the next sample
+    time or t_end, unless `cfl` (inf where nothing is checked) or `fixed_dt`
+    bounds it first, and one that meets the floor is bisected
+    (`_last_above_floor`).  A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
     `dt_min` and `dt_max` over the accepted steps (None when none was).
     """
     if not sample_every > 0:
@@ -148,13 +137,10 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     event = None
     dt_min, dt_max = np.inf, 0.0
     while state.t < t_end - 1e-14:
-        exact = False
         try:
             dt = fixed_dt if fixed_dt is not None else cfl(state)
-            if dt == np.inf:
-                exact = True
-                if next_sample < t_end - 1e-12:
-                    dt = next_sample - state.t
+            if exact and fixed_dt is None and next_sample < t_end - 1e-12:
+                dt = min(dt, next_sample - state.t)
             dt = min(dt, t_end - state.t)
             state = step(state, dt)
         except (DegenerateForm, NumericalBlowup) as exc:
@@ -186,8 +172,9 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
 
 
 def _last_above_floor(state, step, dt: float, tol: float = 1e-10):
-    """step(state, s) for the largest s in (0, dt) that passes the floor check,
-    found by bisection to `tol`; `state` itself if none does."""
+    """step(state, s) for an s in (0, dt) that passes the floor check while
+    s + `tol` fails, found by bisection (with several crossings inside the
+    step, any one of them); `state` itself if none passes."""
     lo, hi, last = 0.0, dt, state
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -246,11 +233,15 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
                                        q1_weight=q1_weight, monitor_a=monitor_a,
                                        monitor_b=monitor_b, u_floor=u_floor)
 
+    # a LINEAR step is exact at any dt, but u only dips for a while under
+    # it: the step is still bounded by cfl_dt, so the floor check sees u as
+    # often as on the RK4 path, and a dip between samples is not stepped over
     exact = scheme.kind == "linear"
     return march(
         FlowState(rho=initial.copy()),
         lambda st, dt: (step_linear(st, dt, u_floor) if exact
                         else step_rk4(st, dt, scheme, u_floor)),
-        lambda st: np.inf if exact else cfl_dt(st.rho, scheme, safety, u_floor),
+        lambda st: cfl_dt(st.rho, scheme, safety, u_floor),
         t_end, sample_every, record,
-        lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats)
+        lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats,
+        exact)

@@ -228,6 +228,30 @@ def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
                          axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
 
 
+class SpectralValues:
+    """Values on `grid` (its axes trailing) and their `half_spectrum`: two
+    views of one state of a model that steps the spectrum.  Built from
+    either one; the other is made on first read, with one real transform,
+    and kept."""
+
+    def __init__(self, grid: PeriodicGrid, values=None, spectrum=None):
+        if grid is None or values is None and spectrum is None:
+            raise ValueError("a state needs values, or a grid and a spectrum")
+        self.grid, self._values, self._spectrum = grid, values, spectrum
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = from_half_spectrum(self._spectrum, self.grid)
+        return self._values
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        if self._spectrum is None:
+            self._spectrum = half_spectrum(self._values, self.grid)
+        return self._spectrum
+
+
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Sum of repeated spectral partials over all axes: one real-FFT round
     trip with the cached -|k|^2 symbol."""

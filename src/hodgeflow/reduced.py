@@ -24,23 +24,20 @@ from . import forms
 from .errors import CohomologyMismatch
 from .flows import march, rk4
 from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
-from .grid import (PeriodicGrid, ScalarField, _laplacian_symbol, deriv_values,
-                   from_half_spectrum, gradient_values, half_spectrum,
-                   integrate, laplacian_values, propagate)
+from .grid import (PeriodicGrid, ScalarField, SpectralValues,
+                   _laplacian_symbol, deriv_values, gradient_values, integrate,
+                   laplacian_values, propagate)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
 
 
-class ReducedState:
-    """A reduced model's fields at time t, with their stacked half spectrum.
-
-    The field values and the half spectrum (`grid.half_spectrum` of the
-    stacked values, shape (fields, *half)) are two views of one state.  A
-    state is built from either one (`fields`, or `grid` and `spectrum`); the
-    other is made on first read, with one real transform, and kept.  The
-    heat march steps the spectrum, so it reads the values only where
-    something uses them.
+class ReducedState(SpectralValues):
+    """A reduced model's fields at time t: `values` stacks them, shape
+    (fields, *dims), and `spectrum` is their half spectrum (see
+    `grid.SpectralValues`).  Built from `fields`, or from `grid` and
+    `spectrum`.  The heat march steps the spectrum, so it reads the values
+    only where something uses them.
     """
 
     def __init__(self, model: str, fields: Optional[tuple] = None,
@@ -50,32 +47,23 @@ class ReducedState:
         if model not in MODELS:
             raise ValueError(f"unknown reduced model {model!r}")
         n = 2 if model == "ab_system" else 1
-        if fields is not None:
-            fields = tuple(fields)
-            if len(fields) != n:
-                raise ValueError(f"model {model!r} needs {n} field(s)")
-            grid = fields[0].grid
-        elif grid is None or spectrum is None or len(spectrum) != n:
+        given = tuple(fields) if fields is not None else spectrum
+        if given is None or len(given) != n:
             raise ValueError(f"model {model!r} needs {n} field(s), or a grid "
                              f"and their stacked spectrum")
-        self.model, self.grid = model, grid
-        self.t, self.step, self.dt = t, step, dt
-        self._fields, self._spectrum = fields, spectrum
+        values = None
+        if fields is not None:
+            grid, values = given[0].grid, np.stack([f.values for f in given])
+        super().__init__(grid, values, spectrum)
+        self.model, self.t, self.step, self.dt = model, t, step, dt
+        self._fields = None
 
     @property
     def fields(self) -> tuple:
-        """One ScalarField, or (a, b) for the shear system."""
+        """One ScalarField, or (a, b) for the shear system: rows of `values`."""
         if self._fields is None:
-            self._fields = tuple(ScalarField(self.grid, v) for v in
-                                 from_half_spectrum(self._spectrum, self.grid))
+            self._fields = tuple(ScalarField(self.grid, v) for v in self.values)
         return self._fields
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = half_spectrum(
-                np.stack([f.values for f in self._fields]), self.grid)
-        return self._spectrum
 
 
 @dataclass
@@ -203,8 +191,7 @@ def step_rk4_reduced(state: ReducedState, dt: float,
         spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
-    y = np.stack([f.values for f in state.fields])
-    y = rk4(y, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
+    y = rk4(state.values, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
     forms.require_above_floor(_positivity_field(new), u_floor)
@@ -222,7 +209,7 @@ def run_reduced(state: ReducedState, t_end: float,
     return march(state, lambda st, dt: step_rk4_reduced(st, dt, u_floor),
                  lambda st: reduced_cfl_dt(st, safety, u_floor),
                  t_end, sample_every, _record, _positivity_field, fixed_dt,
-                 stats)
+                 stats, state.model == "heat")
 
 
 # ---------------------------------------------------------------------------

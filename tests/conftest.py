@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hodgeflow.forms import COMPONENT_PAIRS
+from hodgeflow.forms import COMPONENT_PAIRS, DEFAULT_U_FLOOR
 from hodgeflow.grid import PeriodicGrid
 from hodgeflow import scenarios
 
@@ -49,6 +49,28 @@ def fourier_d2_matrix(n, length=2.0 * np.pi):
     mat[off] = -0.5 * (-1.0) ** offset[off] / np.sin(0.5 * h * offset[off]) ** 2
     np.fill_diagonal(mat, -np.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0)
     return mat * (2.0 * np.pi / length) ** 2
+
+
+def degeneracy_time_oracle(a0, nx, ny):
+    """First t at which min u reaches the floor under the linear flow of the
+    shear data: u = 1 - f h a0 e^-t sin y, with the sampled profiles f, h
+    evolved by expm(t D2) on the nx-point circle, and the root found by
+    brentq in the first sample interval."""
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
+
+    gx = PeriodicGrid((nx,))
+    f0, h0 = scenarios._sample_f0(gx), scenarios._sample_h0(gx)
+    d2 = fourier_d2_matrix(nx)
+    sin_y = np.sin(np.arange(ny) * 2.0 * np.pi / ny)
+
+    def gap(t):
+        prop = expm(t * d2)
+        fh = (prop @ f0) * (prop @ h0)
+        u = 1.0 - a0 * np.exp(-t) * np.outer(fh, sin_y)
+        return float(u.min()) - DEFAULT_U_FLOOR
+
+    return brentq(gap, 0.0, 0.05, xtol=1e-15, rtol=1e-15)
 
 
 def traced_peak(fn) -> int:

@@ -196,7 +196,7 @@ def test_criterion_06_degeneracy_example():
     traj, final, event = flows.run_flow(rho, forms.LINEAR, 1.0,
                                         sample_every=0.05)
     degenerated = event is not None and event.cause == "u_floor" and event.t < 1.0
-    t_oracle = _degeneracy_time_oracle(scen.A0, 128, 16)
+    t_oracle = conftest.degeneracy_time_oracle(scen.A0, 128, 16)
     t_gap = abs(event.t - t_oracle) if degenerated else np.inf
     above_floor = degenerated and event.min_u >= forms.DEFAULT_U_FLOOR
 
@@ -215,28 +215,6 @@ def test_criterion_06_degeneracy_example():
            f"min_u(1)={min_u1:.3f} u0_err={u0_err:.1e} "
            f"event_t={getattr(event, 't', None)} (oracle {t_oracle!r}, "
            f"gap {t_gap:.1e}) flat_at_zero={stays_flat}")
-
-
-def _degeneracy_time_oracle(a0, nx, ny):
-    """First t at which min u reaches the floor under the linear flow of the
-    shear data: u = 1 - f h a0 e^-t sin y, with the sampled profiles f, h
-    evolved by expm(t D2) on the nx-point circle, and the root found by
-    brentq in the first sample interval."""
-    from scipy.linalg import expm
-    from scipy.optimize import brentq
-
-    gx = PeriodicGrid((nx,))
-    f0, h0 = scenarios._sample_f0(gx), scenarios._sample_h0(gx)
-    d2 = conftest.fourier_d2_matrix(nx)
-    sin_y = np.sin(np.arange(ny) * 2.0 * np.pi / ny)
-
-    def gap(t):
-        prop = expm(t * d2)
-        fh = (prop @ f0) * (prop @ h0)
-        u = 1.0 - a0 * np.exp(-t) * np.outer(fh, sin_y)
-        return float(u.min()) - forms.DEFAULT_U_FLOOR
-
-    return brentq(gap, 0.0, 0.05, xtol=1e-15, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hodgeflow.flows import (FlowState, _check_u, cfl_dt, flow_rhs, rk4,
 from hodgeflow.forms import DEFAULT_U_FLOOR, TwoForm
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
 
-from conftest import random_form, traced_peak
+from conftest import degeneracy_time_oracle, random_form, traced_peak
 
 
 def test_rhs_is_exact_form(grid8):
@@ -168,11 +168,27 @@ def test_march_bisects_an_exact_step_that_meets_the_floor():
     traj, final, event = flows.march(
         SimpleNamespace(t=0.0, step=0, dt=0.0), step, lambda st: np.inf, 1.0,
         0.25, lambda st: st.t, lambda st: np.array([1.0 - st.t]),
-        stats=stats)
+        stats=stats, exact=True)
     assert [r for r in traj] == [0.0, 0.25]
     assert event.cause == "u_floor" and event.t == final.t
     assert 0.3 - 1e-10 <= event.t < 0.3 and final.step == 2
     assert event.min_u == 1.0 - final.t and stats["dt_min"] == final.dt
+
+
+def test_march_continued_from_t_records_on_the_sample_grid():
+    # a march started at t = 0.05 records next at the first step at or past
+    # 0.06, not after its first step; steps that are not exact are not
+    # clipped to the sample times, only to t_end
+    from types import SimpleNamespace
+
+    def step(st, dt):
+        return SimpleNamespace(t=st.t + dt, step=st.step + 1, dt=dt)
+
+    traj, final, event = flows.march(
+        SimpleNamespace(t=0.05, step=0, dt=0.0), step, lambda st: 0.004,
+        0.08, 0.01, lambda st: st.t, lambda st: np.ones(1))
+    assert event is None and final.step == 8
+    assert traj == pytest.approx([0.05, 0.062, 0.07, 0.08], abs=1e-15)
 
 
 def test_rk4_temporal_convergence_order():
@@ -264,6 +280,19 @@ def test_run_flow_reports_degeneracy():
     assert event.cause == "u_floor"
     assert event.t <= 0.5
     assert len(event.location) == 4
+
+
+def test_linear_run_finds_the_dip_at_a_coarse_sample_cadence():
+    # under the linear flow u only dips for a while: A0 e^-t |f h| falls
+    # back below 1.  Sampled every 10 time units, the run must still stop at
+    # the first crossing instead of stepping over the dip to t = 10
+    from hodgeflow import scenarios
+    scen = scenarios.make_example_counterexample(PeriodicGrid((512,)))
+    rho0 = scen.two_form(t=0.0, nx=64, ny=8, dims34=(8, 8))
+    traj, final, event = run_flow(rho0, forms.LINEAR, 500.0, sample_every=10.0)
+    assert event is not None and event.cause == "u_floor" and len(traj) == 1
+    assert abs(event.t - degeneracy_time_oracle(scen.A0, 64, 8)) <= 1e-8
+    assert event.min_u >= DEFAULT_U_FLOOR and final.t == event.t
 
 
 FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
