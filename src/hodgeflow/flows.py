@@ -120,11 +120,11 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     one trajectory row, and `positivity(state)` the field kept above the floor.
     Returns (trajectory, final_state, event); `event` is None on a clean run and
     a DegeneracyEvent at the last accepted state when a step raises
-    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").
-    `exact` marks a step that is exact for any dt: it goes to the next sample
-    time or t_end, unless `cfl` (inf where nothing is checked) or `fixed_dt`
-    bounds it first, and one that meets the floor is bisected
-    (`_last_above_floor`).  A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
+    DegenerateForm (cause "u_floor") or NumericalBlowup ("blowup").  `exact`
+    marks a step that is exact for any dt: it goes to the next sample time or
+    t_end, unless `cfl` (inf where nothing is checked) or `fixed_dt` bounds
+    it first, and one that meets the floor is bisected (`_last_above_floor`).
+    A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
     `dt_min` and `dt_max` over the accepted steps (None when none was).
     """
     if not sample_every > 0:

@@ -191,7 +191,8 @@ def step_rk4_reduced(state: ReducedState, dt: float,
         spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
-    y = rk4(state.values, lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
+    y = rk4(state.values,
+            lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
     forms.require_above_floor(_positivity_field(new), u_floor)
