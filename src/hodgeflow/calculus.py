@@ -106,12 +106,6 @@ def codiff_two(rho: TwoForm) -> OneForm:
     return OneForm(rho.grid, out)
 
 
-def star_three(theta: ThreeForm) -> OneForm:
-    """Hodge star mapping 3-forms to 1-forms on the flat torus."""
-    sign = np.array([-1.0, 1.0, -1.0, 1.0]).reshape((4,) + (1,) * theta.grid.rank)
-    return OneForm(theta.grid, sign * theta.comps)
-
-
 def max_abs_three(theta: ThreeForm) -> float:
     return float(np.abs(theta.comps).max())
 

@@ -117,8 +117,11 @@ class RunConfig:
                         cast=lambda raw: tuple(float(tok) for tok in raw.split()))
 
     def digest(self) -> str:
+        """sha256 of every setting but [output], which says only where the
+        files go: one run into two directories writes the same sidecar."""
         blob = "\n".join(f"{s}.{k}={self._parser[s][k]}"
                          for s in sorted(self._parser.sections())
+                         if s != "output"
                          for k in sorted(self._parser[s]))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -167,7 +170,7 @@ def _time_settings(cfg: RunConfig, section: str, samples: int):
 def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
     kind = cfg.get("scenario", "kind", default="omega")
     if kind == "omega":
-        return scenarios.make_omega(grid)
+        return forms.omega(grid)
     if kind == "random_near_omega":
         return scenarios.make_random_near_omega(
             grid, eps=cfg.get("scenario", "eps", 0.05, float),
@@ -277,11 +280,11 @@ def write_series(trajectory, path, record_type=TrajectoryRecord) -> None:
 
 
 def _write_summary(out_dir: Path, trajectory, final, event, extra=None) -> None:
-    """summary.json of a flow or reduced run: sample count, final t, the
-    final state's step count and the degeneracy event, plus `extra` (the
+    """summary.json of a flow or reduced run: sample count, the final
+    state's t and step count and the degeneracy event, plus `extra` (the
     march's wall_s, dt_min and dt_max, and a flow's decay fit)."""
     summary = {"samples": len(trajectory),
-               "final_t": trajectory[-1].t if trajectory else None,
+               "final_t": final.t,
                "steps": final.step,
                "event": None}
     if event is not None:
@@ -505,10 +508,11 @@ def _suite_reductions(n: int):
     u2 = ScalarField.from_function(g2, lambda x1, x2: 1.0 + 0.3 * np.sin(x1))
     rho = reduced.embed_product(u2)
     full = flows.flow_rhs(rho, forms.CONFORMAL)
-    fast = reduced.fast_diffusion_rhs(u2)
-    diff = float(np.abs(full.comps[0][:, :, 0, 0] - fast.values).max())
+    fast = reduced.rhs_values("fast_diffusion", u2.values, g2,
+                              forms.DEFAULT_U_FLOOR)
+    diff = float(np.abs(full.comps[0][:, :, 0, 0] - fast).max())
     checks = [("product embedding rhs", diff
-               / max(float(np.abs(fast.values).max()), 1e-30), 1e-5)]
+               / max(float(np.abs(fast).max()), 1e-30), 1e-5)]
     others = float(np.abs(full.comps[1:]).max())
     checks.append(("off-product components", others, 1e-9))
     return checks

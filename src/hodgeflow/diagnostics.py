@@ -85,13 +85,6 @@ def _coexact_energy(xi: calculus.OneForm) -> float:
     return integrate(ScalarField(xi.grid, calculus.one_form_pointwise_inner(xi, xi)))
 
 
-def q1_functional(rho: TwoForm, a1: float) -> float:
-    """int |d* rho|^2 + a1 * int |rho - omega|^2 (decays along small-data runs)."""
-    _require_class_omega(rho)
-    coexact = _coexact_energy(calculus.codiff_two(rho))
-    return coexact + a1 * normalized_energy(rho)
-
-
 def decay_rate_fit(series) -> tuple:
     """Least-squares exponential rate of a positive (t, value) series.
 
@@ -135,30 +128,6 @@ def _derivative_fields(rho: TwoForm):
     return xi, drho, grad_u, grad_sq
 
 
-def _grad_log_u_sup(u: np.ndarray, grad_u: np.ndarray, u_floor: float) -> float:
-    forms.require_above_floor(u, u_floor)
-    mag = np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u))
-    return float((mag / u).max())
-
-
-def grad_log_u_sup(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> float:
-    """sup over the grid of |grad u| / u."""
-    grad_u = _derivative_fields(rho)[2]
-    return _grad_log_u_sup(forms.volume_potential_values(rho), grad_u, u_floor)
-
-
-def _shi_values(rho: TwoForm, grad_sq: np.ndarray, grad_u: np.ndarray,
-                a: float, b: float) -> np.ndarray:
-    return (grad_sq + a * np.einsum("j...,j...->...", grad_u, grad_u)
-            + b * forms.norm_sq_values(rho) + 1.0)
-
-
-def shi_monitor(rho: TwoForm, a: float, b: float) -> ScalarField:
-    """f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 (>= 1 pointwise)."""
-    _, _, grad_u, grad_sq = _derivative_fields(rho)
-    return ScalarField(rho.grid, _shi_values(rho, grad_sq, grad_u, a, b))
-
-
 def poincare_ratio(rho: TwoForm) -> float:
     """int |rho - omega|^2 / int |d* rho|^2; at most 1 on the side-2pi torus."""
     num = normalized_energy(rho)
@@ -193,11 +162,16 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
         q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + q1_weight * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
-    try:
-        sup_grad_log_u = _grad_log_u_sup(u, grad_u, u_floor)
+    try:  # sup |grad u| / u
+        forms.require_above_floor(u, u_floor)
+        sup_grad_log_u = float(
+            (np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u)) / u).max())
     except DegenerateForm:
         sup_grad_log_u = float("nan")
-    f_max = float(_shi_values(rho, grad_sq, grad_u, monitor_a, monitor_b).max())
+    # Shi's monitor f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 >= 1
+    f_max = float((grad_sq
+                   + monitor_a * np.einsum("j...,j...->...", grad_u, grad_u)
+                   + monitor_b * forms.norm_sq_values(rho) + 1.0).max())
     lam1, lam2 = forms.eigenvalue_values(rho)
     per = calculus.periods(rho)
     drift = float(np.abs(per - ref_periods).max()

@@ -152,14 +152,6 @@ def hodge_star(rho: TwoForm) -> TwoForm:
     return TwoForm(rho.grid, starred)
 
 
-def sd_asd_split(rho: TwoForm):
-    """Self-dual and anti-self-dual parts (rho = rho_plus + rho_minus)."""
-    star = hodge_star(rho)
-    plus = TwoForm(rho.grid, 0.5 * (rho.comps + star.comps))
-    minus = TwoForm(rho.grid, 0.5 * (rho.comps - star.comps))
-    return plus, minus
-
-
 def norm_sq_values(rho: TwoForm) -> np.ndarray:
     """|rho|^2 = sum over i<j of rho_ij^2, pointwise."""
     return np.einsum("c...,c...->...", rho.comps, rho.comps)
@@ -189,13 +181,6 @@ def eigenvalue_values(rho: TwoForm):
     """(lambda1, lambda2) = (|rho+| +- |rho-|) / sqrt2 as arrays."""
     sp, sm = dual_part_norms(rho)
     return (sp + sm) / SQRT2, (sp - sm) / SQRT2
-
-
-def eigenvalues(rho: TwoForm):
-    """lambda1 >= |lambda2| pointwise; lambda1*lambda2 = u and
-    lambda1^2 + lambda2^2 = |rho|^2."""
-    lam1, lam2 = eigenvalue_values(rho)
-    return ScalarField(rho.grid, lam1), ScalarField(rho.grid, lam2)
 
 
 # The skew mat-vec M v as terms (i, j, source, plus) per component n of the

@@ -295,23 +295,6 @@ class ScalarField:
         return float(self.values.mean())
 
 
-def spectral_partial(f: ScalarField, axis: int) -> ScalarField:
-    """Exact derivative of the trigonometric interpolant along one axis."""
-    if axis >= f.grid.rank:
-        raise ValueError(f"axis {axis} out of range for rank-{f.grid.rank} grid")
-    check_finite(f.values, "spectral_partial input")
-    out = deriv_values(f.values, f.grid, axis)
-    check_finite(out, "spectral_partial output")
-    return ScalarField(f.grid, out)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    check_finite(f.values, "laplacian input")
-    out = laplacian_values(f.values, f.grid)
-    check_finite(out, "laplacian output")
-    return ScalarField(f.grid, out)
-
-
 def integrate(f: ScalarField) -> float:
     """Integral over the torus: mean value times the total volume."""
     return float(f.values.mean() * f.grid.volume)

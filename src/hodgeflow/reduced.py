@@ -81,10 +81,15 @@ def _shear_u(y: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return 1.0 - ax1 * bx2 + ax2 * bx1
 
 
-def _rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
-                u_floor: float) -> np.ndarray:
+def rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
+               u_floor: float) -> np.ndarray:
     """Right-hand side of a nonlinear `model` on stacked field values y,
-    (fields, *dims)."""
+    (fields, *dims).
+
+    fast_diffusion: du/dt = 2 Lap(sqrt(u)) = div(u^-1/2 grad u), so the
+    diffusivity is u^-1/2.  About u = 1 it linearizes to the heat equation
+    v_t = Lap(v): a mode e^{ik.x} decays like e^{-|k|^2 t}.
+    """
     if model == "ab_system":
         u = _shear_u(y, grid)
         forms.require_above_floor(u, u_floor)
@@ -98,53 +103,10 @@ def _rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
     return laplacian_values(np.log(y), grid)  # log_diffusion
 
 
-def fast_diffusion_rhs(u: ScalarField,
-                       u_floor: float = DEFAULT_U_FLOOR) -> ScalarField:
-    """du/dt = 2 Lap(sqrt(u)); mass-conserving.
-
-    2 Lap(sqrt(u)) = div(u^-1/2 grad u), so the diffusivity is u^-1/2.  About
-    u = 1 the equation linearizes to the heat equation v_t = Lap(v): a mode
-    e^{ik.x} decays like e^{-|k|^2 t}.
-    """
-    return ScalarField(u.grid, _rhs_values("fast_diffusion", u.values, u.grid,
-                                           u_floor))
-
-
-def shear_potential_values(a: ScalarField, b: ScalarField) -> np.ndarray:
-    """u = 1 - a_x1 b_x2 + a_x2 b_x1 for the shear pair on T^2."""
-    return _shear_u(np.stack([a.values, b.values]), a.grid)
-
-
-def ab_system_rhs(a: ScalarField, b: ScalarField,
-                  u_floor: float = DEFAULT_U_FLOOR):
-    """da/dt = Lap(a)/sqrt(u), db/dt = Lap(b)/sqrt(u)."""
-    ka, kb = _rhs_values("ab_system", np.stack([a.values, b.values]), a.grid,
-                         u_floor)
-    return ScalarField(a.grid, ka), ScalarField(a.grid, kb)
-
-
-def inverse_diffusion_rhs(v: ScalarField,
-                          u_floor: float = DEFAULT_U_FLOOR) -> ScalarField:
-    """dv/dt = Lap(-1/v); mass-conserving."""
-    return ScalarField(v.grid, _rhs_values("inverse_diffusion", v.values,
-                                           v.grid, u_floor))
-
-
-def log_diffusion_rhs(v: ScalarField,
-                      u_floor: float = DEFAULT_U_FLOOR) -> ScalarField:
-    """dv/dt = Lap(log v); mass-conserving."""
-    return ScalarField(v.grid, _rhs_values("log_diffusion", v.values, v.grid,
-                                           u_floor))
-
-
-def heat_rhs(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, laplacian_values(f.values, f.grid))
-
-
 def _positivity_field(state: ReducedState) -> np.ndarray:
     """The field each model keeps above the floor (the data itself for heat)."""
     if state.model == "ab_system":
-        return shear_potential_values(*state.fields)
+        return _shear_u(state.values, state.grid)
     return state.fields[0].values
 
 
@@ -192,7 +154,7 @@ def step_rk4_reduced(state: ReducedState, dt: float,
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
     y = rk4(state.values,
-            lambda v: _rhs_values(state.model, v, grid, u_floor), dt)
+            lambda v: rhs_values(state.model, v, grid, u_floor), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
     forms.require_above_floor(_positivity_field(new), u_floor)

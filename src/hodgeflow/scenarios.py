@@ -15,15 +15,12 @@ import numpy as np
 from . import calculus, forms, reduced
 from .calculus import OneForm
 from .forms import DEFAULT_U_FLOOR, TwoForm
-from .grid import PeriodicGrid, ScalarField
+from .grid import (PeriodicGrid, ScalarField, _ik_symbol, from_half_spectrum,
+                   half_spectrum)
 
 TWO_PI = 2.0 * np.pi
 # Fewest points of the 1D grid on which the counterexample's profiles are built.
 MIN_N1D = 512
-
-
-def make_omega(grid: PeriodicGrid) -> TwoForm:
-    return forms.omega(grid)
 
 
 def _band_limited_field(rng: np.random.Generator, grid: PeriodicGrid,
@@ -101,15 +98,13 @@ def _sample_h0(grid1d: PeriodicGrid) -> np.ndarray:
 
 
 def _antiderivative_1d(values: np.ndarray, grid1d: PeriodicGrid) -> np.ndarray:
-    """Mean-zero spectral antiderivative (input must be mean- and Nyquist-free)."""
-    n = grid1d.dims[0]
-    k = np.fft.fftfreq(n, 1.0 / n) * (TWO_PI / grid1d.lengths[0])
-    spec = np.fft.fft(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(k != 0, spec / (1j * np.where(k != 0, k, 1.0)), 0.0)
-    anti[0] = 0.0
-    anti[n // 2] = 0.0
-    return np.fft.ifft(anti).real
+    """Mean-zero spectral antiderivative (input must be mean- and Nyquist-free):
+    the half spectrum divided by `_ik_symbol`, and 0 at k = 0 and at Nyquist,
+    where that symbol is 0."""
+    ik = _ik_symbol(grid1d.dims[0], grid1d.lengths[0], 0)
+    spec = half_spectrum(values, grid1d)
+    anti = np.divide(spec, ik, out=np.zeros_like(spec), where=ik != 0)
+    return from_half_spectrum(anti, grid1d)
 
 
 def counterexample_profiles(grid1d: PeriodicGrid, t: float):
@@ -121,28 +116,6 @@ def counterexample_profiles(grid1d: PeriodicGrid, t: float):
         return f0, h0
     return tuple(reduced.step_rk4_reduced(reduced.ReducedState("heat", (v0,)),
                                           t).fields[0] for v0 in (f0, h0))
-
-
-def counterexample_series(terms: int = 200):
-    """Exact Fourier data of the two profiles: (sin-2 weight, cos-k weights).
-
-    profile(x, t) = w2 e^{-4t} sin 2x + sum_k c_k e^{-k^2 t} cos kx with
-    c_k = 4 / (pi (k^2 - 4)) over odd k; the complementary profile flips the
-    sign of every odd cosine weight.
-    """
-    ks = np.arange(1, terms + 1, 2)
-    return 0.5, ks, 4.0 / (np.pi * (ks ** 2 - 4.0))
-
-
-def counterexample_profile_oracle(x: np.ndarray, t: float, shifted: bool,
-                                  terms: int = 200) -> np.ndarray:
-    w2, ks, cs = counterexample_series(terms)
-    sign = -1.0 if shifted else 1.0
-    out = w2 * np.exp(-4.0 * t) * np.sin(2.0 * x)
-    out = out + sign * np.einsum(
-        "k,kx->x", cs * np.exp(-ks.astype(float) ** 2 * t),
-        np.cos(np.outer(ks, x)))
-    return out
 
 
 @dataclass

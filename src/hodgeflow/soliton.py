@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import NoConvergence
 from .forms import DEFAULT_U_FLOOR, require_above_floor
-from .grid import ScalarField, deriv_values
+from .grid import (ScalarField, _laplacian_symbol, deriv_values,
+                   from_half_spectrum, half_spectrum)
 
 
 @dataclass
@@ -71,13 +72,7 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000,
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = p.a.grid
-    ksq = np.zeros(grid.dims)
-    for axis in range(grid.rank):
-        k = (np.fft.fftfreq(grid.dims[axis], 1.0 / grid.dims[axis])
-             * (2.0 * np.pi / grid.lengths[axis]))
-        shape = [1] * grid.rank
-        shape[axis] = grid.dims[axis]
-        ksq = ksq + (k ** 2).reshape(shape)
+    one_minus_lap = 1.0 - _laplacian_symbol(grid.dims, grid.lengths)
     a = p.a.values.copy()
     best = a.copy()
     best_norm = np.inf
@@ -92,7 +87,8 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000,
             return ScalarField(grid, a), norm
         c0 = float((1.0 / np.sqrt(a)).max())
         rhs = res - res.mean()
-        update = np.fft.ifftn(np.fft.fftn(rhs) / (c0 * (1.0 + ksq))).real
+        update = from_half_spectrum(
+            half_spectrum(rhs, grid) / (c0 * one_minus_lap), grid)
         a = a + safety * update
     err = NoConvergence(
         f"no steady state within {max_iter} iterations; best sup-residual "

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hodgeflow.forms import COMPONENT_PAIRS, DEFAULT_U_FLOOR
-from hodgeflow.grid import PeriodicGrid
-from hodgeflow import scenarios
+from hodgeflow import calculus, diagnostics, forms, scenarios
+from hodgeflow.forms import COMPONENT_PAIRS, DEFAULT_U_FLOOR, TwoForm
+from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +36,68 @@ def as_skew_matrix(rho):
         A[i, j] = rho.comps[n]
         A[j, i] = -rho.comps[n]
     return A
+
+
+def sd_asd_split(rho):
+    """Self-dual and anti-self-dual parts (rho +- *rho) / 2 as forms, so that
+    rho = rho+ + rho-: the oracle of the closed form `forms.dual_part_norms`."""
+    star = forms.hodge_star(rho)
+    return (TwoForm(rho.grid, 0.5 * (rho.comps + star.comps)),
+            TwoForm(rho.grid, 0.5 * (rho.comps - star.comps)))
+
+
+# The record quantities, each from its definition and the full (4, 6, *dims)
+# gradient bundle, not from the one streamed pass that make_record makes.
+
+def grad_u(rho):
+    """grad u by the product rule on u = rho_12 rho_34 - rho_13 rho_24
+    + rho_14 rho_23, with d_j rho from the full gradient bundle."""
+    c, D = rho.comps, gradient_values(rho.comps, rho.grid)
+    return (D[:, 0] * c[5] + c[0] * D[:, 5] - D[:, 1] * c[4] - c[1] * D[:, 4]
+            + D[:, 2] * c[3] + c[2] * D[:, 3])
+
+
+def grad_log_u_sup(rho, u_floor=DEFAULT_U_FLOOR):
+    """sup over the grid of |grad u| / u; DegenerateForm at the floor."""
+    u = forms.volume_potential_values(rho)
+    forms.require_above_floor(u, u_floor)
+    return float((np.sqrt((grad_u(rho) ** 2).sum(axis=0)) / u).max())
+
+
+def shi_monitor(rho, a, b):
+    """f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 (>= 1 pointwise)."""
+    return (calculus.grad_norm_sq(rho).values
+            + a * (grad_u(rho) ** 2).sum(axis=0)
+            + b * forms.norm_sq_values(rho) + 1.0)
+
+
+def q1_functional(rho, a1):
+    """int |d* rho|^2 + a1 * int |rho - omega|^2."""
+    xi = calculus.codiff_two(rho).comps
+    return (integrate(ScalarField(rho.grid, (xi ** 2).sum(axis=0)))
+            + a1 * diagnostics.normalized_energy(rho))
+
+
+def counterexample_series(terms: int = 200):
+    """Exact Fourier data of the two profiles: (sin-2 weight, cos-k weights).
+
+    profile(x, t) = w2 e^{-4t} sin 2x + sum_k c_k e^{-k^2 t} cos kx with
+    c_k = 4 / (pi (k^2 - 4)) over odd k; the complementary profile flips the
+    sign of every odd cosine weight.
+    """
+    ks = np.arange(1, terms + 1, 2)
+    return 0.5, ks, 4.0 / (np.pi * (ks ** 2 - 4.0))
+
+
+def counterexample_profile_oracle(x: np.ndarray, t: float, shifted: bool,
+                                  terms: int = 200) -> np.ndarray:
+    w2, ks, cs = counterexample_series(terms)
+    sign = -1.0 if shifted else 1.0
+    out = w2 * np.exp(-4.0 * t) * np.sin(2.0 * x)
+    out = out + sign * np.einsum(
+        "k,kx->x", cs * np.exp(-ks.astype(float) ** 2 * t),
+        np.cos(np.outer(ks, x)))
+    return out
 
 
 def fourier_d2_matrix(n, length=2.0 * np.pi):

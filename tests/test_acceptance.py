@@ -184,8 +184,8 @@ def test_criterion_06_degeneracy_example():
     scen = scenarios.make_example_counterexample(g1)
 
     x = g1.axis_coordinates(0)
-    f1 = scenarios.counterexample_profile_oracle(x, 1.0, shifted=False)
-    h1 = scenarios.counterexample_profile_oracle(x, 1.0, shifted=True)
+    f1 = conftest.counterexample_profile_oracle(x, 1.0, shifted=False)
+    h1 = conftest.counterexample_profile_oracle(x, 1.0, shifted=True)
     a_oracle = 1.0 / float(np.abs(f1 * h1).max())
     oracle_rel = abs(a_oracle - scen.threshold) / scen.threshold
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hodgeflow import calculus, forms
+from hodgeflow import forms
 from hodgeflow.calculus import (OneForm, codiff_two, d_one, d_two,
                                 grad_norm_sq, max_abs_three,
-                                one_form_pointwise_inner, periods, star_three,
+                                one_form_pointwise_inner, periods,
                                 two_form_pointwise_inner)
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
 
@@ -85,16 +85,6 @@ def test_codiff_adjoint_to_d(grid8):
 def test_codiff_of_reference_form_vanishes(grid8):
     xi = codiff_two(forms.omega(grid8))
     assert np.abs(xi.comps).max() == 0.0
-
-
-def test_star_three_squares_to_identity_on_oneforms(grid8):
-    theta = d_two(random_form(grid8, 0.2, seed=4))  # a 3-form (nearly zero)
-    back = star_three(theta)
-    assert back.comps.shape == (4,) + grid8.dims
-    # *(*) on 3-forms through the 1-form representation: applying the sign
-    # twice restores the original components
-    twice = star_three(calculus.ThreeForm(grid8, back.comps))
-    assert np.abs(twice.comps - theta.comps).max() == 0.0
 
 
 def test_periods_of_reference_and_invariance(grid8):

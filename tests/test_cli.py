@@ -373,6 +373,26 @@ def test_main_flow_summary_reports_wall_time_and_dt_range(tmp_path):
     assert "wall_s" not in (out / "series.csv").read_text()
 
 
+def test_summary_final_t_is_the_event_time_before_the_first_sample(tmp_path):
+    # the first sample is at t = 10, and u reaches the floor near t = 0.0065
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"[grid]\ndims = 32 8 8 8\n"
+                        f"[flow]\nt_end = 500\n[output]\ndir = {out}\n")
+    assert cli.main(["counterexample", path]) == cli.EXIT_DEGENERACY
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == 1 and 0.0 < summary["event"]["t"] < 10.0
+    assert summary["final_t"] == summary["event"]["t"]
+
+
+def test_snapshot_is_byte_identical_across_output_dirs(tmp_path):
+    outs = [tmp_path / "o1", tmp_path / "elsewhere" / "o2"]
+    for n, out in enumerate(outs):
+        path = write_config(tmp_path, FLOW_INI.format(out=out), f"r{n}.ini")
+        assert cli.main(["flow", path]) == cli.EXIT_OK
+    for name in ("final.nhf", "final.nhf.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_main_counterexample_sets_kind_and_defaults(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_flow", lambda cfg: seen.append(cfg) or 0)

@@ -3,16 +3,17 @@ import pytest
 
 from hodgeflow import calculus, diagnostics, flows, forms
 from hodgeflow.diagnostics import (CSV_COLUMNS, TrajectoryRecord, decay_rate_fit,
-                                   energy, evolution_residual, grad_log_u_sup,
-                                   jk_quantities, make_record, normalized_energy,
-                                   poincare_ratio, q1_functional, shi_monitor,
-                                   sobolev_poincare_ratio)
+                                   energy, evolution_residual, jk_quantities,
+                                   make_record, normalized_energy,
+                                   poincare_ratio, sobolev_poincare_ratio)
 from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
                              NumericalBlowup)
 from hodgeflow.grid import (PeriodicGrid, ScalarField, gradient_values, integrate,
                             laplacian_values)
 
-from conftest import as_skew_matrix, random_form, rel_err, traced_peak
+from conftest import (as_skew_matrix, grad_log_u_sup, q1_functional,
+                      random_form, rel_err, sd_asd_split, shi_monitor,
+                      traced_peak)
 
 
 def test_energy_of_reference(grid8):
@@ -202,8 +203,8 @@ def test_evolution_residuals_share_one_geometry_and_one_rhs_per_scheme(
 
 
 def _old_record_fields(rho, u_floor=forms.DEFAULT_U_FLOOR):
-    """The record quantities as composed before make_record shared one
-    gradient bundle: each from its own public helper."""
+    """The record quantities, each from its test-side oracle: the full
+    gradient bundle for grad u and |grad rho|^2, codiff_two for Q1."""
     try:
         e0, q1 = normalized_energy(rho), q1_functional(rho, 10.0)
     except CohomologyMismatch:
@@ -342,7 +343,7 @@ def split_route_gradients(rho):
     """grad|rho+|, grad|rho-|, |grad rho+|^2 and |grad rho-|^2 from the SD/ASD
     split forms and the bundles d_j(*rho) and d_j rho+-: the oracle of the
     closed forms in the identity geometry."""
-    plus, minus = forms.sd_asd_split(rho)
+    plus, minus = sd_asd_split(rho)
     sp = np.sqrt(forms.norm_sq_values(plus))
     sm = np.sqrt(forms.norm_sq_values(minus))
     Drho = gradient_values(rho.comps, rho.grid)
@@ -364,7 +365,7 @@ def test_dual_part_gradients_match_split_route_oracle():
     for name, g, w in zip(("grad_sp", "grad_sm", "grad_plus_sq", "grad_minus_sq"),
                           got, split_route_gradients(rho)):
         assert rel_err(g, w) < 1e-13, name
-    plus, minus = forms.sd_asd_split(rho)
+    plus, minus = sd_asd_split(rho)
     assert rel_err(geo.sp, np.sqrt(forms.norm_sq_values(plus))) < 1e-15
     assert rel_err(geo.sm, np.sqrt(forms.norm_sq_values(minus))) < 1e-15
 

@@ -6,11 +6,11 @@ from hodgeflow import forms
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
                              eigenvalue_values, hodge_star, matrix_ab, norm_sq_values, omega, scheme_from_name,
-                             sd_asd_split, sqrt_b_values, volume_potential_values,
+                             sqrt_b_values, volume_potential_values,
                              weight_h, weight_spectral_radius)
 from hodgeflow.grid import PeriodicGrid
 
-from conftest import as_skew_matrix, random_form, traced_peak
+from conftest import as_skew_matrix, random_form, sd_asd_split, traced_peak
 
 
 def sample_points(grid, count, seed=0):

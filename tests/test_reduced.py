@@ -7,12 +7,10 @@ from hodgeflow import forms, reduced
 from hodgeflow import grid as grid_module
 from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
-from hodgeflow.reduced import (ReducedState, ab_system_rhs, embed_ab,
-                               embed_product, embed_product_vw,
-                               fast_diffusion_rhs, heat_rhs,
-                               inverse_diffusion_rhs, log_diffusion_rhs,
-                               reduced_cfl_dt, run_reduced,
-                               shear_potential_values, step_rk4_reduced)
+from hodgeflow.forms import DEFAULT_U_FLOOR
+from hodgeflow.reduced import (ReducedState, embed_ab, embed_product,
+                               embed_product_vw, reduced_cfl_dt, rhs_values,
+                               run_reduced, step_rk4_reduced)
 
 from conftest import fourier_d2_matrix
 
@@ -33,7 +31,7 @@ def test_fast_diffusion_rhs_symbolic():
     u_expr = sp.Rational(3, 2) + sp.sin(X) / 2
     rhs_expr = 2 * sp.diff(sp.sqrt(u_expr), X, 2)
     u = ScalarField(grid, lambdify_on(grid, u_expr))
-    got = fast_diffusion_rhs(u).values
+    got = rhs_values("fast_diffusion", u.values, grid, DEFAULT_U_FLOOR)
     want = lambdify_on(grid, rhs_expr)
     assert np.abs(got - want).max() < 1e-9
 
@@ -46,8 +44,10 @@ def test_inverse_and_log_diffusion_rhs_symbolic():
                            + sp.diff(-1 / v_expr, Y, 2))
     log_want = lambdify_on(grid, sp.diff(sp.log(v_expr), X, 2)
                            + sp.diff(sp.log(v_expr), Y, 2))
-    assert np.abs(inverse_diffusion_rhs(v).values - inv_want).max() < 1e-8
-    assert np.abs(log_diffusion_rhs(v).values - log_want).max() < 1e-8
+    inv = rhs_values("inverse_diffusion", v.values, grid, DEFAULT_U_FLOOR)
+    log = rhs_values("log_diffusion", v.values, grid, DEFAULT_U_FLOOR)
+    assert np.abs(inv - inv_want).max() < 1e-8
+    assert np.abs(log - log_want).max() < 1e-8
 
 
 def test_ab_system_rhs_symbolic():
@@ -59,18 +59,12 @@ def test_ab_system_rhs_symbolic():
     lap = lambda e: sp.diff(e, X, 2) + sp.diff(e, Y, 2)
     a = ScalarField(grid, lambdify_on(grid, a_expr))
     b = ScalarField(grid, lambdify_on(grid, b_expr))
-    u = shear_potential_values(a, b)
+    ab = np.stack([a.values, b.values])
+    u = reduced._shear_u(ab, grid)
     assert np.abs(u - lambdify_on(grid, u_expr)).max() < 1e-11
-    ra, rb = ab_system_rhs(a, b)
-    assert np.abs(ra.values - lambdify_on(grid, lap(a_expr) / sp.sqrt(u_expr))).max() < 1e-9
-    assert np.abs(rb.values - lambdify_on(grid, lap(b_expr) / sp.sqrt(u_expr))).max() < 1e-9
-
-
-def test_heat_rhs():
-    grid = PeriodicGrid((32,))
-    x = grid.axis_coordinates(0)
-    f = ScalarField(grid, np.sin(2 * x))
-    assert np.abs(heat_rhs(f).values + 4 * np.sin(2 * x)).max() < 1e-12
+    ra, rb = rhs_values("ab_system", ab, grid, DEFAULT_U_FLOOR)
+    assert np.abs(ra - lambdify_on(grid, lap(a_expr) / sp.sqrt(u_expr))).max() < 1e-9
+    assert np.abs(rb - lambdify_on(grid, lap(b_expr) / sp.sqrt(u_expr))).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +85,9 @@ def test_positive_models_reject_nonpositive_data():
     grid = PeriodicGrid((16,))
     x = grid.axis_coordinates(0)
     bad = ScalarField(grid, 0.5 + np.sin(x))  # dips negative
-    for rhs in (fast_diffusion_rhs, inverse_diffusion_rhs, log_diffusion_rhs):
+    for model in ("fast_diffusion", "inverse_diffusion", "log_diffusion"):
         with pytest.raises(DegenerateForm):
-            rhs(bad)
+            rhs_values(model, bad.values, grid, DEFAULT_U_FLOOR)
 
 
 def test_cfl_dt_uses_model_diffusivity():
@@ -341,7 +335,8 @@ def test_embed_ab_closed_and_potential():
     rho = embed_ab(a, b)
     assert calculus.max_abs_three(calculus.d_two(rho)) < 1e-12
     u = forms.volume_potential_values(rho)
-    assert np.abs(u[:, :, 0, 0] - shear_potential_values(a, b)).max() < 1e-12
+    assert np.abs(u[:, :, 0, 0] - reduced._shear_u(np.stack([a.values, b.values]),
+                                                    g2)).max() < 1e-12
 
 
 def test_embed_product_vw_mass_checks():

@@ -5,12 +5,13 @@ from hodgeflow import calculus, forms, scenarios
 from hodgeflow.calculus import OneForm
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.grid import PeriodicGrid
-from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profile_oracle,
-                                 counterexample_profiles, counterexample_series,
+from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profiles,
                                  isotopy_min_u, isotopy_path,
                                  make_example_counterexample,
                                  make_random_near_omega, _antiderivative_1d,
                                  _sample_f0, _sample_h0)
+
+from conftest import counterexample_profile_oracle, counterexample_series
 
 
 def test_random_near_omega_properties(grid8):
