@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, diagnostics, flows, forms, reduced, scenarios, soliton
-from .diagnostics import TrajectoryRecord
 from .errors import (DegenerateForm, FormatError, HodgeFlowError, NoConvergence,
                      NumericalBlowup)
 from .flows import FlowState
@@ -46,13 +45,11 @@ class ConfigError(HodgeFlowError):
 
 _SCHEMA = {
     "grid": {"dims", "lengths"},
-    "flow": {"scheme", "t_end", "sample_every", "safety", "u_floor",
-             "fixed_dt"},
+    "flow": {"scheme", "t_end", "sample_every", "safety", "fixed_dt"},
     "scenario": {"kind", "eps", "band", "seed", "amplitude", "n1d", "a0"},
-    "diagnostics": {"q1_weight", "monitor_a", "monitor_b"},
     "output": {"dir"},
     "reduced": {"model", "dims", "amplitude", "t_end", "sample_every",
-                "safety", "u_floor", "fixed_dt"},
+                "safety", "fixed_dt"},
     "soliton": {"dims", "v1", "v2", "tol", "max_iter", "safety",
                 "manufactured"},
 }
@@ -268,10 +265,11 @@ def snapshot_read(path) -> FlowState:
     return state
 
 
-def write_series(trajectory, path, record_type=TrajectoryRecord) -> None:
+def write_series(trajectory, path) -> None:
     """series.csv: one row per record, the columns in the field order of
-    `record_type` (a flow's TrajectoryRecord or reduced.ReducedRecord)."""
-    columns = [f.name for f in dataclass_fields(record_type)]
+    the records' dataclass (a flow's TrajectoryRecord or
+    reduced.ReducedRecord); a march always records its start state."""
+    columns = [f.name for f in dataclass_fields(trajectory[0])]
     lines = [",".join(columns)]
     for rec in trajectory:
         lines.append(",".join(format(getattr(rec, col), ".17e")
@@ -329,10 +327,6 @@ def cmd_flow(cfg: RunConfig) -> int:
     stats = {}
     trajectory, final, event = flows.run_flow(
         initial, scheme, t_end, sample_every, safety=safety,
-        u_floor=cfg.get("flow", "u_floor", forms.DEFAULT_U_FLOOR, float),
-        q1_weight=cfg.get("diagnostics", "q1_weight", 10.0, float),
-        monitor_a=cfg.get("diagnostics", "monitor_a", 10.0, float),
-        monitor_b=cfg.get("diagnostics", "monitor_b", 100.0, float),
         fixed_dt=fixed_dt, stats=stats)
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
@@ -365,19 +359,16 @@ def cmd_reduced(cfg: RunConfig) -> int:
     stats = {}
     try:
         # precondition: the initial data must already satisfy positivity
-        reduced.reduced_cfl_dt(
-            state, u_floor=cfg.get("reduced", "u_floor",
-                                   forms.DEFAULT_U_FLOOR, float))
+        reduced.reduced_cfl_dt(state)
         trajectory, final, event = reduced.run_reduced(
             state, t_end, sample_every=sample_every, safety=safety,
-            u_floor=cfg.get("reduced", "u_floor", forms.DEFAULT_U_FLOOR, float),
             fixed_dt=fixed_dt, stats=stats)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_series(trajectory, out_dir / "series.csv", reduced.ReducedRecord)
+    write_series(trajectory, out_dir / "series.csv")
     _write_summary(out_dir, trajectory, final, event, stats)
     return _event_exit(event)
 
@@ -508,8 +499,7 @@ def _suite_reductions(n: int):
     u2 = ScalarField.from_function(g2, lambda x1, x2: 1.0 + 0.3 * np.sin(x1))
     rho = reduced.embed_product(u2)
     full = flows.flow_rhs(rho, forms.CONFORMAL)
-    fast = reduced.rhs_values("fast_diffusion", u2.values, g2,
-                              forms.DEFAULT_U_FLOOR)
+    fast = reduced.rhs_values("fast_diffusion", u2.values, g2)
     diff = float(np.abs(full.comps[0][:, :, 0, 0] - fast).max())
     checks = [("product embedding rhs", diff
                / max(float(np.abs(fast).max()), 1e-30), 1e-5)]

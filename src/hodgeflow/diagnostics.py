@@ -18,11 +18,15 @@ import numpy as np
 
 from . import calculus, flows, forms
 from .errors import BadSeries, CohomologyMismatch, DegenerateForm
-from .forms import DEFAULT_U_FLOOR, SQRT2, FlowScheme, TwoForm
+from .forms import SQRT2, FlowScheme, TwoForm
 from .grid import (ScalarField, check_finite, deriv_values, integrate,
                    laplacian_values)
 
 _TINY = 1e-300
+
+# The records' constants: Q1 = int |d* rho|^2 + Q1_WEIGHT int |rho - omega|^2,
+# and Shi's monitor f = |grad rho|^2 + MONITOR_A |grad u|^2 + MONITOR_B |rho|^2 + 1.
+Q1_WEIGHT, MONITOR_A, MONITOR_B = 10.0, 10.0, 100.0
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,10 +152,8 @@ def sobolev_poincare_ratio(rho: TwoForm) -> float:
     return num / den
 
 
-def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
-                q1_weight: float = 10.0, monitor_a: float = 10.0,
-                monitor_b: float = 100.0,
-                u_floor: float = DEFAULT_U_FLOOR) -> TrajectoryRecord:
+def make_record(rho: TwoForm, t: float, dt: float,
+                ref_periods: np.ndarray) -> TrajectoryRecord:
     """One diagnostics row; every derivative comes from one pass over the axes."""
     check_finite(rho.comps, "make_record input")
     xi, drho, grad_u, grad_sq = _derivative_fields(rho)
@@ -159,19 +161,19 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
     u = forms.volume_potential_values(rho)
     try:
         e0 = normalized_energy(rho)
-        q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + q1_weight * e0
+        q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + Q1_WEIGHT * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
     try:  # sup |grad u| / u
-        forms.require_above_floor(u, u_floor)
+        forms.require_above_floor(u)
         sup_grad_log_u = float(
             (np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u)) / u).max())
     except DegenerateForm:
         sup_grad_log_u = float("nan")
-    # Shi's monitor f = |grad rho|^2 + a |grad u|^2 + b |rho|^2 + 1 >= 1
+    # Shi's monitor f >= 1
     f_max = float((grad_sq
-                   + monitor_a * np.einsum("j...,j...->...", grad_u, grad_u)
-                   + monitor_b * forms.norm_sq_values(rho) + 1.0).max())
+                   + MONITOR_A * np.einsum("j...,j...->...", grad_u, grad_u)
+                   + MONITOR_B * forms.norm_sq_values(rho) + 1.0).max())
     lam1, lam2 = forms.eigenvalue_values(rho)
     per = calculus.periods(rho)
     drift = float(np.abs(per - ref_periods).max()
@@ -198,11 +200,10 @@ class _FlowGeometry:
     No matrix is built: R, S, h and d_j h are only applied to vectors.
     """
 
-    def __init__(self, rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR):
+    def __init__(self, rho: TwoForm):
         grid = rho.grid
         self.rho = rho
         self.grid = grid
-        self.u_floor = u_floor
         self.star = forms.hodge_star(rho)
         self.u = forms.volume_potential_values(rho)
         self.rho_sq = forms.norm_sq_values(rho)
@@ -281,7 +282,7 @@ class _FlowGeometry:
         u, gu = self.u, self.grad_u
         star = scheme.kind not in ("matrix_a1", "matrix_a2")
         power = 2 if scheme.kind in ("matrix_a2", "matrix_b2") else 1
-        h_v = forms.weight_apply(self.rho, scheme, v, self.u_floor, u)
+        h_v = forms.weight_apply(self.rho, scheme, v, u)
         x_v = self.skew(v, star)
         for j in range(4):
             D = deriv_values(self.rho.comps, self.grid, j)
@@ -350,7 +351,7 @@ def _rhs_general(geo: _FlowGeometry, scheme: FlowScheme,
                           geo.weight_grad_apply(scheme, geo.xi)):
         column = geo.skew(e_j, star)
         first += _dot(column, forms.weight_apply(
-            geo.rho, scheme, geo.skew(e_j, comps=lap), geo.u_floor, geo.u))
+            geo.rho, scheme, geo.skew(e_j, comps=lap), geo.u))
         second += _dot(column, dh_xi)
     if quantity == "rho_sq":
         return first + 2.0 * second
@@ -360,7 +361,7 @@ def _rhs_general(geo: _FlowGeometry, scheme: FlowScheme,
 def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme,
                       quantity: str) -> np.ndarray:
     """Dual-part identities for the scalar weights f*identity."""
-    f = forms.scalar_weight_values(geo.rho, scheme, geo.u_floor, geo.u)
+    f = forms.scalar_weight_values(geo.rho, scheme, geo.u)
     gf = geo.scalar_weight_grad(scheme)
     plus = quantity == "rho_plus_sq"
     part_sq = 0.5 * (geo.rho_sq + 2.0 * geo.u) if plus \
@@ -447,21 +448,19 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
     raise ValueError(f"no eigenvalue identity catalogued for {scheme.kind!r}")
 
 
-def evolution_residual(rho: TwoForm, scheme: FlowScheme, quantity: str,
-                       mask_eps: float = None,
-                       u_floor: float = DEFAULT_U_FLOOR) -> float:
+def evolution_residual(rho: TwoForm, scheme: FlowScheme,
+                       quantity: str) -> float:
     """Relative sup-norm residual of the catalogued identity for one quantity.
 
     Compares the Gateaux derivative of the quantity along the flow update
     against the closed-form right-hand side; eigenvalue checks are restricted
-    to points where |rho-|, |rho+| and lambda1 - lambda2 exceed mask_eps
-    (default 1e-3 * max |rho|).
+    to points where |rho-|, |rho+| and lambda1 - lambda2 exceed
+    1e-3 * max |rho|.
     """
-    return evolution_residuals(rho, [(scheme, quantity)], mask_eps, u_floor)[0]
+    return evolution_residuals(rho, [(scheme, quantity)])[0]
 
 
-def evolution_residuals(rho: TwoForm, checks, mask_eps: float = None,
-                        u_floor: float = DEFAULT_U_FLOOR) -> list:
+def evolution_residuals(rho: TwoForm, checks) -> list:
     """`evolution_residual` of each (scheme, quantity) pair of `checks`, in
     order, from one geometry of rho and one flow_rhs per scheme."""
     checks = list(checks)
@@ -472,13 +471,12 @@ def evolution_residuals(rho: TwoForm, checks, mask_eps: float = None,
             raise ValueError(f"no eigenvalue identity catalogued for {scheme.kind!r}")
         if quantity in ("rho_plus_sq", "rho_minus_sq") and scheme.kind not in _SPLIT_SCHEMES:
             raise ValueError(f"no dual-part identity catalogued for {scheme.kind!r}")
-    if mask_eps is None:
-        mask_eps = 1e-3 * float(np.abs(rho.comps).max())
+    mask_eps = 1e-3 * float(np.abs(rho.comps).max())
 
-    geo = _FlowGeometry(rho, u_floor)
+    geo = _FlowGeometry(rho)
     out = [None] * len(checks)
     for scheme in dict.fromkeys(scheme for scheme, _ in checks):
-        rhs_form = flows.flow_rhs(rho, scheme, u_floor)
+        rhs_form = flows.flow_rhs(rho, scheme)
         # the scalar left sides are kept, the form is dropped before the
         # right sides are assembled
         lhs = {i: _lhs_gateaux(geo, rhs_form, quantity)

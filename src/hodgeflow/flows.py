@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
-from .forms import DEFAULT_U_FLOOR, FlowScheme, TwoForm
+from .forms import FlowScheme, TwoForm
 from .grid import SpectralValues, _dd_symbol, check_finite, propagate
 
 
@@ -59,29 +59,26 @@ class DegeneracyEvent:
     cause: str  # "u_floor" or "blowup"
 
 
-def _check_u(rho: TwoForm, u_floor: float) -> np.ndarray:
+def _check_u(rho: TwoForm) -> np.ndarray:
     u = forms.volume_potential_values(rho)
-    forms.require_above_floor(u, u_floor)
+    forms.require_above_floor(u)
     return u
 
 
 def flow_rhs(rho: TwoForm, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR,
              u: Optional[np.ndarray] = None) -> TwoForm:
     """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy.  `u` is
     the volume potential of rho, if at hand."""
-    sigma = forms.weight_apply(rho, scheme, calculus.codiff_two(rho).comps,
-                               u_floor, u)
+    sigma = forms.weight_apply(rho, scheme, calculus.codiff_two(rho).comps, u)
     np.negative(sigma, out=sigma)
     return calculus.d_one(calculus.OneForm(rho.grid, sigma))
 
 
-def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25,
-           u_floor: float = DEFAULT_U_FLOOR) -> float:
+def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25) -> float:
     """Parabolic step bound: safety * h_min^2 / (2 * rank * max spec radius of h)."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
-    radius = float(forms.weight_spectral_radius(rho, scheme, u_floor).max())
+    radius = float(forms.weight_spectral_radius(rho, scheme).max())
     h_min = min(rho.grid.spacings)
     return safety * h_min ** 2 / (2.0 * rho.grid.rank * radius)
 
@@ -185,35 +182,31 @@ def _last_above_floor(state, step, dt: float, tol: float = 1e-10):
     return last
 
 
-def step_linear(state: FlowState, dt: float,
-                u_floor: float = DEFAULT_U_FLOOR) -> FlowState:
+def step_linear(state: FlowState, dt: float) -> FlowState:
     """The exact step of the LINEAR scheme on a closed form: the half spectrum
     times e^{dt * symbol} of `grid._dd_symbol`; checks u > floor."""
     grid = state.grid
     new = FlowState(t=state.t + dt, step=state.step + 1, dt=dt, grid=grid,
                     spectrum=propagate(state.spectrum, _dd_symbol, grid, dt))
-    _check_u(new.rho, u_floor)
+    _check_u(new.rho)
     return new
 
 
-def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR) -> FlowState:
+def step_rk4(state: FlowState, dt: float, scheme: FlowScheme) -> FlowState:
     """One RK4 step of the flow; every stage re-checks u > floor."""
     grid = state.rho.grid
 
     def stage(comps: np.ndarray) -> np.ndarray:
         r = TwoForm(grid, comps)
-        return flow_rhs(r, scheme, u_floor, _check_u(r, u_floor)).comps
+        return flow_rhs(r, scheme, _check_u(r)).comps
 
     new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
-    _check_u(new, u_floor)
+    _check_u(new)
     return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt)
 
 
 def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
              sample_every: float, safety: float = 0.25,
-             u_floor: float = DEFAULT_U_FLOOR, q1_weight: float = 10.0,
-             monitor_a: float = 10.0, monitor_b: float = 100.0,
              fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
     """Integrate the flow, sampling diagnostics at the requested cadence.
 
@@ -225,13 +218,11 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
     closedness = calculus.max_abs_three(calculus.d_two(initial))
     if closedness > 1e-8:
         raise ValueError(f"initial form is not closed: max |d rho| = {closedness:.3g}")
-    _check_u(initial, u_floor)
+    _check_u(initial)
     ref_periods = calculus.periods(initial)
 
     def record(st: FlowState) -> diagnostics.TrajectoryRecord:
-        return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods,
-                                       q1_weight=q1_weight, monitor_a=monitor_a,
-                                       monitor_b=monitor_b, u_floor=u_floor)
+        return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods)
 
     # a LINEAR step is exact at any dt, but u only dips for a while under
     # it: the step is still bounded by cfl_dt, so the floor check sees u as
@@ -239,9 +230,9 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
     exact = scheme.kind == "linear"
     return march(
         FlowState(rho=initial.copy()),
-        lambda st, dt: (step_linear(st, dt, u_floor) if exact
-                        else step_rk4(st, dt, scheme, u_floor)),
-        lambda st: cfl_dt(st.rho, scheme, safety, u_floor),
+        lambda st, dt: (step_linear(st, dt) if exact
+                        else step_rk4(st, dt, scheme)),
+        lambda st: cfl_dt(st.rho, scheme, safety),
         t_end, sample_every, record,
         lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats,
         exact)

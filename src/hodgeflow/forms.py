@@ -27,7 +27,9 @@ SQRT2 = np.sqrt(2.0)
 # Guard for the closed-form matrix square root of b.
 EIG_EPS = 1e-12
 
-DEFAULT_U_FLOOR = 1e-6
+# A symplectic form has u > 0; a field whose minimum reaches this floor is
+# degenerate.  Read only by `require_above_floor`, at call time.
+U_FLOOR = 1e-6
 
 
 @dataclass
@@ -48,14 +50,6 @@ class TwoForm:
     @classmethod
     def zero(cls, grid: PeriodicGrid) -> "TwoForm":
         return cls(grid, np.zeros((6,) + grid.dims))
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        """Entry rho_ij with antisymmetry applied for i > j."""
-        if i == j:
-            return np.zeros(self.grid.dims)
-        if i < j:
-            return self.comps[PAIR_INDEX[(i, j)]]
-        return -self.comps[PAIR_INDEX[(j, i)]]
 
     def copy(self) -> "TwoForm":
         return TwoForm(self.grid, self.comps.copy())
@@ -248,23 +242,21 @@ def sqrt_b_values(rho: TwoForm) -> np.ndarray:
     return out
 
 
-def require_above_floor(values: np.ndarray, u_floor: float,
-                        what: str = "u") -> None:
-    """The floor check: raise DegenerateForm unless min(values) > u_floor."""
+def require_above_floor(values: np.ndarray, what: str = "u") -> None:
+    """The floor check: raise DegenerateForm unless min(values) > U_FLOOR."""
     m = float(values.min())
-    if m <= u_floor:
-        raise DegenerateForm(f"min {what} = {m:.6g} at/below floor {u_floor:.3g}")
+    if m <= U_FLOOR:
+        raise DegenerateForm(f"min {what} = {m:.6g} at/below floor {U_FLOOR:.3g}")
 
 
 def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
-                         u_floor: float = DEFAULT_U_FLOOR,
                          u: Optional[np.ndarray] = None) -> np.ndarray:
     """Pointwise conformal factor for the scalar schemes; `u` is the volume
     potential of rho, if at hand."""
     if scheme.kind == "linear":
         return np.ones(rho.grid.dims)
     u = volume_potential_values(rho) if u is None else u
-    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
+    require_above_floor(u, f"u in the {scheme.kind} weight")
     if scheme.kind == "power_u":
         return u ** (-scheme.r)
     if scheme.kind == "norm_ratio":
@@ -272,14 +264,13 @@ def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
     raise ValueError(f"scheme {scheme.kind!r} is not scalar")
 
 
-def weight_h(rho: TwoForm, scheme: FlowScheme,
-             u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
+def weight_h(rho: TwoForm, scheme: FlowScheme) -> np.ndarray:
     """Realized weight matrix h for a scheme; positive definite where u > 0."""
     if scheme.is_scalar:
         eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
-        return eye * scalar_weight_values(rho, scheme, u_floor)
+        return eye * scalar_weight_values(rho, scheme)
     u = volume_potential_values(rho)
-    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
+    require_above_floor(u, f"u in the {scheme.kind} weight")
     if scheme.kind == "matrix_bh":
         return sqrt_b_values(rho) / u
     gram = _gram_values(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
@@ -288,7 +279,6 @@ def weight_h(rho: TwoForm, scheme: FlowScheme,
 
 
 def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
-                 u_floor: float = DEFAULT_U_FLOOR,
                  u: Optional[np.ndarray] = None) -> np.ndarray:
     """h xi pointwise for a 1-form xi of shape (4, *dims), without building h;
     `u` is the volume potential of rho, if at hand.
@@ -299,9 +289,9 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     matrix this must agree with.
     """
     if scheme.is_scalar:
-        return scalar_weight_values(rho, scheme, u_floor, u) * xi
+        return scalar_weight_values(rho, scheme, u) * xi
     u = volume_potential_values(rho) if u is None else u
-    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
+    require_above_floor(u, f"u in the {scheme.kind} weight")
     terms = _SKEW_TERMS if scheme.kind in ("matrix_a1", "matrix_a2") \
         else _STAR_SKEW_TERMS
     if scheme.kind == "matrix_bh":
@@ -321,17 +311,16 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     return out
 
 
-def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme,
-                           u_floor: float = DEFAULT_U_FLOOR) -> np.ndarray:
+def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme) -> np.ndarray:
     """Pointwise largest eigenvalue of h, from the closed-form spectrum.
 
     a and b both have eigenvalues {lambda1^2, lambda2^2} (doubled), so every
     scheme's h has a spectrum expressible in lambda1, lambda2, u.
     """
     if scheme.is_scalar:
-        return scalar_weight_values(rho, scheme, u_floor)
+        return scalar_weight_values(rho, scheme)
     u = volume_potential_values(rho)
-    require_above_floor(u, u_floor, f"u in the {scheme.kind} weight")
+    require_above_floor(u, f"u in the {scheme.kind} weight")
     lam1, _ = eigenvalue_values(rho)
     if scheme.kind in ("matrix_a1", "matrix_b1"):
         return lam1 ** 2 / u

@@ -142,10 +142,6 @@ class PeriodicGrid:
         return tuple(L / n for L, n in zip(self.lengths, self.dims))
 
     @property
-    def num_points(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 

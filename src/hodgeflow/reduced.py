@@ -23,7 +23,7 @@ import numpy as np
 from . import forms
 from .errors import CohomologyMismatch
 from .flows import march, rk4
-from .forms import DEFAULT_U_FLOOR, PAIR_INDEX, TwoForm
+from .forms import PAIR_INDEX, TwoForm
 from .grid import (PeriodicGrid, ScalarField, SpectralValues,
                    _laplacian_symbol, deriv_values, gradient_values, integrate,
                    laplacian_values, propagate)
@@ -81,8 +81,7 @@ def _shear_u(y: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return 1.0 - ax1 * bx2 + ax2 * bx1
 
 
-def rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
-               u_floor: float) -> np.ndarray:
+def rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Right-hand side of a nonlinear `model` on stacked field values y,
     (fields, *dims).
 
@@ -92,10 +91,9 @@ def rhs_values(model: str, y: np.ndarray, grid: PeriodicGrid,
     """
     if model == "ab_system":
         u = _shear_u(y, grid)
-        forms.require_above_floor(u, u_floor)
+        forms.require_above_floor(u)
         return laplacian_values(y, grid) / np.sqrt(u)
-    forms.require_above_floor(y, u_floor,
-                              "u" if model == "fast_diffusion" else "v")
+    forms.require_above_floor(y, "u" if model == "fast_diffusion" else "v")
     if model == "fast_diffusion":
         return 2.0 * laplacian_values(np.sqrt(y), grid)
     if model == "inverse_diffusion":
@@ -110,10 +108,10 @@ def _positivity_field(state: ReducedState) -> np.ndarray:
     return state.fields[0].values
 
 
-def _diffusivity_max(state: ReducedState, u_floor: float) -> float:
+def _diffusivity_max(state: ReducedState) -> float:
     """Largest pointwise diffusion coefficient, for the parabolic step bound."""
     v = _positivity_field(state)
-    forms.require_above_floor(v, u_floor)
+    forms.require_above_floor(v)
     if state.model in ("fast_diffusion", "ab_system"):
         return float((1.0 / np.sqrt(v)).max())
     if state.model == "inverse_diffusion":
@@ -121,8 +119,7 @@ def _diffusivity_max(state: ReducedState, u_floor: float) -> float:
     return float((1.0 / v).max())  # log_diffusion
 
 
-def reduced_cfl_dt(state: ReducedState, safety: float = 0.25,
-                   u_floor: float = DEFAULT_U_FLOOR) -> float:
+def reduced_cfl_dt(state: ReducedState, safety: float = 0.25) -> float:
     """The parabolic step bound; inf for heat, whose step is exact."""
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
@@ -130,7 +127,7 @@ def reduced_cfl_dt(state: ReducedState, safety: float = 0.25,
         return np.inf
     h_min = min(state.grid.spacings)
     return safety * h_min ** 2 / (2.0 * state.grid.rank
-                                  * _diffusivity_max(state, u_floor))
+                                  * _diffusivity_max(state))
 
 
 def _record(state: ReducedState) -> ReducedRecord:
@@ -140,8 +137,7 @@ def _record(state: ReducedState) -> ReducedRecord:
                          minU=float(vals.min()), maxU=float(vals.max()))
 
 
-def step_rk4_reduced(state: ReducedState, dt: float,
-                     u_floor: float = DEFAULT_U_FLOOR) -> ReducedState:
+def step_rk4_reduced(state: ReducedState, dt: float) -> ReducedState:
     """One RK4 step of the model on its stacked fields; re-checks positivity.
 
     Heat takes the exact step instead: the half spectrum times e^{dt*lambda},
@@ -153,24 +149,21 @@ def step_rk4_reduced(state: ReducedState, dt: float,
         spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
-    y = rk4(state.values,
-            lambda v: rhs_values(state.model, v, grid, u_floor), dt)
+    y = rk4(state.values, lambda v: rhs_values(state.model, v, grid), dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
-    forms.require_above_floor(_positivity_field(new), u_floor)
+    forms.require_above_floor(_positivity_field(new))
     return new
 
 
 def run_reduced(state: ReducedState, t_end: float,
                 sample_every: Optional[float] = None, safety: float = 0.25,
-                u_floor: float = DEFAULT_U_FLOOR,
                 fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
     """March a reduced model to t_end; returns (trajectory, final, event), and
     fills `stats` as `march` does."""
     if sample_every is None:
         sample_every = max(t_end / 20.0, 1e-12)
-    return march(state, lambda st, dt: step_rk4_reduced(st, dt, u_floor),
-                 lambda st: reduced_cfl_dt(st, safety, u_floor),
+    return march(state, step_rk4_reduced, lambda st: reduced_cfl_dt(st, safety),
                  t_end, sample_every, _record, _positivity_field, fixed_dt,
                  stats, state.model == "heat")
 
@@ -195,8 +188,7 @@ def embed_product(u2: ScalarField, dims34=(8, 8)) -> TwoForm:
     return embed_product_vw(u2, ScalarField.constant(PeriodicGrid(dims34), 1.0))
 
 
-def embed_ab(a: ScalarField, b: ScalarField, dims34=(8, 8),
-             u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
+def embed_ab(a: ScalarField, b: ScalarField, dims34=(8, 8)) -> TwoForm:
     """rho = omega + d(a dx3 + b dx4) for shear potentials a, b on (x1, x2)."""
     if a.grid != b.grid:
         raise ValueError("a and b must share a grid")
@@ -206,7 +198,7 @@ def embed_ab(a: ScalarField, b: ScalarField, dims34=(8, 8),
     rho.comps[PAIR_INDEX[(1, 2)]] = _lift(deriv_values(a.values, a.grid, 1), grid4)
     rho.comps[PAIR_INDEX[(0, 3)]] = _lift(deriv_values(b.values, b.grid, 0), grid4)
     rho.comps[PAIR_INDEX[(1, 3)]] = _lift(deriv_values(b.values, b.grid, 1), grid4)
-    forms.require_above_floor(forms.volume_potential_values(rho), u_floor)
+    forms.require_above_floor(forms.volume_potential_values(rho))
     return rho
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import calculus, forms, reduced
 from .calculus import OneForm
-from .forms import DEFAULT_U_FLOOR, TwoForm
+from .forms import TwoForm
 from .grid import (PeriodicGrid, ScalarField, _ik_symbol, from_half_spectrum,
                    half_spectrum)
 
@@ -61,14 +61,13 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
         scale *= 0.5
 
 
-def isotopy_path(theta: OneForm, s: float,
-                 u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
+def isotopy_path(theta: OneForm, s: float) -> TwoForm:
     """omega + s * d(theta) for s in [0, 1]."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("path parameter s must lie in [0, 1]")
     rho = TwoForm(theta.grid,
                   forms.omega(theta.grid).comps + s * calculus.d_one(theta).comps)
-    forms.require_above_floor(forms.volume_potential_values(rho), u_floor,
+    forms.require_above_floor(forms.volume_potential_values(rho),
                               f"u on the path at s = {s}")
     return rho
 
@@ -131,16 +130,6 @@ class CounterexampleScenario:
     grid1d: PeriodicGrid
     A0: float
     threshold: float
-
-    def transverse_profile(self, y: np.ndarray, t: float) -> np.ndarray:
-        return self.A0 * np.exp(-t) * np.sin(y)
-
-    def min_u_direct(self, t: float, ny: int = 64) -> float:
-        """min over the (x, y) grid of 1 - f h c, straight from the profiles."""
-        f, h = counterexample_profiles(self.grid1d, t)
-        y = np.arange(ny) * TWO_PI / ny
-        u = 1.0 - np.outer(f.values * h.values, self.transverse_profile(y, t))
-        return float(u.min())
 
     def two_form(self, t: float = 0.0, nx: Optional[int] = None, ny: int = 16,
                  dims34=(8, 8)) -> TwoForm:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergence
-from .forms import DEFAULT_U_FLOOR, require_above_floor
+from .forms import require_above_floor
 from .grid import (ScalarField, _laplacian_symbol, deriv_values,
                    from_half_spectrum, half_spectrum)
 
@@ -29,7 +29,6 @@ class SolitonProblem:
     a: ScalarField
     V: tuple  # (V1, V2)
     forcing: Optional[ScalarField] = None
-    u_floor: float = DEFAULT_U_FLOOR
 
     def __post_init__(self):
         if self.a.grid.rank != 2:
@@ -39,7 +38,7 @@ class SolitonProblem:
 
 def soliton_residual(p: SolitonProblem) -> ScalarField:
     a = p.a.values
-    require_above_floor(a, p.u_floor, "a")
+    require_above_floor(a, "a")
     grid = p.a.grid
     root = np.sqrt(a)
     ax = deriv_values(a, grid, 0)
@@ -78,7 +77,7 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000,
     best_norm = np.inf
     for _ in range(max_iter):
         res = soliton_residual(
-            SolitonProblem(ScalarField(grid, a), p.V, p.forcing, p.u_floor)).values
+            SolitonProblem(ScalarField(grid, a), p.V, p.forcing)).values
         norm = float(np.abs(res).max())
         if norm < best_norm:
             best_norm = norm

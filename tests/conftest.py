@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hodgeflow import calculus, diagnostics, forms, scenarios
-from hodgeflow.forms import COMPONENT_PAIRS, DEFAULT_U_FLOOR, TwoForm
+from hodgeflow.forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
 from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
 
 
@@ -26,6 +26,15 @@ def grid2_32():
 def random_form(grid, eps=0.2, band=2, seed=0):
     """Closed band-limited probe near the reference form."""
     return scenarios.make_random_near_omega(grid, eps, band=band, seed=seed)
+
+
+def component(rho, i, j):
+    """Entry rho_ij with antisymmetry applied for i > j."""
+    if i == j:
+        return np.zeros(rho.grid.dims)
+    if i < j:
+        return rho.comps[PAIR_INDEX[(i, j)]]
+    return -rho.comps[PAIR_INDEX[(j, i)]]
 
 
 def as_skew_matrix(rho):
@@ -57,10 +66,10 @@ def grad_u(rho):
             + D[:, 2] * c[3] + c[2] * D[:, 3])
 
 
-def grad_log_u_sup(rho, u_floor=DEFAULT_U_FLOOR):
+def grad_log_u_sup(rho):
     """sup over the grid of |grad u| / u; DegenerateForm at the floor."""
     u = forms.volume_potential_values(rho)
-    forms.require_above_floor(u, u_floor)
+    forms.require_above_floor(u)
     return float((np.sqrt((grad_u(rho) ** 2).sum(axis=0)) / u).max())
 
 
@@ -100,6 +109,19 @@ def counterexample_profile_oracle(x: np.ndarray, t: float, shifted: bool,
     return out
 
 
+def transverse_profile(scen, y, t):
+    """c(y, t) = A0 e^-t sin y of a CounterexampleScenario."""
+    return scen.A0 * np.exp(-t) * np.sin(y)
+
+
+def min_u_direct(scen, t, ny=64):
+    """min over the (x, y) grid of 1 - f h c, straight from the profiles."""
+    f, h = scenarios.counterexample_profiles(scen.grid1d, t)
+    y = np.arange(ny) * 2.0 * np.pi / ny
+    u = 1.0 - np.outer(f.values * h.values, transverse_profile(scen, y, t))
+    return float(u.min())
+
+
 def fourier_d2_matrix(n, length=2.0 * np.pi):
     """Second-derivative matrix of the trigonometric interpolant on n equally
     spaced points of [0, length), n even (Trefethen, Spectral Methods in
@@ -130,7 +152,7 @@ def degeneracy_time_oracle(a0, nx, ny):
         prop = expm(t * d2)
         fh = (prop @ f0) * (prop @ h0)
         u = 1.0 - a0 * np.exp(-t) * np.outer(fh, sin_y)
-        return float(u.min()) - DEFAULT_U_FLOOR
+        return float(u.min()) - forms.U_FLOOR
 
     return brentq(gap, 0.0, 0.05, xtol=1e-15, rtol=1e-15)
 

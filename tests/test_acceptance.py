@@ -189,7 +189,7 @@ def test_criterion_06_degeneracy_example():
     a_oracle = 1.0 / float(np.abs(f1 * h1).max())
     oracle_rel = abs(a_oracle - scen.threshold) / scen.threshold
 
-    min_u1 = scen.min_u_direct(1.0, ny=256)
+    min_u1 = conftest.min_u_direct(scen, 1.0, ny=256)
 
     rho = scen.two_form(t=0.0, nx=128, ny=16, dims34=(8, 8))
     u0_err = float(np.abs(forms.volume_potential_values(rho) - 1.0).max())
@@ -198,7 +198,7 @@ def test_criterion_06_degeneracy_example():
     degenerated = event is not None and event.cause == "u_floor" and event.t < 1.0
     t_oracle = conftest.degeneracy_time_oracle(scen.A0, 128, 16)
     t_gap = abs(event.t - t_oracle) if degenerated else np.inf
-    above_floor = degenerated and event.min_u >= forms.DEFAULT_U_FLOOR
+    above_floor = degenerated and event.min_u >= forms.U_FLOOR
 
     flat = scenarios.CounterexampleScenario(g1, A0=0.0,
                                             threshold=scen.threshold)

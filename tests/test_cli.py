@@ -15,7 +15,6 @@ from hodgeflow.cli import (ConfigError, RunConfig, snapshot_read, snapshot_write
                            write_series)
 from hodgeflow.errors import FormatError
 from hodgeflow.flows import FlowState
-from hodgeflow.grid import PeriodicGrid
 
 from conftest import random_form
 
@@ -233,7 +232,7 @@ def test_write_series_takes_the_reduced_columns_from_the_record(tmp_path):
     recs = [reduced.ReducedRecord(t=0.1 * k, dt=1.0 / 3.0, mass=2.0 * np.pi + k,
                                   minU=0.5, maxU=1.5 - 1e-17 * k) for k in range(3)]
     path = tmp_path / "series.csv"
-    write_series(recs, path, reduced.ReducedRecord)
+    write_series(recs, path)
     lines = ["t,dt,mass,minU,maxU"] + [
         ",".join(format(v, ".17e") for v in (r.t, r.dt, r.mass, r.minU, r.maxU))
         for r in recs]
@@ -285,13 +284,21 @@ dir = {out}
     ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nsafety = 0")),
     ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nsafety = 2")),
     ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 0")),
+    # the floor and the record constants are fixed, so setting one is refused
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nu_floor = 1e-6")),
+    ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = 0.02\nu_floor = 1e-6")),
+    ("flow", FLOW_INI + "[diagnostics]\nq1_weight = 10\n"),
+    ("flow", FLOW_INI + "[diagnostics]\nmonitor_a = 10\n"),
+    ("flow", FLOW_INI + "[diagnostics]\nmonitor_b = 100\n"),
 ], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
         "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
         "a0-not-float", "flow-safety-2", "flow-t-end-negative",
         "flow-sample-every-0", "flow-fixed-dt-negative", "reduced-safety-2",
         "reduced-t-end-negative", "soliton-tol-negative", "soliton-safety-0",
-        "soliton-safety-2", "soliton-max-iter-0"])
+        "soliton-safety-2", "soliton-max-iter-0", "flow-u-floor",
+        "reduced-u-floor", "diagnostics-q1-weight", "diagnostics-monitor-a",
+        "diagnostics-monitor-b"])
 def test_bad_input_is_a_config_error(tmp_path, command, text):
     # a value the run cannot use ends in "config error: ..." and exit 1, as a
     # user sees it from the command line, never in a traceback

@@ -202,7 +202,7 @@ def test_evolution_residuals_share_one_geometry_and_one_rhs_per_scheme(
     assert calls == {"geometry": 1, "flow_rhs": 3}  # refused before any work
 
 
-def _old_record_fields(rho, u_floor=forms.DEFAULT_U_FLOOR):
+def _old_record_fields(rho):
     """The record quantities, each from its test-side oracle: the full
     gradient bundle for grad u and |grad rho|^2, codiff_two for Q1."""
     try:
@@ -210,7 +210,7 @@ def _old_record_fields(rho, u_floor=forms.DEFAULT_U_FLOOR):
     except CohomologyMismatch:
         e0 = q1 = float("nan")
     try:
-        sup = grad_log_u_sup(rho, u_floor)
+        sup = grad_log_u_sup(rho)
     except DegenerateForm:
         sup = float("nan")
     return {"E0": e0, "Q1": q1, "supGradLogU": sup,
@@ -238,7 +238,7 @@ def test_make_record_matches_old_composition(grid8):
     assert np.isfinite(rec.E0) and np.isfinite(rec.supGradLogU)
 
 
-def test_make_record_matches_old_composition_on_nan_paths(grid8):
+def test_make_record_matches_old_composition_on_nan_paths(grid8, monkeypatch):
     # wrong class: E0 and Q1 are NaN, the rest is still computed
     rho = 1.3 * random_form(grid8, 0.05, band=4, seed=42)
     rec = make_record(rho, 0.0, 0.0, calculus.periods(rho))
@@ -246,9 +246,10 @@ def test_make_record_matches_old_composition_on_nan_paths(grid8):
     _assert_record_matches_old(rec, _old_record_fields(rho))
     # u at or below the floor: supGradLogU is NaN
     rho = random_form(grid8, 0.05, band=4, seed=42)
-    rec = make_record(rho, 0.0, 0.0, calculus.periods(rho), u_floor=2.0)
+    monkeypatch.setattr(forms, "U_FLOOR", 2.0)
+    rec = make_record(rho, 0.0, 0.0, calculus.periods(rho))
     assert np.isnan(rec.supGradLogU) and np.isfinite(rec.fMax)
-    _assert_record_matches_old(rec, _old_record_fields(rho, u_floor=2.0))
+    _assert_record_matches_old(rec, _old_record_fields(rho))
 
 
 def test_make_record_rejects_non_finite_form(grid8):
@@ -266,8 +267,7 @@ def d_two_stacked(D):
                      for (i, j, k) in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))])
 
 
-def bundle_make_record(rho, t, dt, ref_periods, q1_weight=10.0, monitor_a=10.0,
-                       monitor_b=100.0, u_floor=forms.DEFAULT_U_FLOOR):
+def bundle_make_record(rho, t, dt, ref_periods):
     """make_record as it was built on one (4, 6, *dims) gradient bundle: the
     oracle of the record streamed over the axes."""
     grid = rho.grid
@@ -281,13 +281,14 @@ def bundle_make_record(rho, t, dt, ref_periods, q1_weight=10.0, monitor_a=10.0,
         for a in range(4):
             calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], D[a])
         q1 = integrate(ScalarField(grid, np.einsum("c...,c...->...", xi, xi))) \
-            + q1_weight * e0
+            + 10.0 * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
     grad_u_sq = np.einsum("j...,j...->...", grad_u, grad_u)
-    sup = float((np.sqrt(grad_u_sq) / u).max()) if u.min() > u_floor else float("nan")
-    shi = (np.einsum("jc...,jc...->...", D, D) + monitor_a * grad_u_sq
-           + monitor_b * forms.norm_sq_values(rho) + 1.0)
+    sup = float((np.sqrt(grad_u_sq) / u).max()) if u.min() > forms.U_FLOOR \
+        else float("nan")
+    shi = (np.einsum("jc...,jc...->...", D, D) + 10.0 * grad_u_sq
+           + 100.0 * forms.norm_sq_values(rho) + 1.0)
     per = calculus.periods(rho)
     return TrajectoryRecord(
         t=t, dt=dt, E=energy(rho), E0=e0,

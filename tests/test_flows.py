@@ -9,7 +9,7 @@ from hodgeflow import grid as grid_module
 from hodgeflow.diagnostics import make_record
 from hodgeflow.flows import (FlowState, _check_u, cfl_dt, flow_rhs, rk4,
                              run_flow, step_rk4)
-from hodgeflow.forms import DEFAULT_U_FLOOR, TwoForm
+from hodgeflow.forms import TwoForm
 from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
 
 from conftest import degeneracy_time_oracle, random_form, traced_peak
@@ -71,13 +71,13 @@ def test_matrix_flux_memory_close_to_scalar():
     assert matrix <= 1.5 * conformal, (matrix, conformal)
 
 
-def conformal_rhs(rho: TwoForm, u_floor: float = DEFAULT_U_FLOOR) -> TwoForm:
+def conformal_rhs(rho: TwoForm) -> TwoForm:
     """-d(d* rho / sqrt(u)), written out directly.
 
     Algebraically identical to flow_rhs with the power_u(1/2) scheme; kept
     as a separate code path for cross-validation.
     """
-    u = _check_u(rho, u_floor)
+    u = _check_u(rho)
     xi = calculus.codiff_two(rho)
     sigma = calculus.OneForm(rho.grid, -xi.comps / np.sqrt(u))
     return calculus.d_one(sigma)
@@ -292,7 +292,7 @@ def test_linear_run_finds_the_dip_at_a_coarse_sample_cadence():
     traj, final, event = run_flow(rho0, forms.LINEAR, 500.0, sample_every=10.0)
     assert event is not None and event.cause == "u_floor" and len(traj) == 1
     assert abs(event.t - degeneracy_time_oracle(scen.A0, 64, 8)) <= 1e-8
-    assert event.min_u >= DEFAULT_U_FLOOR and final.t == event.t
+    assert event.min_u >= forms.U_FLOOR and final.t == event.t
 
 
 FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",

@@ -207,14 +207,16 @@ def test_weight_apply_matches_explicit_matrix(grid8, scheme):
 
 @pytest.mark.parametrize("scheme", [s for s in ALL_SCHEMES if not s.is_scalar],
                          ids=lambda s: s.kind)
-def test_weight_apply_raises_at_the_floor(grid8, scheme):
+def test_weight_apply_raises_at_the_floor(grid8, scheme, monkeypatch):
     xi = np.ones((4,) + grid8.dims)
     with pytest.raises(DegenerateForm):
         forms.weight_apply(TwoForm.zero(grid8), scheme, xi)
     half = omega(grid8) * 0.5  # u = 0.25 everywhere
+    monkeypatch.setattr(forms, "U_FLOOR", 0.25)
     with pytest.raises(DegenerateForm):
-        forms.weight_apply(half, scheme, xi, u_floor=0.25)
-    assert np.isfinite(forms.weight_apply(half, scheme, xi, u_floor=0.2)).all()
+        forms.weight_apply(half, scheme, xi)
+    monkeypatch.setattr(forms, "U_FLOOR", 0.2)
+    assert np.isfinite(forms.weight_apply(half, scheme, xi)).all()
 
 
 @settings(max_examples=30, deadline=None)

@@ -162,7 +162,6 @@ def test_grid_validation():
 def test_grid_geometry():
     g = PeriodicGrid((16, 8), (2 * np.pi, 4.0))
     assert g.rank == 2
-    assert g.num_points == 128
     assert g.volume == pytest.approx(8 * np.pi)
     assert g.spacings == pytest.approx((2 * np.pi / 16, 0.5))
     x0 = g.axis_coordinates(0)

@@ -1,11 +1,17 @@
-"""Every public top-level function and class of the package has a caller in
-the program: a reference outside its own definition somewhere in `src/`, or
-its name in `perfbench/`, whose tracer looks the layers up by name.  A public
-function that only the tests call is a second API; its independent
-derivation belongs in the tests, as an oracle."""
+"""Checks on the package's source, made with `ast`.
+
+Every public top-level function and class of the package, and every public
+method of a public class, has a caller in the program: a reference outside
+its own definition somewhere in `src/`, or its name in `perfbench/`, whose
+tracer looks the layers up by name.  A public function that only the tests
+call is a second API; its independent derivation belongs in the tests, as an
+oracle.  The u-floor is read by one function only, no function takes the
+floor or a record constant as a parameter, and no module imports a name it
+never reads."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,15 +23,20 @@ ALLOWED = {"isotopy_path", "isotopy_min_u", "sobolev_poincare_ratio",
            "jk_quantities", "snapshot_read"}
 
 
-def _used_names(node) -> set:
-    """Every name that `node` reads, bare or as an attribute."""
-    used = set()
+def _name_counts(node) -> Counter:
+    """How often `node` reads each name, bare or as an attribute."""
+    counts = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            used.add(sub.id)
+            counts[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+            counts[sub.attr] += 1
+    return counts
+
+
+def _perfbench_text() -> str:
+    return "\n".join(p.read_text()
+                     for p in sorted((ROOT / "perfbench").glob("*.py")))
 
 
 def _public_definitions_and_uses():
@@ -40,15 +51,15 @@ def _public_definitions_and_uses():
                 owner = stmt.name
                 if not owner.startswith("_"):
                     defined.add((path.stem, owner))
-            uses.setdefault((path.stem, owner), set()).update(_used_names(stmt))
+            uses.setdefault((path.stem, owner), Counter()).update(
+                _name_counts(stmt))
     return defined, uses
 
 
 def test_every_public_definition_has_a_caller():
     defined, uses = _public_definitions_and_uses()
     assert ALLOWED <= {name for _, name in defined}, "stale allowlist entry"
-    perfbench = "\n".join(p.read_text()
-                          for p in sorted((ROOT / "perfbench").glob("*.py")))
+    perfbench = _perfbench_text()
     uncalled = sorted(
         f"{module}.{name}" for module, name in defined
         if name not in ALLOWED
@@ -58,3 +69,87 @@ def test_every_public_definition_has_a_caller():
     assert not uncalled, ("public names with no caller in src/ or perfbench/: "
                           + ", ".join(uncalled))
 
+
+def test_every_public_method_has_a_caller():
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    total = sum((_name_counts(tree) for tree in trees), Counter())
+    perfbench = _perfbench_text()
+    uncalled = sorted(
+        f"{cls.name}.{fn.name}" for tree in trees for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and total[fn.name] == _name_counts(fn)[fn.name]
+        and not re.search(rf"\b{fn.name}\b", perfbench))
+    assert not uncalled, ("public methods with no caller in src/ or "
+                          "perfbench/: " + ", ".join(uncalled))
+
+
+# Fixed values of the program, not settings: no function takes one.
+FIXED = {"u_floor", "q1_weight", "monitor_a", "monitor_b"}
+
+
+def test_the_floor_has_one_reader_and_no_parameter_carries_a_constant():
+    # Tests move the floor with monkeypatch.setattr(forms, "U_FLOOR", x),
+    # which only works while the floor check reads forms.U_FLOOR at call
+    # time: a `from .forms import U_FLOOR` elsewhere would keep the old value.
+    readers, carriers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "forms":
+            for stmt in tree.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and stmt.name == "require_above_floor"):
+                    allowed = {id(n) for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "U_FLOOR"
+                    and not isinstance(node.ctx, ast.Store)
+                    or isinstance(node, ast.Attribute) and node.attr == "U_FLOOR"
+                    or isinstance(node, ast.alias) and node.name == "U_FLOOR"):
+                if id(node) not in allowed:
+                    readers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                for arg in (args.posonlyargs + args.args + args.kwonlyargs):
+                    if arg.arg in FIXED:
+                        carriers.append(f"{path.name}:{arg.lineno} {arg.arg}")
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)
+                            and stmt.target.id in FIXED):
+                        carriers.append(f"{path.name}:{stmt.lineno} "
+                                        f"{stmt.target.id}")
+    assert not readers, ("U_FLOOR read outside forms.require_above_floor: "
+                         + ", ".join(readers))
+    assert not carriers, ("parameters or fields carrying a fixed value: "
+                          + ", ".join(carriers))
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:  # __all__ re-exports its names
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, "imported and never read: " + ", ".join(unused)

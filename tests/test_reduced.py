@@ -6,8 +6,7 @@ from scipy.linalg import expm
 from hodgeflow import forms, reduced
 from hodgeflow import grid as grid_module
 from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
-from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
-from hodgeflow.forms import DEFAULT_U_FLOOR
+from hodgeflow.grid import PeriodicGrid, ScalarField
 from hodgeflow.reduced import (ReducedState, embed_ab, embed_product,
                                embed_product_vw, reduced_cfl_dt, rhs_values,
                                run_reduced, step_rk4_reduced)
@@ -31,7 +30,7 @@ def test_fast_diffusion_rhs_symbolic():
     u_expr = sp.Rational(3, 2) + sp.sin(X) / 2
     rhs_expr = 2 * sp.diff(sp.sqrt(u_expr), X, 2)
     u = ScalarField(grid, lambdify_on(grid, u_expr))
-    got = rhs_values("fast_diffusion", u.values, grid, DEFAULT_U_FLOOR)
+    got = rhs_values("fast_diffusion", u.values, grid)
     want = lambdify_on(grid, rhs_expr)
     assert np.abs(got - want).max() < 1e-9
 
@@ -44,8 +43,8 @@ def test_inverse_and_log_diffusion_rhs_symbolic():
                            + sp.diff(-1 / v_expr, Y, 2))
     log_want = lambdify_on(grid, sp.diff(sp.log(v_expr), X, 2)
                            + sp.diff(sp.log(v_expr), Y, 2))
-    inv = rhs_values("inverse_diffusion", v.values, grid, DEFAULT_U_FLOOR)
-    log = rhs_values("log_diffusion", v.values, grid, DEFAULT_U_FLOOR)
+    inv = rhs_values("inverse_diffusion", v.values, grid)
+    log = rhs_values("log_diffusion", v.values, grid)
     assert np.abs(inv - inv_want).max() < 1e-8
     assert np.abs(log - log_want).max() < 1e-8
 
@@ -62,7 +61,7 @@ def test_ab_system_rhs_symbolic():
     ab = np.stack([a.values, b.values])
     u = reduced._shear_u(ab, grid)
     assert np.abs(u - lambdify_on(grid, u_expr)).max() < 1e-11
-    ra, rb = rhs_values("ab_system", ab, grid, DEFAULT_U_FLOOR)
+    ra, rb = rhs_values("ab_system", ab, grid)
     assert np.abs(ra - lambdify_on(grid, lap(a_expr) / sp.sqrt(u_expr))).max() < 1e-9
     assert np.abs(rb - lambdify_on(grid, lap(b_expr) / sp.sqrt(u_expr))).max() < 1e-9
 
@@ -87,7 +86,7 @@ def test_positive_models_reject_nonpositive_data():
     bad = ScalarField(grid, 0.5 + np.sin(x))  # dips negative
     for model in ("fast_diffusion", "inverse_diffusion", "log_diffusion"):
         with pytest.raises(DegenerateForm):
-            rhs_values(model, bad.values, grid, DEFAULT_U_FLOOR)
+            rhs_values(model, bad.values, grid)
 
 
 def test_cfl_dt_uses_model_diffusivity():
@@ -129,13 +128,14 @@ def test_fast_diffusion_conserves_mass_and_contracts():
     assert all(b <= a + 1e-9 for a, b in zip(maxs, maxs[1:]))
 
 
-def test_run_reduced_reports_degeneracy():
+def test_run_reduced_reports_degeneracy(monkeypatch):
     grid = PeriodicGrid((32,))
     x = grid.axis_coordinates(0)
     v0 = ScalarField(grid, 1.0 + 0.5 * np.sin(x))
     # a floor above the initial minimum trips on the first step
+    monkeypatch.setattr(forms, "U_FLOOR", 0.9)
     traj, final, event = run_reduced(ReducedState("fast_diffusion", (v0,)),
-                                     1.0, u_floor=0.9)
+                                     1.0)
     assert event is not None and event.cause == "u_floor"
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgeflow import calculus, forms, scenarios
+from hodgeflow import calculus, forms
 from hodgeflow.calculus import OneForm
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.grid import PeriodicGrid
@@ -11,7 +11,8 @@ from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profiles
                                  make_random_near_omega, _antiderivative_1d,
                                  _sample_f0, _sample_h0)
 
-from conftest import counterexample_profile_oracle, counterexample_series
+from conftest import (counterexample_profile_oracle, counterexample_series,
+                      min_u_direct)
 
 
 def test_random_near_omega_properties(grid8):
@@ -58,7 +59,7 @@ def test_isotopy_path(grid8):
     assert len(mins) == 5 and mins[0] == pytest.approx(1.0)
 
 
-def test_isotopy_path_raises_at_a_degenerate_s(grid8):
+def test_isotopy_path_raises_at_a_degenerate_s(grid8, monkeypatch):
     # d(theta) adds 2 cos x1 to rho_12, so u = 1 + 2 s cos x1 on the path
     x1 = grid8.coordinates()[0]
     theta = OneForm.zero(grid8)
@@ -67,8 +68,9 @@ def test_isotopy_path_raises_at_a_degenerate_s(grid8):
         == pytest.approx(0.5)
     with pytest.raises(DegenerateForm):
         isotopy_path(theta, 1.0)
-    with pytest.raises(DegenerateForm):  # the floor is the caller's
-        isotopy_path(theta, 0.25, u_floor=0.6)
+    monkeypatch.setattr(forms, "U_FLOOR", 0.6)
+    with pytest.raises(DegenerateForm):  # the floor is read at call time
+        isotopy_path(theta, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,8 @@ def test_min_u_crosses_zero_at_threshold():
                                   scen.threshold)
     under = CounterexampleScenario(GRID1D, 0.95 * np.e * scen.threshold,
                                    scen.threshold)
-    assert over.min_u_direct(1.0, ny=256) < 0.0
-    assert under.min_u_direct(1.0, ny=256) > 0.0
+    assert min_u_direct(over, 1.0, ny=256) < 0.0
+    assert min_u_direct(under, 1.0, ny=256) > 0.0
 
 
 def test_zero_amplitude_scenario_stays_flat():
