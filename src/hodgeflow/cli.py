@@ -45,14 +45,21 @@ class ConfigError(HodgeFlowError):
 
 _SCHEMA = {
     "grid": {"dims", "lengths"},
-    "flow": {"scheme", "t_end", "sample_every", "safety", "fixed_dt"},
+    "flow": {"scheme", "t_end", "sample_every", "fixed_dt"},
     "scenario": {"kind", "eps", "band", "seed", "amplitude", "n1d", "a0"},
     "output": {"dir"},
     "reduced": {"model", "dims", "amplitude", "t_end", "sample_every",
-                "safety", "fixed_dt"},
-    "soliton": {"dims", "v1", "v2", "tol", "max_iter", "safety",
-                "manufactured"},
+                "fixed_dt"},
+    "soliton": {"dims", "v1", "v2", "tol", "max_iter"},
 }
+
+
+def _finite(raw: str) -> float:
+    """The cast of every float setting: a NaN or an infinity is a bad value."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 class RunConfig:
@@ -69,18 +76,23 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str, overrides=()) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        for item in overrides:
-            key, _, value = item.partition("=")
-            if not _ or "." not in key:
-                raise ConfigError(f"override must look like section.key=value: {item!r}")
-            section, _, name = key.partition(".")
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser[section][name] = value
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+            if not read:
+                raise ConfigError(f"cannot read config file {path!r}")
+            for item in overrides:
+                key, _, value = item.partition("=")
+                if not _ or "." not in key:
+                    raise ConfigError(f"override must look like "
+                                      f"section.key=value: {item!r}")
+                section, _, name = key.partition(".")
+                if not parser.has_section(section):
+                    parser.add_section(section)
+                parser[section][name] = value
+        except (configparser.Error, ValueError) as exc:
+            # a malformed file, or one that is not text, or --set DEFAULT.x
+            raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
         return cls(parser)
 
     def set(self, section, key, value, replace=True) -> None:
@@ -101,18 +113,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
-    def ints(self, section, key, default=None):
-        if default is not None and not self._parser.has_option(section, key):
-            return default
-        return self.get(section, key,
-                        cast=lambda raw: tuple(int(tok) for tok in raw.split()))
-
-    def floats(self, section, key, default=None):
-        if default is not None and not self._parser.has_option(section, key):
-            return default
-        return self.get(section, key,
-                        cast=lambda raw: tuple(float(tok) for tok in raw.split()))
-
     def digest(self) -> str:
         """sha256 of every setting but [output], which says only where the
         files go: one run into two directories writes the same sidecar."""
@@ -126,7 +126,8 @@ class RunConfig:
 def _grid_from_config(cfg: RunConfig, section: str, ranks, default=None,
                       lengths=()) -> PeriodicGrid:
     """The grid of `section`.dims, whose rank must be one of `ranks`."""
-    dims = cfg.ints(section, "dims", default)
+    dims = cfg.get(section, "dims", default,
+                   lambda raw: tuple(int(tok) for tok in raw.split()))
     if len(dims) not in ranks:
         raise ConfigError(f"{section}.dims needs {' or '.join(map(str, ranks))} "
                           f"sizes, got {len(dims)}")
@@ -145,23 +146,19 @@ def _scheme_from_config(cfg: RunConfig) -> forms.FlowScheme:
 
 
 def _time_settings(cfg: RunConfig, section: str, samples: int):
-    """(t_end, sample_every, safety, fixed_dt) of `section`, checked before a
-    run starts; sample_every defaults to t_end / samples, and fixed_dt to
-    None, the CFL step."""
-    t_end = cfg.get(section, "t_end", cast=float)
-    sample_every = cfg.get(section, "sample_every", t_end / samples, float)
-    safety = cfg.get(section, "safety", 0.25, float)
-    fixed_dt = cfg.get(section, "fixed_dt", 0.0, float)
+    """(t_end, sample_every, fixed_dt) of `section`, checked before a run
+    starts; sample_every defaults to t_end / samples, and fixed_dt to None,
+    the CFL step."""
+    t_end = cfg.get(section, "t_end", cast=_finite)
+    sample_every = cfg.get(section, "sample_every", t_end / samples, _finite)
+    fixed_dt = cfg.get(section, "fixed_dt", 0.0, _finite)
     for key, value in (("t_end", t_end), ("sample_every", sample_every)):
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"{section}.{key} must be positive and finite, "
-                              f"got {value!r}")
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"{section}.safety must lie in (0, 1], got {safety!r}")
-    if not 0.0 <= fixed_dt < np.inf:
+        if not value > 0.0:
+            raise ConfigError(f"{section}.{key} must be positive, got {value!r}")
+    if fixed_dt < 0.0:
         raise ConfigError(f"{section}.fixed_dt must be positive (0 for the CFL "
                           f"step), got {fixed_dt!r}")
-    return t_end, sample_every, safety, fixed_dt or None
+    return t_end, sample_every, fixed_dt or None
 
 
 def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
@@ -169,17 +166,20 @@ def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
     if kind == "omega":
         return forms.omega(grid)
     if kind == "random_near_omega":
-        return scenarios.make_random_near_omega(
-            grid, eps=cfg.get("scenario", "eps", 0.05, float),
-            band=cfg.get("scenario", "band", 4, int),
-            seed=cfg.get("scenario", "seed", 0, int))
+        eps = cfg.get("scenario", "eps", 0.05, _finite)
+        band = cfg.get("scenario", "band", 4, int)
+        seed = cfg.get("scenario", "seed", 0, int)
+        try:
+            return scenarios.make_random_near_omega(grid, eps, band, seed)
+        except ValueError as exc:
+            raise ConfigError(f"bad [scenario]: {exc}") from exc
     if kind == "product_u":
-        amp = cfg.get("scenario", "amplitude", 0.3, float)
+        amp = cfg.get("scenario", "amplitude", 0.3, _finite)
         g2 = PeriodicGrid(grid.dims[:2], grid.lengths[:2])
         u2 = ScalarField.from_function(g2, lambda x1, x2: 1.0 + amp * np.sin(x1))
         return reduced.embed_product(u2, dims34=grid.dims[2:])
     if kind == "ab":
-        amp = cfg.get("scenario", "amplitude", 0.1, float)
+        amp = cfg.get("scenario", "amplitude", 0.1, _finite)
         g2 = PeriodicGrid(grid.dims[:2], grid.lengths[:2])
         a = ScalarField.from_function(g2, lambda x1, x2: amp * np.sin(x1))
         b = ScalarField.from_function(g2, lambda x1, x2: amp * np.sin(x2))
@@ -190,7 +190,7 @@ def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
             raise ConfigError(f"scenario.n1d needs an even count >= "
                               f"{scenarios.MIN_N1D}, got {n1d}")
         a0 = cfg.get("scenario", "a0", "auto",
-                     lambda raw: raw if raw == "auto" else float(raw))
+                     lambda raw: raw if raw == "auto" else _finite(raw))
         scen = scenarios.make_example_counterexample(PeriodicGrid((n1d,)), a0)
         return scen.two_form(t=0.0, nx=grid.dims[0], ny=grid.dims[1],
                              dims34=grid.dims[2:])
@@ -316,18 +316,18 @@ def _event_exit(event) -> int:
 
 
 def cmd_flow(cfg: RunConfig) -> int:
-    grid = _grid_from_config(cfg, "grid", (4,),
-                             lengths=cfg.floats("grid", "lengths", default=()))
+    lengths = cfg.get("grid", "lengths", (),
+                      lambda raw: tuple(_finite(tok) for tok in raw.split()))
+    grid = _grid_from_config(cfg, "grid", (4,), lengths=lengths)
     scheme = _scheme_from_config(cfg)
-    t_end, sample_every, safety, fixed_dt = _time_settings(cfg, "flow", 50)
+    t_end, sample_every, fixed_dt = _time_settings(cfg, "flow", 50)
     initial = _scenario_from_config(cfg, grid)
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     stats = {}
     trajectory, final, event = flows.run_flow(
-        initial, scheme, t_end, sample_every, safety=safety,
-        fixed_dt=fixed_dt, stats=stats)
+        initial, scheme, t_end, sample_every, fixed_dt=fixed_dt, stats=stats)
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
         snapshot_write(final, out_dir / "final.nhf", scheme.kind, cfg.digest())
@@ -343,8 +343,8 @@ def cmd_reduced(cfg: RunConfig) -> int:
                           f"choose from {', '.join(reduced.MODELS)}")
     grid = _grid_from_config(cfg, "reduced",
                              (2,) if model == "ab_system" else (1, 2))
-    t_end, sample_every, safety, fixed_dt = _time_settings(cfg, "reduced", 20)
-    amp = cfg.get("reduced", "amplitude", 0.5, float)
+    t_end, sample_every, fixed_dt = _time_settings(cfg, "reduced", 20)
+    amp = cfg.get("reduced", "amplitude", 0.5, _finite)
     if model == "ab_system":
         a = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x1))
         b = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x2))
@@ -361,8 +361,8 @@ def cmd_reduced(cfg: RunConfig) -> int:
         # precondition: the initial data must already satisfy positivity
         reduced.reduced_cfl_dt(state)
         trajectory, final, event = reduced.run_reduced(
-            state, t_end, sample_every=sample_every, safety=safety,
-            fixed_dt=fixed_dt, stats=stats)
+            state, t_end, sample_every=sample_every, fixed_dt=fixed_dt,
+            stats=stats)
     except DegenerateForm as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -383,38 +383,28 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 def cmd_soliton(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, "soliton", (2,), default=(128, 128))
-    v = (cfg.get("soliton", "v1", 1.0, float), cfg.get("soliton", "v2", 0.5, float))
-    manufactured = cfg.get("soliton", "manufactured", "yes") != "no"
-    tol = cfg.get("soliton", "tol", 1e-7, float)
+    v = (cfg.get("soliton", "v1", 1.0, _finite),
+         cfg.get("soliton", "v2", 0.5, _finite))
+    tol = cfg.get("soliton", "tol", 1e-7, _finite)
     max_iter = cfg.get("soliton", "max_iter", 200000, int)
-    safety = cfg.get("soliton", "safety", 0.5, float)
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"soliton.tol must be positive and finite, got {tol!r}")
+    if not tol > 0.0:
+        raise ConfigError(f"soliton.tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ConfigError(f"soliton.max_iter must be at least 1, got {max_iter!r}")
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"soliton.safety must lie in (0, 1], got {safety!r}")
-    if manufactured:
-        a_star = ScalarField.from_function(
-            grid, lambda x, y: 2.0 + 0.5 * np.cos(x) * np.cos(y))
-        forcing = soliton.manufactured_forcing(a_star, v)
-        start = ScalarField.constant(grid, a_star.mean())
-    else:
-        forcing = None
-        start = ScalarField.constant(grid, 1.0)
-    problem = soliton.SolitonProblem(start, v, forcing)
+    a_star = ScalarField.from_function(
+        grid, lambda x, y: 2.0 + 0.5 * np.cos(x) * np.cos(y))
+    problem = soliton.SolitonProblem(ScalarField.constant(grid, a_star.mean()),
+                                     v, soliton.manufactured_forcing(a_star, v))
     try:
-        a, res_norm = soliton.solve_soliton(problem, tol=tol,
-                                            max_iter=max_iter, safety=safety)
+        a, res_norm = soliton.solve_soliton(problem, tol=tol, max_iter=max_iter)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     np.save(out_dir / "soliton_a.npy", a.values)
-    report = {"residual_sup": res_norm, "mean": a.mean(), "v": list(v)}
-    if manufactured:
-        report["error_sup"] = float(np.abs(a.values - a_star.values).max())
+    report = {"residual_sup": res_norm, "mean": a.mean(), "v": list(v),
+              "error_sup": float(np.abs(a.values - a_star.values).max())}
     (out_dir / "soliton.json").write_text(json.dumps(report, indent=1))
     return EXIT_OK
 

@@ -26,6 +26,10 @@ from .errors import DegenerateForm, NumericalBlowup
 from .forms import FlowScheme, TwoForm
 from .grid import SpectralValues, _dd_symbol, check_finite, propagate
 
+# Fraction of the parabolic stability bound taken as the step; `fixed_dt`
+# takes a smaller one.
+CFL_SAFETY = 0.25
+
 
 class FlowState(SpectralValues):
     """The 2-form at time t, built from `rho` or from `grid` and the half
@@ -74,13 +78,16 @@ def flow_rhs(rho: TwoForm, scheme: FlowScheme,
     return calculus.d_one(calculus.OneForm(rho.grid, sigma))
 
 
-def cfl_dt(rho: TwoForm, scheme: FlowScheme, safety: float = 0.25) -> float:
-    """Parabolic step bound: safety * h_min^2 / (2 * rank * max spec radius of h)."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must be in (0, 1]")
-    radius = float(forms.weight_spectral_radius(rho, scheme).max())
-    h_min = min(rho.grid.spacings)
-    return safety * h_min ** 2 / (2.0 * rho.grid.rank * radius)
+def parabolic_dt(grid, radius: float) -> float:
+    """The explicit step of every march: CFL_SAFETY * h_min^2 / (2 * rank *
+    radius), for `radius` the largest diffusion coefficient."""
+    return CFL_SAFETY * min(grid.spacings) ** 2 / (2.0 * grid.rank * radius)
+
+
+def cfl_dt(rho: TwoForm, scheme: FlowScheme) -> float:
+    """`parabolic_dt` for the largest spectral radius of the weight h."""
+    return parabolic_dt(rho.grid,
+                        float(forms.weight_spectral_radius(rho, scheme).max()))
 
 
 def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
@@ -168,12 +175,12 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     return trajectory, state, event
 
 
-def _last_above_floor(state, step, dt: float, tol: float = 1e-10):
+def _last_above_floor(state, step, dt: float):
     """step(state, s) for an s in (0, dt) that passes the floor check while
-    s + `tol` fails, found by bisection (with several crossings inside the
+    s + 1e-10 fails, found by bisection (with several crossings inside the
     step, any one of them); `state` itself if none passes."""
     lo, hi, last = 0.0, dt, state
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         try:
             last, lo = step(state, mid), mid
@@ -206,8 +213,8 @@ def step_rk4(state: FlowState, dt: float, scheme: FlowScheme) -> FlowState:
 
 
 def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
-             sample_every: float, safety: float = 0.25,
-             fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
+             sample_every: float, fixed_dt: Optional[float] = None,
+             stats: Optional[dict] = None):
     """Integrate the flow, sampling diagnostics at the requested cadence.
 
     Returns (trajectory, final_state, event) from `march`, which also fills
@@ -232,7 +239,7 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
         FlowState(rho=initial.copy()),
         lambda st, dt: (step_linear(st, dt) if exact
                         else step_rk4(st, dt, scheme)),
-        lambda st: cfl_dt(st.rho, scheme, safety),
+        lambda st: cfl_dt(st.rho, scheme),
         t_end, sample_every, record,
         lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats,
         exact)

@@ -129,8 +129,8 @@ class PeriodicGrid:
         lengths = tuple(float(L) for L in self.lengths) or (TWO_PI,) * len(dims)
         if len(lengths) != len(dims):
             raise ValueError("lengths and dims must have the same rank")
-        if any(L <= 0 for L in lengths):
-            raise ValueError("periods must be positive")
+        if not all(0.0 < L < np.inf for L in lengths):
+            raise ValueError("periods must be positive and finite")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -207,19 +207,13 @@ def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 def half_spectrum(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """Forward real transform over the grid axes of `values` (its trailing
     `grid.rank` axes): the half spectrum in rfftn layout, last grid axis
-    halved.  On a rank-1 grid rfft is called directly: it computes the same
-    values as rfftn with less per-call overhead."""
-    if grid.rank == 1:
-        return np.fft.rfft(values, axis=-1)
+    halved."""
     return np.fft.rfftn(values, axes=tuple(range(values.ndim - grid.rank,
                                                  values.ndim)))
 
 
 def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """The inverse of `half_spectrum`: real values on the grid (irfft on a
-    rank-1 grid, irfftn otherwise)."""
-    if grid.rank == 1:
-        return np.fft.irfft(spec, n=grid.dims[0], axis=-1)
+    """The inverse of `half_spectrum`: real values on the grid."""
     return np.fft.irfftn(spec, s=grid.dims,
                          axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import forms
 from .errors import CohomologyMismatch
-from .flows import march, rk4
+from .flows import march, parabolic_dt, rk4
 from .forms import PAIR_INDEX, TwoForm
 from .grid import (PeriodicGrid, ScalarField, SpectralValues,
                    _laplacian_symbol, deriv_values, gradient_values, integrate,
@@ -119,15 +119,12 @@ def _diffusivity_max(state: ReducedState) -> float:
     return float((1.0 / v).max())  # log_diffusion
 
 
-def reduced_cfl_dt(state: ReducedState, safety: float = 0.25) -> float:
-    """The parabolic step bound; inf for heat, whose step is exact."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must be in (0, 1]")
+def reduced_cfl_dt(state: ReducedState) -> float:
+    """`parabolic_dt` for the largest diffusivity; inf for heat, whose step
+    is exact."""
     if state.model == "heat":
         return np.inf
-    h_min = min(state.grid.spacings)
-    return safety * h_min ** 2 / (2.0 * state.grid.rank
-                                  * _diffusivity_max(state))
+    return parabolic_dt(state.grid, _diffusivity_max(state))
 
 
 def _record(state: ReducedState) -> ReducedRecord:
@@ -157,15 +154,15 @@ def step_rk4_reduced(state: ReducedState, dt: float) -> ReducedState:
 
 
 def run_reduced(state: ReducedState, t_end: float,
-                sample_every: Optional[float] = None, safety: float = 0.25,
+                sample_every: Optional[float] = None,
                 fixed_dt: Optional[float] = None, stats: Optional[dict] = None):
     """March a reduced model to t_end; returns (trajectory, final, event), and
     fills `stats` as `march` does."""
     if sample_every is None:
         sample_every = max(t_end / 20.0, 1e-12)
-    return march(state, step_rk4_reduced, lambda st: reduced_cfl_dt(st, safety),
-                 t_end, sample_every, _record, _positivity_field, fixed_dt,
-                 stats, state.model == "heat")
+    return march(state, step_rk4_reduced, reduced_cfl_dt, t_end, sample_every,
+                 _record, _positivity_field, fixed_dt, stats,
+                 state.model == "heat")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,10 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
                            seed: int = 0) -> TwoForm:
     """omega + d(zeta) for a seeded band-limited 1-form, scaled so the
     perturbation has sup norm eps; re-scaled down if u would dip below 1/2."""
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
+    if band < 1:
+        raise ValueError(f"band must be at least 1, got {band!r}")
     if eps == 0.0:
         return forms.omega(grid)
     rng = np.random.default_rng(seed)

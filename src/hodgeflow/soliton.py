@@ -23,6 +23,9 @@ from .forms import require_above_floor
 from .grid import (ScalarField, _laplacian_symbol, deriv_values,
                    from_half_spectrum, half_spectrum)
 
+# Fraction of the preconditioned residual added per pseudo-time iteration.
+DAMPING = 0.5
+
 
 @dataclass
 class SolitonProblem:
@@ -55,8 +58,7 @@ def manufactured_forcing(a_star: ScalarField, V) -> ScalarField:
     return soliton_residual(SolitonProblem(a_star, V))
 
 
-def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000,
-                  safety: float = 0.5):
+def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000):
     """March d(a)/d(tau) = P(residual) to a steady state, keeping mean(a) fixed.
 
     P is the positive spectral preconditioner (c0 (1 - Lap))^{-1} with c0 the
@@ -88,7 +90,7 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000,
         rhs = res - res.mean()
         update = from_half_spectrum(
             half_spectrum(rhs, grid) / (c0 * one_minus_lap), grid)
-        a = a + safety * update
+        a = a + DAMPING * update
     err = NoConvergence(
         f"no steady state within {max_iter} iterations; best sup-residual "
         f"{best_norm:.3g} (tol {tol:.3g})")

@@ -74,7 +74,7 @@ def test_config_overrides_and_casts(tmp_path):
     path = write_config(tmp_path, "[flow]\nt_end = 1.0\n")
     cfg = RunConfig.load(path, overrides=["flow.t_end=2.5", "grid.dims=8 8 8 8"])
     assert cfg.get("flow", "t_end", cast=float) == 2.5
-    assert cfg.ints("grid", "dims") == (8, 8, 8, 8)
+    assert cfg.get("grid", "dims") == "8 8 8 8"
     with pytest.raises(ConfigError):
         RunConfig.load(path, overrides=["no-dot"])
     with pytest.raises(ConfigError):
@@ -290,6 +290,27 @@ dir = {out}
     ("flow", FLOW_INI + "[diagnostics]\nq1_weight = 10\n"),
     ("flow", FLOW_INI + "[diagnostics]\nmonitor_a = 10\n"),
     ("flow", FLOW_INI + "[diagnostics]\nmonitor_b = 100\n"),
+    # so are the step fraction and the soliton's unforced problem
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nsafety = 0.25")),
+    ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = 0.02\nsafety = 0.25")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nsafety = 0.5")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10",
+                                    "max_iter = 10\nmanufactured = yes")),
+    # a float setting must be finite, and a perturbation needs a band
+    ("flow", FLOW_INI.replace("eps = 0.05", "eps = nan")),
+    ("flow", FLOW_INI.replace("eps = 0.05", "eps = inf")),
+    ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nband = 0")),
+    ("flow", FLOW_INI.replace("dims = 8 8 8 8",
+                              "dims = 8 8 8 8\nlengths = 6.28 6.28 6.28 inf")),
+    ("flow", FLOW_INI.replace("kind = random_near_omega", "kind = product_u")
+     .replace("eps = 0.05", "amplitude = nan")),
+    ("counterexample", FLOW_INI.replace("seed = 3", "seed = 3\na0 = inf")),
+    ("reduced", HEAT_INI.replace("amplitude = 0.5", "amplitude = nan")),
+    ("soliton", SOLITON_INI.replace("max_iter = 10", "max_iter = 10\nv1 = nan")),
+    # a file configparser cannot read
+    ("flow", "dims = 8 8 8 8\n" + FLOW_INI),
+    ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nseed = 4")),
+    ("flow", FLOW_INI.replace("eps = 0.05", "eps = 5%")),
 ], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
         "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
@@ -298,7 +319,11 @@ dir = {out}
         "reduced-t-end-negative", "soliton-tol-negative", "soliton-safety-0",
         "soliton-safety-2", "soliton-max-iter-0", "flow-u-floor",
         "reduced-u-floor", "diagnostics-q1-weight", "diagnostics-monitor-a",
-        "diagnostics-monitor-b"])
+        "diagnostics-monitor-b", "flow-safety", "reduced-safety",
+        "soliton-safety", "soliton-manufactured", "eps-nan", "eps-inf",
+        "band-0", "lengths-inf", "product-amplitude-nan", "a0-inf",
+        "reduced-amplitude-nan", "soliton-v1-nan", "no-section-header",
+        "duplicate-key", "percent-in-value"])
 def test_bad_input_is_a_config_error(tmp_path, command, text):
     # a value the run cannot use ends in "config error: ..." and exit 1, as a
     # user sees it from the command line, never in a traceback
@@ -311,6 +336,14 @@ def test_bad_input_is_a_config_error(tmp_path, command, text):
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_override_with_a_percent_is_a_config_error(tmp_path, capsys):
+    # values are read as written: a % is no interpolation, and 5% no number
+    path = write_config(tmp_path, FLOW_INI.format(out=tmp_path / "out"))
+    assert cli.main(["flow", path, "--set", "flow.t_end=5%"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
 
 

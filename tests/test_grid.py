@@ -153,8 +153,9 @@ def test_grid_validation():
         PeriodicGrid((7,))  # odd
     with pytest.raises(ValueError):
         PeriodicGrid((4,))  # too small
-    with pytest.raises(ValueError):
-        PeriodicGrid((8,), (-1.0,))
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            PeriodicGrid((8,), (bad,))
     with pytest.raises(ValueError):
         PeriodicGrid((8, 8), (1.0,))
 

@@ -94,11 +94,11 @@ def test_cfl_dt_uses_model_diffusivity():
     u = ScalarField.constant(grid, 4.0)
     h = grid.spacings[0]
     # fast diffusion: coefficient 1/sqrt(u) = 1/2
-    dt = reduced_cfl_dt(ReducedState("fast_diffusion", (u,)), safety=0.5)
-    assert dt == pytest.approx(0.5 * h ** 2 / (2 * 1 * 0.5))
+    dt = reduced_cfl_dt(ReducedState("fast_diffusion", (u,)))
+    assert dt == pytest.approx(0.25 * h ** 2 / (2 * 1 * 0.5))
     # inverse diffusion: coefficient 1/u^2 = 1/16
-    dt = reduced_cfl_dt(ReducedState("inverse_diffusion", (u,)), safety=0.5)
-    assert dt == pytest.approx(0.5 * h ** 2 / (2 * 1 / 16.0))
+    dt = reduced_cfl_dt(ReducedState("inverse_diffusion", (u,)))
+    assert dt == pytest.approx(0.25 * h ** 2 / (2 * 1 / 16.0))
 
 
 def test_heat_march_matches_kernel():
@@ -207,15 +207,11 @@ def test_heat_march_steps_from_sample_to_sample(grid):
 def test_heat_has_no_step_bound():
     state = heat_state(PeriodicGrid((512,)))
     assert reduced_cfl_dt(state) == np.inf
-    with pytest.raises(ValueError):
-        reduced_cfl_dt(state, safety=0.0)
 
 
-@pytest.mark.parametrize("grid,pair", zip(HEAT_GRIDS, [("rfft", "irfft"),
-                                                         ("rfftn", "irfftn")]),
-                         ids=HEAT_IDS)
+@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
 def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
-        grid, pair, monkeypatch):
+        grid, monkeypatch):
     calls = {}
 
     def counting(name, fn):
@@ -230,7 +226,7 @@ def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
     lap = counting("laplacian_values", grid_module.laplacian_values)
     for mod in (grid_module, reduced):
         monkeypatch.setattr(mod, "laplacian_values", lap)
-    forward, inverse = pair
+    forward, inverse = "rfftn", "irfftn"
     # 200 steps with a record every 50: the start record reads the given
     # values, each of the 4 later ones rebuilds its state's values once
     traj, final, event = run_reduced(heat_state(grid), 200 * HEAT_DT,

@@ -27,6 +27,15 @@ def test_random_near_omega_properties(grid8):
     assert np.abs(other.comps - rho.comps).max() > 1e-3
 
 
+@pytest.mark.parametrize("eps,band", [(np.nan, 4), (np.inf, 4), (0.05, 0)],
+                         ids=["eps-nan", "eps-inf", "band-0"])
+def test_random_near_omega_rejects_a_non_finite_eps_or_an_empty_band(
+        grid8, eps, band):
+    # a NaN or infinite scale is halved forever, and band 0 leaves no mode
+    with pytest.raises(ValueError):
+        make_random_near_omega(grid8, eps, band=band)
+
+
 def test_random_near_omega_spectral_gap(grid8):
     # perturbations carry no |k|^2 <= 1 content, so the linearized flows
     # contract them at rate at least 2
