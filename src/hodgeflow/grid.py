@@ -12,9 +12,13 @@ matrix product with the dense spectral differentiation matrix of that axis
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
 arithmetic.  Longer axes use one rfft/irfft pair.  A Fourier multiplier over
 all grid axes goes forward with `half_spectrum` and back with
-`from_half_spectrum`; the Laplacian is one such round trip.  The linear
-models step exactly: `propagate` multiplies a carried half spectrum by
-e^{dt*symbol}, for the Laplacian's symbol or for that of -dd* (Nyquist zeroed).
+`from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
+(|k_a| <= band) take the pruned pair `band_spectrum`/`from_band_spectrum`
+(Markel, "FFT pruning", 1971): an rfft, then an fft per axis, each axis cut to
+its band before the next; back, the zeros go in before each ifft, then an
+irfft.  The linear models step exactly: `propagate` multiplies a carried half
+spectrum by e^{dt*symbol}, for the Laplacian's symbol or for that of -dd*
+(Nyquist zeroed).
 """
 
 from __future__ import annotations
@@ -216,6 +220,31 @@ def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     """The inverse of `half_spectrum`: real values on the grid."""
     return np.fft.irfftn(spec, s=grid.dims,
                          axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
+
+
+def _band_modes(dims: tuple, band: int) -> list:
+    """Per grid axis, the band cube's integer k (fft order, k >= 0 on the last)."""
+    ks = [np.fft.ifftshift(np.arange(-(n // 2), n - n // 2)) for n in dims[:-1]]
+    ks.append(np.arange(dims[-1] // 2 + 1))
+    return np.meshgrid(*(k[np.abs(k) <= band] for k in ks), indexing="ij", sparse=True)
+
+
+def band_spectrum(values: np.ndarray, grid: PeriodicGrid, band: int) -> np.ndarray:
+    """Forward transform over the trailing grid axes, pruned to |k_a| <= band."""
+    modes = _band_modes(grid.dims, band)
+    spec = np.fft.rfft(values)[..., :modes[-1].size]
+    for a in range(-2, -grid.rank - 1, -1):
+        spec = np.fft.fft(spec, axis=a).take(modes[a].ravel(), axis=a)
+    return spec
+
+
+def from_band_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """The inverse of `band_spectrum`: zeros put back and an ifft per axis."""
+    for a in range(-grid.rank, -1):
+        m = spec.shape[a]
+        spec = np.fft.ifft(np.insert(spec, [(m + 1) // 2] * (grid.dims[a] - m),
+                                     0, axis=a), axis=a)
+    return np.fft.irfft(spec, n=grid.dims[-1])
 
 
 class SpectralValues:

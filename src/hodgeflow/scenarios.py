@@ -1,8 +1,8 @@
 """Constructors for initial data and scripted experiments.
 
 Everything returned here is closed to machine precision (perturbations are
-built through the exterior derivative) and, except for the degeneracy
-counterexample run past its breakdown time, nondegenerate.
+exact: d of a potential, in Fourier space for the random data) and, except for
+the degeneracy counterexample run past its breakdown time, nondegenerate.
 """
 
 from __future__ import annotations
@@ -14,39 +14,33 @@ import numpy as np
 
 from . import calculus, forms, reduced
 from .calculus import OneForm
-from .forms import TwoForm
-from .grid import (PeriodicGrid, ScalarField, _ik_symbol, from_half_spectrum,
+from .forms import COMPONENT_PAIRS, TwoForm
+from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _ik_symbol,
+                   band_spectrum, from_band_spectrum, from_half_spectrum,
                    half_spectrum)
 
-TWO_PI = 2.0 * np.pi
 # Fewest points of the 1D grid on which the counterexample's profiles are built.
 MIN_N1D = 512
 
 
-def _band_limited_field(rng: np.random.Generator, grid: PeriodicGrid,
-                        band: int) -> np.ndarray:
-    """Seeded random real field with all wavenumbers <= band in magnitude.
+def _band_cube(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
+    """The `band_spectrum` of one standard normal draw, |k|^2 <= 1 zeroed too:
+    inside the spectral gap, so linearized flows damp it like e^{-2t} or faster."""
+    spec = band_spectrum(rng.standard_normal(grid.dims), grid, band)
+    return spec * (sum(k ** 2 for k in _band_modes(grid.dims, band)) > 1)
 
-    Modes with |k|^2 <= 1 are removed as well, so exact perturbations built
-    from these fields sit strictly inside the spectral gap and decay at least
-    like e^{-2t} under the linearized flows.
-    """
-    spec = np.fft.fftn(rng.standard_normal(grid.dims))
-    ksq = np.zeros(grid.dims)
-    for axis in range(grid.rank):
-        k = np.fft.fftfreq(grid.dims[axis], 1.0 / grid.dims[axis])
-        shape = [1] * grid.rank
-        shape[axis] = grid.dims[axis]
-        spec = spec * (np.abs(k) <= band).reshape(shape)
-        ksq = ksq + (k ** 2).reshape(shape)
-    spec = spec * (ksq > 1.0)
-    return np.fft.ifftn(spec).real
+
+def _band_limited_field(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
+    """Seeded random real field: one `_band_cube` sent through the inverse."""
+    return from_band_spectrum(_band_cube(rng, grid, band), grid)
 
 
 def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
                            seed: int = 0) -> TwoForm:
     """omega + d(zeta) for a seeded band-limited 1-form, scaled so the
-    perturbation has sup norm eps; re-scaled down if u would dip below 1/2."""
+    perturbation has sup norm eps; re-scaled down if u would dip below 1/2.
+    zeta is four `_band_cube`s; (d zeta)_ij = ik_i zeta_j - ik_j zeta_i, with
+    `grid`'s Nyquist-zeroed ik, is formed on them and synthesized at once."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
     if band < 1:
@@ -54,12 +48,14 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
     if eps == 0.0:
         return forms.omega(grid)
     rng = np.random.default_rng(seed)
-    zeta = OneForm(grid, np.stack([_band_limited_field(rng, grid, band)
-                                   for _ in range(4)]))
-    dzeta = calculus.d_one(zeta)
-    scale = eps / float(np.abs(dzeta.comps).max())
+    zeta = [_band_cube(rng, grid, band) for _ in range(4)]
+    ik = [np.sign(k) * _ik_symbol(n, L, 0)[np.abs(k)] for k, n, L
+          in zip(_band_modes(grid.dims, band), grid.dims, grid.lengths)]
+    dzeta = from_band_spectrum(np.stack([ik[i] * zeta[j] - ik[j] * zeta[i]
+                                         for i, j in COMPONENT_PAIRS]), grid)
+    scale = eps / float(np.abs(dzeta).max())
     while True:
-        rho = TwoForm(grid, forms.omega(grid).comps + scale * dzeta.comps)
+        rho = TwoForm(grid, forms.omega(grid).comps + scale * dzeta)
         if float(forms.volume_potential_values(rho).min()) > 0.5:
             return rho
         scale *= 0.5

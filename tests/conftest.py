@@ -28,6 +28,37 @@ def random_form(grid, eps=0.2, band=2, seed=0):
     return scenarios.make_random_near_omega(grid, eps, band=band, seed=seed)
 
 
+def band_limited_field_oracle(rng, grid, band):
+    """One standard normal draw through the full-grid complex `fftn`, masked
+    to |k_a| <= band on every axis and to |k|^2 > 1, and back through
+    `ifftn`: the composition `scenarios._band_limited_field` prunes."""
+    spec = np.fft.fftn(rng.standard_normal(grid.dims))
+    ksq = np.zeros(grid.dims)
+    for axis in range(grid.rank):
+        k = np.fft.fftfreq(grid.dims[axis], 1.0 / grid.dims[axis])
+        shape = [1] * grid.rank
+        shape[axis] = grid.dims[axis]
+        spec = spec * (np.abs(k) <= band).reshape(shape)
+        ksq = ksq + (k ** 2).reshape(shape)
+    return np.fft.ifftn(spec * (ksq > 1.0)).real
+
+
+def random_near_omega_oracle(grid, eps, band, seed):
+    """omega + d(zeta) with zeta's four components from
+    `band_limited_field_oracle` and d from `calculus.d_one` on the grid
+    values, scaled and halved as `scenarios.make_random_near_omega` does."""
+    rng = np.random.default_rng(seed)
+    zeta = calculus.OneForm(grid, np.stack(
+        [band_limited_field_oracle(rng, grid, band) for _ in range(4)]))
+    dzeta = calculus.d_one(zeta).comps
+    scale = eps / float(np.abs(dzeta).max())
+    while True:
+        rho = TwoForm(grid, forms.omega(grid).comps + scale * dzeta)
+        if float(forms.volume_potential_values(rho).min()) > 0.5:
+            return rho
+        scale *= 0.5
+
+
 def component(rho, i, j):
     """Entry rho_ij with antisymmetry applied for i > j."""
     if i == j:

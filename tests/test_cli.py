@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import json
 import os
@@ -618,6 +619,83 @@ def test_main_usage_errors_are_config_errors(tmp_path):
     assert cli.main([]) == cli.EXIT_CONFIG
     assert cli.main(["flow", path, "--bogus"]) == cli.EXIT_CONFIG
     assert cli.main(["poincare", "--probes", "many"]) == cli.EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# README.md as an executable contract
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    """The bodies of README.md's fenced code blocks whose fence names `lang`."""
+    return [body for name, body in re.findall(r"^```(\w*)\n(.*?)^```",
+                                              README.read_text(), re.M | re.S)
+            if name == lang]
+
+
+def readme_usage_argvs():
+    """(line, argv) for each `hodgeflow ...` line in README.md's plain code
+    blocks, with every optional group filled in: a `{a,b}` choice gives one
+    argv per alternative, and a metavar in capitals the value 8."""
+    usages = []
+    for block in readme_blocks(""):
+        for line in block.splitlines():
+            if line.startswith("hodgeflow "):
+                words = re.sub(r"[][]|\.\.\.", " ", line.partition("#")[0])
+                argvs = [[]]
+                for word in words.split()[1:]:
+                    alts = (word[1:-1].split(",") if word.startswith("{")
+                            else ["8" if word.isupper() else word])
+                    argvs = [argv + [alt] for argv in argvs for alt in alts]
+                usages += [(line, argv) for argv in argvs]
+    return usages
+
+
+def cli_parser(monkeypatch):
+    """The parser that `cli.main` builds, caught at its parse_args call."""
+    caught = []
+
+    def catch(parser, args=None, namespace=None):
+        caught.append(parser)
+        sys.exit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", catch)
+    assert cli.main([]) == cli.EXIT_OK
+    monkeypatch.undo()
+    return caught[0]
+
+
+def test_every_readme_usage_line_parses_and_shows_every_option(monkeypatch):
+    parser = cli_parser(monkeypatch)
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    usages = readme_usage_argvs()
+    assert {argv[0] for _, argv in usages} == set(commands)
+    for line, argv in usages:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line}")
+        hidden = [action.option_strings[0] for action in commands[argv[0]]._actions
+                  if action.option_strings
+                  and not isinstance(action, argparse._HelpAction)
+                  and not set(action.option_strings) & set(argv)]
+        assert not hidden, f"{line}: options not shown: {hidden}"
+
+
+def test_every_readme_config_runs(tmp_path):
+    # each ini block runs as written, but for a short t_end and a temporary
+    # output directory
+    blocks = readme_blocks("ini")
+    assert blocks
+    for n, text in enumerate(blocks):
+        command = next(c for c in ("reduced", "flow") if f"[{c}]" in text)
+        out = tmp_path / f"out{n}"
+        args = [command, write_config(tmp_path, text, f"readme{n}.ini"),
+                "--set", f"{command}.t_end=0.01", "--set", f"output.dir={out}"]
+        assert cli.main(args) == cli.EXIT_OK, text
+        assert (out / "series.csv").is_file()
 
 
 # ---------------------------------------------------------------------------

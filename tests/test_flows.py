@@ -296,12 +296,9 @@ FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
                     "hfft", "ihfft")
 
 
-def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
-    # on 8^4 every axis is short (<= DENSE_MAX), so each derivative is one
-    # product with the cached differentiation matrix and neither flow_rhs nor
-    # make_record runs a transform; the derivative budget is 8 deriv_values
-    # calls per flow_rhs (one per axis for d*, one for d) and 4 per record
-    # (one gradient bundle)
+def count_transform_calls(monkeypatch) -> dict:
+    """A dict that counts, by name, the calls to each numpy.fft entry point
+    and to deriv_values from here on."""
     calls = {}
 
     def counting(name, fn):
@@ -317,6 +314,16 @@ def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
     for mod in [m for n, m in sys.modules.items() if n.startswith("hodgeflow")]:
         if getattr(mod, "deriv_values", None) is original:
             monkeypatch.setattr(mod, "deriv_values", deriv)
+    return calls
+
+
+def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
+    # on 8^4 every axis is short (<= DENSE_MAX), so each derivative is one
+    # product with the cached differentiation matrix and neither flow_rhs nor
+    # make_record runs a transform; the derivative budget is 8 deriv_values
+    # calls per flow_rhs (one per axis for d*, one for d) and 4 per record
+    # (one gradient bundle)
+    calls = count_transform_calls(monkeypatch)
     rho = random_form(grid8, 0.05, band=3, seed=9)
     ref = calculus.periods(rho)
     flow_rhs(rho, forms.CONFORMAL)  # builds the cached matrix if it is cold
@@ -328,6 +335,18 @@ def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
     calls.clear()
     make_record(rho, 0.0, 0.0, ref)
     assert calls == {"deriv_values": 4}, calls
+
+
+@pytest.mark.parametrize("dims", [(8,) * 4, (16, 8, 12, 10)])
+def test_random_near_omega_transform_budget(dims, monkeypatch):
+    # the data are built on the band cube: per draw one rfft and one fft per
+    # other axis, each cut to the band, then d as ik products on the cube and
+    # one pruned inverse of all six components (an ifft per axis but the
+    # last, one irfft).  No n-dimensional transform and no derivative pass
+    # runs on the grid
+    calls = count_transform_calls(monkeypatch)
+    random_form(PeriodicGrid(dims), 0.05, band=3, seed=9)
+    assert calls == {"rfft": 4, "fft": 12, "ifft": 3, "irfft": 1}, calls
 
 
 def rk4_textbook(y, f, dt):

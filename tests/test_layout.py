@@ -153,3 +153,26 @@ def test_no_module_imports_a_name_it_never_reads():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "imported and never read: " + ", ".join(unused)
+
+
+def _fft_reads(path: Path) -> list:
+    """Lines of `path` that read numpy's or scipy's fft module: an `.fft`
+    attribute, or an import of or from a `fft` module."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                or isinstance(node, ast.ImportFrom)
+                and ((node.module or "").split(".")[-1] == "fft"
+                     or any(a.name == "fft" for a in node.names))
+                or isinstance(node, ast.Import)
+                and any(a.name.split(".")[-1] == "fft" for a in node.names)):
+            lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_grid_reads_the_fft_module():
+    # transforms and wavenumber tables come from `grid`, so that every
+    # spectral convention (Nyquist handling, layout, pruning) lives there
+    reads = [entry for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "grid" for entry in _fft_reads(path)]
+    assert not reads, "np.fft read outside grid: " + ", ".join(reads)

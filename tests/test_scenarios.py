@@ -9,10 +9,11 @@ from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profiles
                                  isotopy_min_u, isotopy_path,
                                  make_example_counterexample,
                                  make_random_near_omega, _antiderivative_1d,
-                                 _sample_f0, _sample_h0)
+                                 _band_limited_field, _sample_f0, _sample_h0)
 
-from conftest import (counterexample_profile_oracle, counterexample_series,
-                      min_u_direct)
+from conftest import (band_limited_field_oracle, counterexample_profile_oracle,
+                      counterexample_series, min_u_direct,
+                      random_near_omega_oracle)
 
 
 def test_random_near_omega_properties(grid8):
@@ -25,6 +26,28 @@ def test_random_near_omega_properties(grid8):
     assert np.abs(again.comps - rho.comps).max() == 0.0  # deterministic
     other = make_random_near_omega(grid8, 0.1, band=3, seed=5)
     assert np.abs(other.comps - rho.comps).max() > 1e-3
+
+
+@pytest.mark.parametrize("dims,lengths,band,eps", [
+    ((8,) * 4, (), 4, 0.05),
+    ((16,) * 4, (), 1, 0.05),
+    ((16,) * 4, (), 3, 3.0),
+    ((8, 12, 8, 10), (1.0, 2.0, 3.0, 4.0), 5, 0.05),
+], ids=["8-band4-nyquist", "16-band1", "16-band3-halved", "8x12x8x10-lengths"])
+def test_random_near_omega_matches_the_full_grid_oracle(dims, lengths, band, eps):
+    # the pruned build against full-grid fftn/ifftn and a d_one pass on the
+    # values; at 8^4 with band 4 (and on the 8- and 10-point axes with band
+    # 5) each axis's Nyquist row falls inside the band, and eps 3 makes
+    # make_random_near_omega halve its scale
+    grid = PeriodicGrid(dims, lengths)
+    rho = make_random_near_omega(grid, eps, band=band, seed=42)
+    want = random_near_omega_oracle(grid, eps, band, 42)
+    assert np.abs(rho.comps - want.comps).max() <= 1e-14
+    again = make_random_near_omega(grid, eps, band=band, seed=42)
+    assert again.comps.tobytes() == rho.comps.tobytes()
+    field = _band_limited_field(np.random.default_rng(7), grid, band)
+    ref = band_limited_field_oracle(np.random.default_rng(7), grid, band)
+    assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("eps,band", [(np.nan, 4), (np.inf, 4), (0.05, 0)],
