@@ -62,20 +62,26 @@ _D_TWO_TERMS = tuple(tuple((PAIR_INDEX[tuple(b for b in range(4) if b not in (a,
                      for a in range(4))
 
 
-def add_axis_terms(out: np.ndarray, axis_terms, Da) -> None:
-    """out[target] += or -= Da[source] over one axis's terms, Da[s] = d_a comps[s]."""
+def add_axis_terms(out: np.ndarray, axis_terms, Da, filled=None) -> None:
+    """out[target] += or -= Da[source] over one axis's terms, Da[s] = d_a comps[s];
+    a target not yet in a given set `filled` is assigned instead, and joins it."""
     for s, t, plus in axis_terms:
-        (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
+        if filled is None or t in filled:
+            (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
+        else:
+            (np.positive if plus else np.negative)(Da[s], out=out[t])
+            filled.add(t)
 
 
-def _axis_sums(out: np.ndarray, terms, comps: np.ndarray,
+def _axis_sums(count: int, terms, comps: np.ndarray,
                grid: PeriodicGrid) -> np.ndarray:
-    """add_axis_terms over every axis a, with one deriv_values call per axis
-    on that axis's sources."""
+    """add_axis_terms over every axis a into a new (count, *dims) array, with
+    one deriv_values call per axis on that axis's sources."""
+    out, filled = np.empty((count,) + grid.dims), set()
     for a, axis_terms in enumerate(terms):
         src = [s for s, _, _ in axis_terms]
         add_axis_terms(out, axis_terms,
-                       dict(zip(src, deriv_values(comps, grid, a, src))))
+                       dict(zip(src, deriv_values(comps, grid, a, src))), filled)
     return out
 
 
@@ -83,7 +89,7 @@ def d_one(zeta: OneForm) -> TwoForm:
     """Exterior derivative of a 1-form."""
     check_finite(zeta.comps, "d_one input")
     grid = zeta.grid
-    out = _axis_sums(np.zeros((6,) + grid.dims), _D_ONE_TERMS, zeta.comps, grid)
+    out = _axis_sums(6, _D_ONE_TERMS, zeta.comps, grid)
     check_finite(out, "d_one output")
     return TwoForm(grid, out)
 
@@ -92,7 +98,7 @@ def d_two(rho: TwoForm) -> ThreeForm:
     """Exterior derivative of a 2-form, stored by omitted axis."""
     check_finite(rho.comps, "d_two input")
     grid = rho.grid
-    out = _axis_sums(np.zeros((4,) + grid.dims), _D_TWO_TERMS, rho.comps, grid)
+    out = _axis_sums(4, _D_TWO_TERMS, rho.comps, grid)
     check_finite(out, "d_two output")
     return ThreeForm(grid, out)
 
@@ -100,8 +106,7 @@ def d_two(rho: TwoForm) -> ThreeForm:
 def codiff_two(rho: TwoForm) -> OneForm:
     """Formal adjoint of d on 2-forms: (d* rho)_k = sum_l d_l rho_kl."""
     check_finite(rho.comps, "codiff_two input")
-    out = _axis_sums(np.zeros((4,) + rho.grid.dims), _CODIFF_TERMS, rho.comps,
-                     rho.grid)
+    out = _axis_sums(4, _CODIFF_TERMS, rho.comps, rho.grid)
     check_finite(out, "codiff_two output")
     return OneForm(rho.grid, out)
 

@@ -29,9 +29,9 @@ _TINY = 1e-300
 Q1_WEIGHT, MONITOR_A, MONITOR_B = 10.0, 10.0, 100.0
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dot(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Pointwise inner product over the leading (component) axis."""
-    return np.einsum("c...,c...->...", x, y)
+    return np.einsum("c...,c...->...", x, y, out=out)
 
 
 @dataclass
@@ -59,11 +59,6 @@ CSV_COLUMNS = tuple(f.name for f in dataclass_fields(TrajectoryRecord))
 
 # ---------------------------------------------------------------------------
 # energies and scalar diagnostics
-
-
-def energy(rho: TwoForm) -> float:
-    """Hodge energy: integral of |rho|^2."""
-    return integrate(forms.norm_sq(rho))
 
 
 def _require_class_omega(rho: TwoForm, tol: float = 1e-8) -> None:
@@ -110,26 +105,25 @@ def decay_rate_fit(series) -> tuple:
     return -float(slope), r_squared
 
 
-def _derivative_fields(rho: TwoForm):
-    """(d* rho, d rho, grad u, |grad rho|^2) as arrays, streamed over the axes:
-    each D_a = d_a rho comes from one deriv_values call and is folded into all
-    four before the next, so no (4, 6, *dims) gradient bundle is held.
-    u_a = <*rho, D_a> reads *rho by index and sign."""
+def _derivative_fields(rho: TwoForm, xi: np.ndarray):
+    """(d rho, grad u, |grad rho|^2) as arrays, and d* rho written into `xi`,
+    streamed over the axes: each D_a = d_a rho comes from one deriv_values
+    call and is folded into all four before the next, so no (4, 6, *dims)
+    gradient bundle is held.  With D_a's components 1 and 4 negated, u_a =
+    <*rho, D_a> is one contraction with the view rho.comps[::-1]."""
     grid, c = rho.grid, rho.comps
-    xi = np.zeros((4,) + grid.dims)
-    drho = np.zeros((4,) + grid.dims)
-    grad_u = np.zeros((4,) + grid.dims)
+    drho, grad_u = np.empty((2, 4) + grid.dims)
     grad_sq = np.zeros(grid.dims)
-    term = np.empty(grid.dims)
+    xi_filled, drho_filled = set(), set()
     for a in range(4):
         Da = deriv_values(c, grid, a)
-        calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da)
-        calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da)
-        for n, (src, plus) in enumerate(forms.STAR_TERMS):
-            np.multiply(c[src], Da[n], out=term)
-            (np.add if plus else np.subtract)(grad_u[a], term, out=grad_u[a])
-            grad_sq += np.multiply(Da[n], Da[n], out=term)
-    return xi, drho, grad_u, grad_sq
+        calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da, xi_filled)
+        calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da, drho_filled)
+        np.negative(Da[1::3], out=Da[1::3])
+        _dot(c[::-1], Da, out=grad_u[a])
+        grad_sq += _dot(Da, Da)
+        del Da  # not held while the next one is taken: a form less at peak
+    return drho, grad_u, grad_sq
 
 
 def poincare_ratio(rho: TwoForm) -> float:
@@ -152,34 +146,37 @@ def sobolev_poincare_ratio(rho: TwoForm) -> float:
     return num / den
 
 
-def make_record(rho: TwoForm, t: float, dt: float,
-                ref_periods: np.ndarray) -> TrajectoryRecord:
-    """One diagnostics row; every derivative comes from one pass over the axes."""
+def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
+                u: np.ndarray = None, xi_out: np.ndarray = None) -> TrajectoryRecord:
+    """One diagnostics row; every derivative comes from one pass over the
+    axes.  `u` is the volume potential of rho, if at hand; a given `xi_out`
+    (4, *dims) receives d* rho, which the pass folds anyway."""
     check_finite(rho.comps, "make_record input")
-    xi, drho, grad_u, grad_sq = _derivative_fields(rho)
+    xi = np.empty((4,) + rho.grid.dims) if xi_out is None else xi_out
+    drho, grad_u, grad_sq = _derivative_fields(rho, xi)
     d_rho_residual = float(np.abs(drho).max())
-    u = forms.volume_potential_values(rho)
+    u = forms.volume_potential_values(rho) if u is None else u
+    rho_sq = forms.norm_sq_values(rho)
     try:
         e0 = normalized_energy(rho)
         q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + Q1_WEIGHT * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
+    grad_u_sq = _dot(grad_u, grad_u)
     try:  # sup |grad u| / u
         forms.require_above_floor(u)
-        sup_grad_log_u = float(
-            (np.sqrt(np.einsum("j...,j...->...", grad_u, grad_u)) / u).max())
+        sup_grad_log_u = float((np.sqrt(grad_u_sq) / u).max())
     except DegenerateForm:
         sup_grad_log_u = float("nan")
     # Shi's monitor f >= 1
-    f_max = float((grad_sq
-                   + MONITOR_A * np.einsum("j...,j...->...", grad_u, grad_u)
-                   + MONITOR_B * forms.norm_sq_values(rho) + 1.0).max())
+    f_max = float((grad_sq + MONITOR_A * grad_u_sq + MONITOR_B * rho_sq
+                   + 1.0).max())
     lam1, lam2 = forms.eigenvalue_values(rho)
     per = calculus.periods(rho)
     drift = float(np.abs(per - ref_periods).max()
                   / max(1.0, float(np.abs(ref_periods).max())))
     return TrajectoryRecord(
-        t=t, dt=dt, E=energy(rho), E0=e0,
+        t=t, dt=dt, E=integrate(ScalarField(rho.grid, rho_sq)), E0=e0,
         minU=float(u.min()), maxU=float(u.max()), meanU=float(u.mean()),
         minLambda2=float(lam2.min()), maxLambda1=float(lam1.max()),
         supGradLogU=sup_grad_log_u, Q1=q1, fMax=f_max,

@@ -11,6 +11,11 @@ multiplies the carried half spectrum by e^{dt * symbol}.  The step is kept
 to `cfl_dt`, so that the floor check cannot step over a dip of u; `march`
 clips it to the sample times, and bisects the time at which u reaches the
 floor.
+
+An RK4 state keeps the `u` of the floor check that accepted it, for its
+record, `cfl_dt` and its step, whose first stage reads it and whose end
+writes the next state's u over it, and the `xi` = d* rho its record folds,
+which that first stage takes off it and drops.  A LINEAR state keeps neither.
 """
 
 from __future__ import annotations
@@ -32,15 +37,17 @@ CFL_SAFETY = 0.25
 
 
 class FlowState(SpectralValues):
-    """The 2-form at time t, built from `rho` or from `grid` and the half
-    spectrum of its six components (see `grid.SpectralValues`)."""
+    """The 2-form at time t (from `rho`, or `grid` and the half spectrum of
+    its six components: `grid.SpectralValues`), with the `u` and `xi` above."""
 
     def __init__(self, rho: Optional[TwoForm] = None, t: float = 0.0,
                  step: int = 0, dt: float = 0.0, *, grid=None,
-                 spectrum: Optional[np.ndarray] = None):
+                 spectrum: Optional[np.ndarray] = None,
+                 u: Optional[np.ndarray] = None):
         super().__init__(grid if rho is None else rho.grid,
                          None if rho is None else rho.comps, spectrum)
         self.t, self.step, self.dt = t, step, dt
+        self.u, self.xi = u, None
 
     @property
     def rho(self) -> TwoForm:
@@ -69,25 +76,31 @@ def _check_u(rho: TwoForm) -> np.ndarray:
     return u
 
 
-def flow_rhs(rho: TwoForm, scheme: FlowScheme,
-             u: Optional[np.ndarray] = None) -> TwoForm:
-    """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy.  `u` is
-    the volume potential of rho, if at hand."""
-    sigma = forms.weight_apply(rho, scheme, calculus.codiff_two(rho).comps, u)
+def flow_rhs(rho: TwoForm, scheme: FlowScheme, u: Optional[np.ndarray] = None,
+             xi: Optional[np.ndarray] = None) -> TwoForm:
+    """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy.  `u`
+    and `xi` are the volume potential and d* rho of rho, if at hand."""
+    # d* rho goes to the weight unbound: it is not held through d_one
+    sigma = forms.weight_apply(
+        rho, scheme, calculus.codiff_two(rho).comps if xi is None else xi, u)
     np.negative(sigma, out=sigma)
     return calculus.d_one(calculus.OneForm(rho.grid, sigma))
 
 
 def parabolic_dt(grid, radius: float) -> float:
     """The explicit step of every march: CFL_SAFETY * h_min^2 / (2 * rank *
-    radius), for `radius` the largest diffusion coefficient."""
+    radius), for `radius` the largest diffusion coefficient.  Raises
+    NumericalBlowup when `radius` is not finite: the weight overflowed."""
+    if not np.isfinite(radius):
+        raise NumericalBlowup(f"diffusion coefficient {radius} in the step bound")
     return CFL_SAFETY * min(grid.spacings) ** 2 / (2.0 * grid.rank * radius)
 
 
-def cfl_dt(rho: TwoForm, scheme: FlowScheme) -> float:
-    """`parabolic_dt` for the largest spectral radius of the weight h."""
-    return parabolic_dt(rho.grid,
-                        float(forms.weight_spectral_radius(rho, scheme).max()))
+def cfl_dt(rho: TwoForm, scheme: FlowScheme,
+           u: Optional[np.ndarray] = None) -> float:
+    """`parabolic_dt` for h's largest spectral radius; `u` as in `flow_rhs`."""
+    return parabolic_dt(
+        rho.grid, float(forms.weight_spectral_radius(rho, scheme, u).max()))
 
 
 def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
@@ -128,11 +141,13 @@ def march(state, step, cfl, t_end: float, sample_every: float, record,
     marks a step that is exact for any dt: it goes to the next sample time or
     t_end, unless `cfl` (inf where nothing is checked) or `fixed_dt` bounds
     it first, and one that meets the floor is bisected (`_last_above_floor`).
-    A given `stats` dict receives `wall_s`, the loop's perf_counter time, and
-    `dt_min` and `dt_max` over the accepted steps (None when none was).
+    A given `stats` dict receives `rhs_evals`, counted by `step`, `wall_s`, the
+    loop's time, and `dt_min` and `dt_max` of the accepted steps (or None).
     """
     if not sample_every > 0:
         raise ValueError("sample_every must be positive")  # else it never ends
+    if stats is not None:
+        stats["rhs_evals"] = 0
     started = time.perf_counter()
     trajectory = [record(state)]
     next_sample = sample_every
@@ -199,17 +214,27 @@ def step_linear(state: FlowState, dt: float) -> FlowState:
     return new
 
 
-def step_rk4(state: FlowState, dt: float, scheme: FlowScheme) -> FlowState:
-    """One RK4 step of the flow; every stage re-checks u > floor."""
+def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
+             stats: Optional[dict] = None) -> FlowState:
+    """One RK4 step of the flow; every stage checks u > floor, the first by
+    taking the state's `u`, which the new state's u then overwrites, and its
+    `xi`.  A given `stats` counts the right-hand sides in `rhs_evals`."""
     grid = state.rho.grid
+    u = _check_u(state.rho) if state.u is None else state.u
+    # the first stage pops both, so that xi is not held through the others
+    handed = [state.xi, u]
+    state.u = state.xi = None
 
     def stage(comps: np.ndarray) -> np.ndarray:
         r = TwoForm(grid, comps)
-        return flow_rhs(r, scheme, _check_u(r)).comps
+        u_r = handed.pop() if handed else _check_u(r)
+        if stats is not None:
+            stats["rhs_evals"] += 1
+        return flow_rhs(r, scheme, u_r, handed.pop() if handed else None).comps
 
     new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
-    _check_u(new)
-    return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt)
+    u[...] = _check_u(new)  # in place: a new array per step fragmented the heap
+    return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt, u=u)
 
 
 def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
@@ -225,21 +250,23 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
     closedness = calculus.max_abs_three(calculus.d_two(initial))
     if closedness > 1e-8:
         raise ValueError(f"initial form is not closed: max |d rho| = {closedness:.3g}")
-    _check_u(initial)
+    u = _check_u(initial)
     ref_periods = calculus.periods(initial)
-
-    def record(st: FlowState) -> diagnostics.TrajectoryRecord:
-        return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods)
-
     # a LINEAR step is exact at any dt, but u only dips for a while under
     # it: the step is still bounded by cfl_dt, so the floor check sees u as
     # often as on the RK4 path, and a dip between samples is not stepped over
     exact = scheme.kind == "linear"
+
+    def record(st: FlowState) -> diagnostics.TrajectoryRecord:
+        st.xi = None if exact else np.empty((4,) + st.grid.dims)
+        return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods, st.u,
+                                       st.xi)
+
     return march(
-        FlowState(rho=initial.copy()),
+        FlowState(rho=initial.copy(), u=None if exact else u),
         lambda st, dt: (step_linear(st, dt) if exact
-                        else step_rk4(st, dt, scheme)),
-        lambda st: cfl_dt(st.rho, scheme),
+                        else step_rk4(st, dt, scheme, stats)),
+        lambda st: cfl_dt(st.rho, scheme, st.u),
         t_end, sample_every, record,
         lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats,
         exact)

@@ -92,8 +92,8 @@ class FlowScheme:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "power_u":
-            if self.r is None or self.r <= 0:
-                raise ValueError("power_u scheme needs an exponent r > 0")
+            if self.r is None or not 0 < self.r < np.inf:
+                raise ValueError("power_u scheme needs a finite exponent r > 0")
         elif self.r is not None:
             raise ValueError(f"scheme {self.kind!r} takes no exponent")
 
@@ -311,15 +311,17 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     return out
 
 
-def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme) -> np.ndarray:
-    """Pointwise largest eigenvalue of h, from the closed-form spectrum.
+def weight_spectral_radius(rho: TwoForm, scheme: FlowScheme,
+                           u: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pointwise largest eigenvalue of h, from the closed-form spectrum; `u`
+    is the volume potential of rho, if at hand.
 
     a and b both have eigenvalues {lambda1^2, lambda2^2} (doubled), so every
     scheme's h has a spectrum expressible in lambda1, lambda2, u.
     """
     if scheme.is_scalar:
-        return scalar_weight_values(rho, scheme)
-    u = volume_potential_values(rho)
+        return scalar_weight_values(rho, scheme, u)
+    u = volume_potential_values(rho) if u is None else u
     require_above_floor(u, f"u in the {scheme.kind} weight")
     lam1, _ = eigenvalue_values(rho)
     if scheme.kind in ("matrix_a1", "matrix_b1"):

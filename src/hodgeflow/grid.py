@@ -24,6 +24,7 @@ spectrum by e^{dt*symbol}, for the Laplacian's symbol or for that of -dd*
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,7 +195,7 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
         for out, c in zip(lines, components):
             np.subtract(values[c], values[c][first[1:]], out=out)
     D = _diff_matrix(n, length)
-    trail = int(np.prod(lines.shape[arr_axis + 1:]))
+    trail = math.prod(lines.shape[arr_axis + 1:])
     if trail == 1:
         return (lines.reshape(-1, n) @ D.T).reshape(lines.shape)
     return np.matmul(D, lines.reshape(-1, n, trail)).reshape(lines.shape)

@@ -134,8 +134,10 @@ def _record(state: ReducedState) -> ReducedRecord:
                          minU=float(vals.min()), maxU=float(vals.max()))
 
 
-def step_rk4_reduced(state: ReducedState, dt: float) -> ReducedState:
+def step_rk4_reduced(state: ReducedState, dt: float,
+                     stats: Optional[dict] = None) -> ReducedState:
     """One RK4 step of the model on its stacked fields; re-checks positivity.
+    A given `stats` counts the right-hand sides in `rhs_evals`.
 
     Heat takes the exact step instead: the half spectrum times e^{dt*lambda},
     lambda = -|k|^2, checked by `propagate`; the new state's values are left
@@ -146,7 +148,12 @@ def step_rk4_reduced(state: ReducedState, dt: float) -> ReducedState:
         spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
         return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
                             grid=grid, spectrum=spec)
-    y = rk4(state.values, lambda v: rhs_values(state.model, v, grid), dt)
+
+    def stage(v: np.ndarray) -> np.ndarray:
+        if stats is not None:
+            stats["rhs_evals"] += 1
+        return rhs_values(state.model, v, grid)
+    y = rk4(state.values, stage, dt)
     new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
                        t=state.t + dt, step=state.step + 1, dt=dt)
     forms.require_above_floor(_positivity_field(new))
@@ -160,7 +167,8 @@ def run_reduced(state: ReducedState, t_end: float,
     fills `stats` as `march` does."""
     if sample_every is None:
         sample_every = max(t_end / 20.0, 1e-12)
-    return march(state, step_rk4_reduced, reduced_cfl_dt, t_end, sample_every,
+    return march(state, lambda st, dt: step_rk4_reduced(st, dt, stats),
+                 reduced_cfl_dt, t_end, sample_every,
                  _record, _positivity_field, fixed_dt, stats,
                  state.model == "heat")
 

@@ -89,6 +89,11 @@ def sd_asd_split(rho):
 # The record quantities, each from its definition and the full (4, 6, *dims)
 # gradient bundle, not from the one streamed pass that make_record makes.
 
+def energy(rho):
+    """Hodge energy: integral of |rho|^2."""
+    return integrate(forms.norm_sq(rho))
+
+
 def grad_u(rho):
     """grad u by the product rule on u = rho_12 rho_34 - rho_13 rho_24
     + rho_14 rho_23, with d_j rho from the full gradient bundle."""

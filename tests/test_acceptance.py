@@ -14,6 +14,9 @@ from hodgeflow import calculus, cli, diagnostics, flows, forms, reduced, scenari
 from hodgeflow.cli import _identity_probe
 from hodgeflow.grid import PeriodicGrid, ScalarField, deriv_values, integrate
 
+# the acceptance runs take most of the suite's time: `-m "not slow"` skips them
+pytestmark = pytest.mark.slow
+
 GRID16 = PeriodicGrid((16,) * 4)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hodgeflow import cli, diagnostics, forms, reduced
+from hodgeflow import cli, diagnostics, flows, forms, reduced
 from hodgeflow.cli import (ConfigError, RunConfig, snapshot_read, snapshot_write,
                            write_series)
 from hodgeflow.errors import FormatError
@@ -263,6 +263,8 @@ dir = {out}
 @pytest.mark.parametrize("command,text", [
     ("flow", FLOW_INI.replace("scheme = conformal", "scheme = nope")),
     ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:abc")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:nan")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:inf")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 7")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8 x 8")),
@@ -312,7 +314,8 @@ dir = {out}
     ("flow", "dims = 8 8 8 8\n" + FLOW_INI),
     ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nseed = 4")),
     ("flow", FLOW_INI.replace("eps = 0.05", "eps = 5%")),
-], ids=["scheme-nope", "scheme-power-abc", "grid-dims-7", "grid-rank-2",
+], ids=["scheme-nope", "scheme-power-abc", "scheme-power-nan",
+        "scheme-power-inf", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
         "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
         "a0-not-float", "flow-safety-2", "flow-t-end-negative",
@@ -394,7 +397,7 @@ def test_main_reduced_writes_summary(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary.pop("wall_s") > 0.0
     assert summary == {"samples": 5, "final_t": pytest.approx(0.02),
-                       "steps": 4, "event": None,
+                       "steps": 4, "event": None, "rhs_evals": 0,
                        "dt_min": pytest.approx(0.005), "dt_max": pytest.approx(0.005)}
 
 
@@ -412,6 +415,43 @@ def test_main_flow_summary_reports_wall_time_and_dt_range(tmp_path):
     dts = [float(row.split(",")[1]) for row in rows]
     assert min(dts) == summary["dt_min"] and max(dts) == summary["dt_max"]
     assert "wall_s" not in (out / "series.csv").read_text()
+
+
+def test_summary_counts_the_right_hand_sides(tmp_path, monkeypatch):
+    # four per RK4 step, each one flow_rhs call; the exact LINEAR step
+    # evaluates none (nor does the heat model's, above)
+    calls = []
+    rhs = flows.flow_rhs
+    monkeypatch.setattr(flows, "flow_rhs",
+                        lambda *args, **kw: calls.append(1) or rhs(*args, **kw))
+    for scheme, evals in (("conformal", lambda steps: 4 * steps),
+                          ("linear", lambda steps: 0)):
+        out = tmp_path / scheme
+        path = write_config(tmp_path, FLOW_INI.format(out=out)
+                            .replace("conformal", scheme), f"{scheme}.ini")
+        calls.clear()
+        assert cli.main(["flow", path]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] >= 3
+        assert summary["rhs_evals"] == evals(summary["steps"]) == len(calls)
+
+
+def test_overflowing_weight_is_a_blowup_event(tmp_path):
+    # u^-r overflows where u < 1: the step bound is then no number, and the
+    # run ends in a blowup event at t = 0 with its summary, not in a traceback
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
+    path = write_config(tmp_path, FLOW_INI.format(out=out).replace(
+        "scheme = conformal", "scheme = power_u:1e300"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgeflow.cli", "flow", path],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_BLOWUP, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["event"]["cause"] == "blowup" and summary["event"]["t"] == 0.0
+    assert summary["steps"] == 0
 
 
 def test_summary_final_t_is_the_event_time_before_the_first_sample(tmp_path):

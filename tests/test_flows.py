@@ -337,6 +337,62 @@ def test_fft_budget_per_rhs_and_record(grid8, monkeypatch):
     assert calls == {"deriv_values": 4}, calls
 
 
+def test_record_hands_u_and_xi_to_the_next_step(grid8, monkeypatch):
+    # a record after each of N steps: the first stage of each step takes the
+    # d* rho its record folded (4 deriv_values calls fewer per step) and,
+    # like the record and cfl_dt, the u of the floor check that accepted the
+    # state; without the handover a run made 36N + 8 deriv_values and
+    # 7N + 2 u calls
+    rho = random_form(grid8, 0.05, band=3, seed=9)
+    run_flow(rho, forms.CONFORMAL, 0.001, 0.001)  # warm the caches
+    calls = count_transform_calls(monkeypatch)
+    for module, name in ((forms, "volume_potential_values"), (flows, "flow_rhs")):
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    stats = {}
+    trajectory, final, event = run_flow(rho, forms.CONFORMAL, 0.05, 1e-4,
+                                        stats=stats)
+    n = final.step
+    assert event is None and n >= 2 and len(trajectory) == n + 1
+    assert calls["deriv_values"] == 32 * n + 8, calls
+    assert calls["volume_potential_values"] <= 4 * n + 4, calls
+    assert calls["flow_rhs"] == 4 * n == stats["rhs_evals"], (calls, stats)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("scheme", [forms.CONFORMAL, forms.MATRIX_B2,
+                                    forms.NORM_RATIO], ids=lambda s: s.kind)
+def test_final_state_does_not_depend_on_the_record_cadence(n, scheme):
+    # a record after every step hands its d* rho to the next step; with no
+    # record in between, each step folds its own: the two must agree to the bit
+    rho = random_form(PeriodicGrid((n,) * 4), 0.05, band=3, seed=n)
+    t_end = 4.5 * cfl_dt(rho, scheme)
+    dense = run_flow(rho, scheme, t_end, t_end / 50)
+    sparse = run_flow(rho, scheme, t_end, t_end)
+    assert len(dense[0]) == dense[1].step + 1 and len(sparse[0]) == 2
+    assert np.array_equal(dense[1].rho.comps, sparse[1].rho.comps)
+
+
+def test_handover_holds_no_extra_form():
+    # at 16^4 a record followed by the step that takes its u and d* rho
+    # peaks at 5.0 forms, the step's own peak with u held; keeping d* rho on
+    # the state through the whole step read 5.67
+    grid = PeriodicGrid((16,) * 4)
+    rho = random_form(grid, 0.05, band=3, seed=10)
+    ref = calculus.periods(rho)
+
+    def record_then_step():
+        state = FlowState(rho=rho, u=forms.volume_potential_values(rho))
+        state.xi = np.empty((4,) + grid.dims)
+        make_record(state.rho, 0.0, 0.0, ref, state.u, state.xi)
+        step_rk4(state, 1e-4, forms.CONFORMAL)
+    assert traced_peak(record_then_step) <= 5.5 * rho.comps.nbytes
+
+
 @pytest.mark.parametrize("dims", [(8,) * 4, (16, 8, 12, 10)])
 def test_random_near_omega_transform_budget(dims, monkeypatch):
     # the data are built on the band cube: per draw one rfft and one fft per
@@ -394,8 +450,9 @@ def test_rk4_leaves_the_state_alone_when_f_returns_its_input():
 
 
 def test_rk4_step_memory_in_forms():
-    # at 16^4 one RK4 step peaks at 4.8 forms of memory; the textbook
-    # storage, k1..k4 held at once, peaked at 7.8
+    # at 16^4 one RK4 step peaks at 5.0 forms of memory, the u it keeps for
+    # the new state included; the textbook storage, k1..k4 held at once,
+    # peaked at 7.8
     grid = PeriodicGrid((16,) * 4)
     rho = random_form(grid, 0.05, band=3, seed=10)
     state = FlowState(rho=rho)
