@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, diagnostics, flows, forms, reduced, scenarios, soliton
-from .errors import (DegenerateForm, FormatError, HodgeFlowError, NoConvergence,
-                     NumericalBlowup)
+from .errors import FormatError, HodgeFlowError, NoConvergence, NumericalBlowup
 from .flows import FlowState
 from .forms import TwoForm
 from .grid import PeriodicGrid, ScalarField, integrate
@@ -43,36 +42,68 @@ class ConfigError(HodgeFlowError):
 # ---------------------------------------------------------------------------
 # configuration
 
+def _checked(cast, ok, why: str):
+    """A setting's cast: `cast` of the raw string, refused with `why` unless
+    `ok` holds of the value."""
+    def check(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise ValueError(why)
+        return value
+    return check
+
+
+_finite = _checked(float, np.isfinite, "not finite")
+_positive = _checked(_finite, lambda v: v > 0.0, "must be positive")
+_count = _checked(int, lambda n: n >= 1, "must be at least 1")
+
+
+def _dims(raw: str) -> tuple:
+    """The sizes of a valid PeriodicGrid, of any rank it allows."""
+    return PeriodicGrid(tuple(int(tok) for tok in raw.split())).dims
+
+
+def _one_of(names):
+    return _checked(str, lambda name: name in names,
+                    f"choose from {', '.join(names)}")
+
+
+# Each key's cast and bound; a rule that depends on the command or on
+# another key (a grid's rank, the count of lengths) is checked where it is read.
 _SCHEMA = {
-    "grid": {"dims", "lengths"},
-    "flow": {"scheme", "t_end", "sample_every", "fixed_dt"},
-    "scenario": {"kind", "eps", "band", "seed", "amplitude", "n1d", "a0"},
-    "output": {"dir"},
-    "reduced": {"model", "dims", "amplitude", "t_end", "sample_every",
-                "fixed_dt"},
-    "soliton": {"dims", "v1", "v2", "tol", "max_iter"},
+    "grid": {"dims": _dims,
+             "lengths": lambda raw: tuple(_finite(tok) for tok in raw.split())},
+    "flow": {"scheme": forms.scheme_from_name, "t_end": _positive,
+             "sample_every": _positive, "fixed_dt": _positive},
+    "scenario": {"kind": _one_of(("omega", "random_near_omega", "product_u",
+                                  "ab", "counterexample")),
+                 "eps": _finite, "band": _count, "amplitude": _finite,
+                 "seed": _checked(int, lambda n: n >= 0, "must be at least 0"),
+                 "n1d": _checked(int, lambda n: n >= scenarios.MIN_N1D and n % 2 == 0,
+                                 f"needs an even count >= {scenarios.MIN_N1D}"),
+                 "a0": lambda raw: raw if raw == "auto" else _finite(raw)},
+    "output": {"dir": str},
+    "reduced": {"model": _one_of(reduced.MODELS), "dims": _dims,
+                "amplitude": _finite, "t_end": _positive,
+                "sample_every": _positive, "fixed_dt": _positive},
+    "soliton": {"dims": _dims, "v1": _finite, "v2": _finite, "tol": _positive,
+                "max_iter": _count},
 }
 
-
-def _finite(raw: str) -> float:
-    """The cast of every float setting: a NaN or an infinity is a bad value."""
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
+_REQUIRED = object()
 
 
 class RunConfig:
-    """Validated flat key/value configuration (unknown keys are rejected)."""
+    """Flat key/value configuration: unknown keys are rejected, and every
+    key is cast and checked by `_SCHEMA` when it is set."""
 
     def __init__(self, parser: configparser.ConfigParser):
+        self._settings = {}  # (section, key) -> (raw string, checked value)
         for section in parser.sections():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        self._parser = parser
+            for key, raw in parser[section].items():
+                self.set(section, key, raw)
 
     @classmethod
     def load(cls, path: str, overrides=()) -> "RunConfig":
@@ -95,39 +126,40 @@ class RunConfig:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
         return cls(parser)
 
-    def set(self, section, key, value, replace=True) -> None:
-        """Set section.key to value; with replace=False only if it is unset."""
-        if not self._parser.has_section(section):
-            self._parser.add_section(section)
-        if replace or not self._parser.has_option(section, key):
-            self._parser[section][key] = value
-
-    def get(self, section, key, default=None, cast=str):
-        if not self._parser.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"missing required key {section}.{key}")
-            return default
-        raw = self._parser.get(section, key)
+    def set(self, section, key, raw: str, replace=True) -> None:
+        """Set section.key to the checked value of `raw`; with replace=False
+        only if it is unset."""
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        if not replace and (section, key) in self._settings:
+            return
         try:
-            return cast(raw)
+            self._settings[section, key] = raw, _SCHEMA[section][key](raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            raise ConfigError(f"bad value for {section}.{key}: {raw!r} "
+                              f"({exc})") from exc
+
+    def get(self, section, key, default=_REQUIRED):
+        """The checked value of section.key, or `default` when it is unset."""
+        if (section, key) in self._settings:
+            return self._settings[section, key][1]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {section}.{key}")
+        return default
 
     def digest(self) -> str:
-        """sha256 of every setting but [output], which says only where the
-        files go: one run into two directories writes the same sidecar."""
-        blob = "\n".join(f"{s}.{k}={self._parser[s][k]}"
-                         for s in sorted(self._parser.sections())
-                         if s != "output"
-                         for k in sorted(self._parser[s]))
+        """sha256 of every raw setting but [output], which says only where
+        the files go: one run into two directories writes the same sidecar."""
+        blob = "\n".join(f"{s}.{k}={raw}"
+                         for (s, k), (raw, _) in sorted(self._settings.items())
+                         if s != "output")
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _grid_from_config(cfg: RunConfig, section: str, ranks, default=None,
+def _grid_from_config(cfg: RunConfig, section: str, ranks, default=_REQUIRED,
                       lengths=()) -> PeriodicGrid:
     """The grid of `section`.dims, whose rank must be one of `ranks`."""
-    dims = cfg.get(section, "dims", default,
-                   lambda raw: tuple(int(tok) for tok in raw.split()))
+    dims = cfg.get(section, "dims", default)
     if len(dims) not in ranks:
         raise ConfigError(f"{section}.dims needs {' or '.join(map(str, ranks))} "
                           f"sizes, got {len(dims)}")
@@ -137,64 +169,38 @@ def _grid_from_config(cfg: RunConfig, section: str, ranks, default=None,
         raise ConfigError(f"bad grid for {section}.dims: {exc}") from exc
 
 
-def _scheme_from_config(cfg: RunConfig) -> forms.FlowScheme:
-    name = cfg.get("flow", "scheme", "conformal")
-    try:
-        return forms.scheme_from_name(name)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for flow.scheme: {name!r} ({exc})") from exc
-
-
 def _time_settings(cfg: RunConfig, section: str, samples: int):
-    """(t_end, sample_every, fixed_dt) of `section`, checked before a run
-    starts; sample_every defaults to t_end / samples, and fixed_dt to None,
-    the CFL step."""
-    t_end = cfg.get(section, "t_end", cast=_finite)
-    sample_every = cfg.get(section, "sample_every", t_end / samples, _finite)
-    fixed_dt = cfg.get(section, "fixed_dt", 0.0, _finite)
-    for key, value in (("t_end", t_end), ("sample_every", sample_every)):
-        if not value > 0.0:
-            raise ConfigError(f"{section}.{key} must be positive, got {value!r}")
-    if fixed_dt < 0.0:
-        raise ConfigError(f"{section}.fixed_dt must be positive (0 for the CFL "
-                          f"step), got {fixed_dt!r}")
-    return t_end, sample_every, fixed_dt or None
+    """(t_end, sample_every, fixed_dt) of `section`; sample_every defaults
+    to t_end / samples, and an unset fixed_dt is None, the CFL step."""
+    t_end = cfg.get(section, "t_end")
+    return (t_end, cfg.get(section, "sample_every", t_end / samples),
+            cfg.get(section, "fixed_dt", None))
 
 
 def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
-    kind = cfg.get("scenario", "kind", default="omega")
+    kind = cfg.get("scenario", "kind", "omega")
     if kind == "omega":
         return forms.omega(grid)
     if kind == "random_near_omega":
-        eps = cfg.get("scenario", "eps", 0.05, _finite)
-        band = cfg.get("scenario", "band", 4, int)
-        seed = cfg.get("scenario", "seed", 0, int)
-        try:
-            return scenarios.make_random_near_omega(grid, eps, band, seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad [scenario]: {exc}") from exc
+        return scenarios.make_random_near_omega(
+            grid, cfg.get("scenario", "eps", 0.05), cfg.get("scenario", "band", 4),
+            cfg.get("scenario", "seed", 0))
     if kind == "product_u":
-        amp = cfg.get("scenario", "amplitude", 0.3, _finite)
+        amp = cfg.get("scenario", "amplitude", 0.3)
         g2 = PeriodicGrid(grid.dims[:2], grid.lengths[:2])
         u2 = ScalarField.from_function(g2, lambda x1, x2: 1.0 + amp * np.sin(x1))
         return reduced.embed_product(u2, dims34=grid.dims[2:])
     if kind == "ab":
-        amp = cfg.get("scenario", "amplitude", 0.1, _finite)
+        amp = cfg.get("scenario", "amplitude", 0.1)
         g2 = PeriodicGrid(grid.dims[:2], grid.lengths[:2])
         a = ScalarField.from_function(g2, lambda x1, x2: amp * np.sin(x1))
         b = ScalarField.from_function(g2, lambda x1, x2: amp * np.sin(x2))
         return reduced.embed_ab(a, b, dims34=grid.dims[2:])
-    if kind == "counterexample":
-        n1d = cfg.get("scenario", "n1d", scenarios.MIN_N1D, int)
-        if n1d < scenarios.MIN_N1D or n1d % 2:
-            raise ConfigError(f"scenario.n1d needs an even count >= "
-                              f"{scenarios.MIN_N1D}, got {n1d}")
-        a0 = cfg.get("scenario", "a0", "auto",
-                     lambda raw: raw if raw == "auto" else _finite(raw))
-        scen = scenarios.make_example_counterexample(PeriodicGrid((n1d,)), a0)
-        return scen.two_form(t=0.0, nx=grid.dims[0], ny=grid.dims[1],
-                             dims34=grid.dims[2:])
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+    n1d = cfg.get("scenario", "n1d", scenarios.MIN_N1D)
+    scen = scenarios.make_example_counterexample(PeriodicGrid((n1d,)),
+                                                 cfg.get("scenario", "a0", "auto"))
+    return scen.two_form(t=0.0, nx=grid.dims[0], ny=grid.dims[1],
+                         dims34=grid.dims[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +322,9 @@ def _event_exit(event) -> int:
 
 
 def cmd_flow(cfg: RunConfig) -> int:
-    lengths = cfg.get("grid", "lengths", (),
-                      lambda raw: tuple(_finite(tok) for tok in raw.split()))
-    grid = _grid_from_config(cfg, "grid", (4,), lengths=lengths)
-    scheme = _scheme_from_config(cfg)
+    grid = _grid_from_config(cfg, "grid", (4,),
+                             lengths=cfg.get("grid", "lengths", ()))
+    scheme = cfg.get("flow", "scheme", forms.CONFORMAL)
     t_end, sample_every, fixed_dt = _time_settings(cfg, "flow", 50)
     initial = _scenario_from_config(cfg, grid)
     out_dir = Path(cfg.get("output", "dir", "."))
@@ -338,13 +343,10 @@ def cmd_flow(cfg: RunConfig) -> int:
 
 def cmd_reduced(cfg: RunConfig) -> int:
     model = cfg.get("reduced", "model")
-    if model not in reduced.MODELS:
-        raise ConfigError(f"unknown reduced model {model!r}; "
-                          f"choose from {', '.join(reduced.MODELS)}")
     grid = _grid_from_config(cfg, "reduced",
                              (2,) if model == "ab_system" else (1, 2))
     t_end, sample_every, fixed_dt = _time_settings(cfg, "reduced", 20)
-    amp = cfg.get("reduced", "amplitude", 0.5, _finite)
+    amp = cfg.get("reduced", "amplitude", 0.5)
     if model == "ab_system":
         a = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x1))
         b = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x2))
@@ -356,16 +358,11 @@ def cmd_reduced(cfg: RunConfig) -> int:
             base = ScalarField.from_function(
                 grid, lambda x1, x2: 1.0 + amp * np.sin(x1))
         state = reduced.ReducedState(model, (base,))
+    # precondition: the initial data must already satisfy positivity
+    reduced.reduced_cfl_dt(state)
     stats = {}
-    try:
-        # precondition: the initial data must already satisfy positivity
-        reduced.reduced_cfl_dt(state)
-        trajectory, final, event = reduced.run_reduced(
-            state, t_end, sample_every=sample_every, fixed_dt=fixed_dt,
-            stats=stats)
-    except DegenerateForm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    trajectory, final, event = reduced.run_reduced(
+        state, t_end, sample_every=sample_every, fixed_dt=fixed_dt, stats=stats)
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series(trajectory, out_dir / "series.csv")
@@ -383,14 +380,9 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 
 def cmd_soliton(cfg: RunConfig) -> int:
     grid = _grid_from_config(cfg, "soliton", (2,), default=(128, 128))
-    v = (cfg.get("soliton", "v1", 1.0, _finite),
-         cfg.get("soliton", "v2", 0.5, _finite))
-    tol = cfg.get("soliton", "tol", 1e-7, _finite)
-    max_iter = cfg.get("soliton", "max_iter", 200000, int)
-    if not tol > 0.0:
-        raise ConfigError(f"soliton.tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ConfigError(f"soliton.max_iter must be at least 1, got {max_iter!r}")
+    v = (cfg.get("soliton", "v1", 1.0), cfg.get("soliton", "v2", 0.5))
+    tol = cfg.get("soliton", "tol", 1e-7)
+    max_iter = cfg.get("soliton", "max_iter", 200000)
     a_star = ScalarField.from_function(
         grid, lambda x, y: 2.0 + 0.5 * np.cos(x) * np.cos(y))
     problem = soliton.SolitonProblem(ScalarField.constant(grid, a_star.mean()),

@@ -262,7 +262,7 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
         return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods, st.u,
                                        st.xi)
 
-    return march(
+    trajectory, final, event = march(
         FlowState(rho=initial.copy(), u=None if exact else u),
         lambda st, dt: (step_linear(st, dt) if exact
                         else step_rk4(st, dt, scheme, stats)),
@@ -270,3 +270,5 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
         t_end, sample_every, record,
         lambda st: forms.volume_potential_values(st.rho), fixed_dt, stats,
         exact)
+    final.xi = None  # the last record's handover: no step follows it
+    return trajectory, final, event

@@ -294,15 +294,18 @@ def test_criterion_08_evolution_residuals():
     results = {}
     for n in (16, 24):
         rho = _identity_probe(PeriodicGrid((n,) * 4))
+        pairs = []
         for scheme in forms.ALL_SCHEMES:
             quantities = ["rho_sq", "u"]
             if scheme.kind in diagnostics._LAMBDA_SCHEMES:
                 quantities += ["lambda1", "lambda2"]
             if scheme.kind in diagnostics._SPLIT_SCHEMES:
                 quantities += ["rho_plus_sq", "rho_minus_sq"]
-            for q in quantities:
-                results[(scheme.kind, q, n)] = diagnostics.evolution_residual(
-                    rho, scheme, q)
+            pairs += [(scheme, q) for q in quantities]
+        # one geometry and one flow_rhs per scheme for all pairs at this n
+        for (scheme, q), res in zip(pairs,
+                                    diagnostics.evolution_residuals(rho, pairs)):
+            results[(scheme.kind, q, n)] = res
     worst_fine = 0.0
     worst_pair = None
     all_ok = True

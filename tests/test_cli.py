@@ -73,14 +73,18 @@ def test_config_missing_file():
 
 def test_config_overrides_and_casts(tmp_path):
     path = write_config(tmp_path, "[flow]\nt_end = 1.0\n")
-    cfg = RunConfig.load(path, overrides=["flow.t_end=2.5", "grid.dims=8 8 8 8"])
-    assert cfg.get("flow", "t_end", cast=float) == 2.5
-    assert cfg.get("grid", "dims") == "8 8 8 8"
+    cfg = RunConfig.load(path, overrides=["flow.t_end=2.5", "grid.dims=8 8 8 8",
+                                          "flow.scheme=Power_U:0.25"])
+    assert cfg.get("flow", "t_end") == 2.5
+    assert cfg.get("grid", "dims") == (8, 8, 8, 8)
+    assert cfg.get("flow", "scheme") == forms.FlowScheme("power_u", 0.25)
     with pytest.raises(ConfigError):
         RunConfig.load(path, overrides=["no-dot"])
     with pytest.raises(ConfigError):
-        cfg.get("flow", "missing")
-    assert cfg.get("flow", "missing", default="x") == "x"
+        cfg.get("flow", "sample_every")
+    assert cfg.get("flow", "sample_every", 0.1) == 0.1
+    # an unset fixed_dt reads as None, the CFL step
+    assert cfg.get("flow", "fixed_dt", None) is None
 
 
 def test_config_digest_is_stable(tmp_path):
@@ -90,10 +94,10 @@ def test_config_digest_is_stable(tmp_path):
 
 
 def test_bad_cast_is_config_error(tmp_path):
+    # every key is checked when the file loads, whether a command reads it
     path = write_config(tmp_path, "[flow]\nt_end = soon\n")
-    cfg = RunConfig.load(path)
-    with pytest.raises(ConfigError):
-        cfg.get("flow", "t_end", cast=float)
+    with pytest.raises(ConfigError, match=r"bad value for flow\.t_end: 'soon'"):
+        RunConfig.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,18 @@ dir = {out}
     ("flow", "dims = 8 8 8 8\n" + FLOW_INI),
     ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nseed = 4")),
     ("flow", FLOW_INI.replace("eps = 0.05", "eps = 5%")),
+    # every key present is checked, whether the command reads it or not
+    ("flow", FLOW_INI.replace("kind = random_near_omega", "kind = omega")
+     .replace("eps = 0.05", "eps = nan")),
+    ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nn1d = 7")),
+    ("flow", FLOW_INI.replace("seed = 3", "seed = 3\na0 = banana")),
+    ("flow", FLOW_INI + "[reduced]\nt_end = -1\n"),
+    ("flow", FLOW_INI + "[soliton]\ntol = -3\n"),
+    # a given fixed_dt is a step: unset, it is the CFL step
+    ("flow", FLOW_INI.replace("t_end = 0.05", "t_end = 0.05\nfixed_dt = 0")),
+    ("reduced", HEAT_INI.replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = 0")),
+    # a seed is a count
+    ("flow", FLOW_INI.replace("seed = 3", "seed = -1")),
 ], ids=["scheme-nope", "scheme-power-abc", "scheme-power-nan",
         "scheme-power-inf", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
@@ -327,7 +343,10 @@ dir = {out}
         "soliton-safety", "soliton-manufactured", "eps-nan", "eps-inf",
         "band-0", "lengths-inf", "product-amplitude-nan", "a0-inf",
         "reduced-amplitude-nan", "soliton-v1-nan", "no-section-header",
-        "duplicate-key", "percent-in-value"])
+        "duplicate-key", "percent-in-value", "omega-eps-nan", "flow-n1d-7",
+        "flow-a0-banana", "flow-reduced-t-end-negative",
+        "flow-soliton-tol-negative", "flow-fixed-dt-0", "reduced-fixed-dt-0",
+        "seed-negative"])
 def test_bad_input_is_a_config_error(tmp_path, command, text):
     # a value the run cannot use ends in "config error: ..." and exit 1, as a
     # user sees it from the command line, never in a traceback
@@ -482,18 +501,18 @@ def test_main_counterexample_sets_kind_and_defaults(tmp_path, monkeypatch):
     assert cli.main(["counterexample", path]) == cli.EXIT_OK
     cfg = seen.pop()
     assert cfg.get("scenario", "kind") == "counterexample"
-    assert cfg.get("flow", "scheme") == "linear"
-    assert cfg.get("flow", "t_end", cast=float) == 1.0
+    assert cfg.get("flow", "scheme") == forms.FlowScheme("linear")
+    assert cfg.get("flow", "t_end") == 1.0
     path = write_config(tmp_path, "[flow]\nscheme = conformal\nt_end = 0.5\n",
                         "kept.ini")
     assert cli.main(["counterexample", path]) == cli.EXIT_OK
     cfg = seen.pop()
     assert cfg.get("scenario", "kind") == "counterexample"
-    assert cfg.get("flow", "scheme") == "conformal"
-    assert cfg.get("flow", "t_end", cast=float) == 0.5
+    assert cfg.get("flow", "scheme") == forms.CONFORMAL
+    assert cfg.get("flow", "t_end") == 0.5
 
 
-def test_main_reduced_rejects_degenerate_start(tmp_path):
+def test_main_reduced_rejects_degenerate_start(tmp_path, capsys):
     path = write_config(tmp_path, """
 [reduced]
 model = fast_diffusion
@@ -502,6 +521,7 @@ amplitude = 1.5
 t_end = 0.5
 """)
     assert cli.main(["reduced", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: min u")
 
 
 def test_main_bad_config_exit_code(tmp_path):

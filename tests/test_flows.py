@@ -393,6 +393,16 @@ def test_handover_holds_no_extra_form():
     assert traced_peak(record_then_step) <= 5.5 * rho.comps.nbytes
 
 
+def test_final_state_holds_no_handover(grid8):
+    # no step follows the last record, so the run returns no d* rho with its
+    # final state: the caller writes the series and the snapshot without
+    # holding two thirds of a form more
+    rho = random_form(grid8, 0.05, band=3, seed=9)
+    for sample_every in (1e-4, 0.05):
+        final = run_flow(rho, forms.CONFORMAL, 0.05, sample_every)[1]
+        assert final.step >= 2 and final.xi is None
+
+
 @pytest.mark.parametrize("dims", [(8,) * 4, (16, 8, 12, 10)])
 def test_random_near_omega_transform_budget(dims, monkeypatch):
     # the data are built on the band cube: per draw one rfft and one fft per
