@@ -131,11 +131,3 @@ def grad_norm_sq(rho: TwoForm) -> ScalarField:
     check_finite(rho.comps, "grad_norm_sq input")
     D = gradient_values(rho.comps, rho.grid)
     return ScalarField(rho.grid, np.einsum("jc...,jc...->...", D, D))
-
-
-def one_form_pointwise_inner(x: OneForm, y: OneForm) -> np.ndarray:
-    return np.einsum("c...,c...->...", x.comps, y.comps)
-
-
-def two_form_pointwise_inner(x: TwoForm, y: TwoForm) -> np.ndarray:
-    return np.einsum("c...,c...->...", x.comps, y.comps)

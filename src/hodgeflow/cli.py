@@ -414,7 +414,7 @@ def _suite_algebra(n: int):
         twice = forms.hodge_star(forms.hodge_star(rho))
         worst["star"] = max(worst["star"], float(np.abs(twice.comps - rho.comps).max()))
         u = forms.volume_potential_values(rho)
-        pair = calculus.two_form_pointwise_inner(rho, forms.hodge_star(rho))
+        pair = forms.dot(rho.comps, forms.hodge_star(rho).comps)
         worst["2u"] = max(worst["2u"], float(np.abs(2 * u - pair).max()))
         lam1, lam2 = forms.eigenvalue_values(rho)
         worst["eig"] = max(worst["eig"],
@@ -441,10 +441,10 @@ def _suite_calculus(n: int):
     ddz = calculus.d_two(calculus.d_one(zeta))
     checks.append(("d o d = 0", calculus.max_abs_three(ddz), 1e-12))
     rho = scenarios.make_random_near_omega(grid, 0.3, band=3, seed=5)
-    lhs = integrate(ScalarField(grid, calculus.two_form_pointwise_inner(
-        calculus.d_one(zeta), rho)))
-    rhs = integrate(ScalarField(grid, calculus.one_form_pointwise_inner(
-        zeta, calculus.codiff_two(rho))))
+    lhs = integrate(ScalarField(grid, forms.dot(calculus.d_one(zeta).comps,
+                                                rho.comps)))
+    rhs = integrate(ScalarField(grid, forms.dot(zeta.comps,
+                                                calculus.codiff_two(rho).comps)))
     scale = max(abs(lhs), abs(rhs), 1e-30)
     checks.append(("adjointness", abs(lhs - rhs) / scale, 1e-11))
     drift = calculus.periods(rho) - calculus.periods(forms.omega(grid))
@@ -465,13 +465,12 @@ def _suite_identities(n: int):
             for (scheme, quantity), res in zip(pairs, residuals)]
 
 
-def _identity_probe(grid: PeriodicGrid, eps: float = 0.003,
-                    asd: float = 0.35) -> TwoForm:
+def _identity_probe(grid: PeriodicGrid) -> TwoForm:
     """Band-limited probe with both eigenvalues bounded away from each other."""
     base = forms.omega(grid)
-    base.comps[0] += asd
-    base.comps[5] -= asd
-    pert = scenarios.make_random_near_omega(grid, eps, band=3, seed=23)
+    base.comps[0] += 0.35
+    base.comps[5] -= 0.35
+    pert = scenarios.make_random_near_omega(grid, 0.003, band=3, seed=23)
     return TwoForm(grid, base.comps + (pert.comps - forms.omega(grid).comps))
 
 

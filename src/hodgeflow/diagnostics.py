@@ -18,7 +18,7 @@ import numpy as np
 
 from . import calculus, flows, forms
 from .errors import BadSeries, CohomologyMismatch, DegenerateForm
-from .forms import SQRT2, FlowScheme, TwoForm
+from .forms import SQRT2, FlowScheme, TwoForm, dot
 from .grid import (ScalarField, check_finite, deriv_values, integrate,
                    laplacian_values)
 
@@ -27,11 +27,6 @@ _TINY = 1e-300
 # The records' constants: Q1 = int |d* rho|^2 + Q1_WEIGHT int |rho - omega|^2,
 # and Shi's monitor f = |grad rho|^2 + MONITOR_A |grad u|^2 + MONITOR_B |rho|^2 + 1.
 Q1_WEIGHT, MONITOR_A, MONITOR_B = 10.0, 10.0, 100.0
-
-
-def _dot(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """Pointwise inner product over the leading (component) axis."""
-    return np.einsum("c...,c...->...", x, y, out=out)
 
 
 @dataclass
@@ -61,11 +56,11 @@ CSV_COLUMNS = tuple(f.name for f in dataclass_fields(TrajectoryRecord))
 # energies and scalar diagnostics
 
 
-def _require_class_omega(rho: TwoForm, tol: float = 1e-8) -> None:
+def _require_class_omega(rho: TwoForm) -> None:
     L = rho.grid.lengths
     omega_periods = np.array([L[0] * L[1], 0.0, 0.0, 0.0, 0.0, L[2] * L[3]])
     worst = float(np.abs(calculus.periods(rho) - omega_periods).max())
-    if worst > tol:
+    if worst > 1e-8:
         raise CohomologyMismatch(
             f"periods differ from the reference class by {worst:.3g}")
 
@@ -81,7 +76,7 @@ def normalized_energy(rho: TwoForm) -> float:
 
 def _coexact_energy(xi: calculus.OneForm) -> float:
     """int |d* rho|^2 given xi = d* rho."""
-    return integrate(ScalarField(xi.grid, calculus.one_form_pointwise_inner(xi, xi)))
+    return integrate(ScalarField(xi.grid, dot(xi.comps, xi.comps)))
 
 
 def decay_rate_fit(series) -> tuple:
@@ -120,8 +115,8 @@ def _derivative_fields(rho: TwoForm, xi: np.ndarray):
         calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da, xi_filled)
         calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da, drho_filled)
         np.negative(Da[1::3], out=Da[1::3])
-        _dot(c[::-1], Da, out=grad_u[a])
-        grad_sq += _dot(Da, Da)
+        dot(c[::-1], Da, out=grad_u[a])
+        grad_sq += dot(Da, Da)
         del Da  # not held while the next one is taken: a form less at peak
     return drho, grad_u, grad_sq
 
@@ -139,7 +134,7 @@ def sobolev_poincare_ratio(rho: TwoForm) -> float:
     """int |rho - omega|^2 / (int |d* rho|^{4/3})^{3/2}."""
     num = normalized_energy(rho)
     xi = calculus.codiff_two(rho)
-    mag = np.sqrt(calculus.one_form_pointwise_inner(xi, xi))
+    mag = np.sqrt(dot(xi.comps, xi.comps))
     den = integrate(ScalarField(rho.grid, mag ** (4.0 / 3.0))) ** 1.5
     if den < 1e-14:
         raise BadSeries(f"coexact 4/3-energy {den:.3g} too small for a ratio")
@@ -162,7 +157,7 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
         q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + Q1_WEIGHT * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
-    grad_u_sq = _dot(grad_u, grad_u)
+    grad_u_sq = dot(grad_u, grad_u)
     try:  # sup |grad u| / u
         forms.require_above_floor(u)
         sup_grad_log_u = float((np.sqrt(grad_u_sq) / u).max())
@@ -219,9 +214,9 @@ class _FlowGeometry:
         for j in range(4):
             D = deriv_values(rho.comps, grid, j)
             calculus.add_axis_terms(self.xi, calculus._CODIFF_TERMS[j], D)
-            self.grad_rho_sq[j] = 2.0 * _dot(rho.comps, D)
-            self.grad_u[j] = _dot(self.star.comps, D)
-            grad_sq += _dot(D, D)
+            self.grad_rho_sq[j] = 2.0 * dot(rho.comps, D)
+            self.grad_u[j] = dot(self.star.comps, D)
+            grad_sq += dot(D, D)
             star_pair += forms.volume_potential_values(TwoForm(grid, D))
 
         # |rho+-|^2 = (|rho|^2 +- 2u) / 2 gives grad |rho+-| = (grad|rho|^2 / 4
@@ -250,9 +245,9 @@ class _FlowGeometry:
     def jk(self):
         """Kato gap quantities J (from rho+) and K (from rho-), unguarded."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            j = ((self.grad_plus_sq - _dot(self.grad_sp, self.grad_sp))
+            j = ((self.grad_plus_sq - dot(self.grad_sp, self.grad_sp))
                  / (SQRT2 * self.sp))
-            k = ((self.grad_minus_sq - _dot(self.grad_sm, self.grad_sm))
+            k = ((self.grad_minus_sq - dot(self.grad_sm, self.grad_sm))
                  / (SQRT2 * self.sm))
         return j, k
 
@@ -314,8 +309,8 @@ _SPLIT_SCHEMES = ("linear", "power_u", "norm_ratio")
 
 def _lhs_gateaux(geo: _FlowGeometry, rhs_form: TwoForm, quantity: str) -> np.ndarray:
     """Chain-rule derivative of the tracked quantity along the flow update."""
-    rho_dot = _dot(geo.rho.comps, rhs_form.comps)
-    star_dot = _dot(geo.star.comps, rhs_form.comps)
+    rho_dot = dot(geo.rho.comps, rhs_form.comps)
+    star_dot = dot(geo.star.comps, rhs_form.comps)
     if quantity == "rho_sq":
         return 2.0 * rho_dot
     if quantity == "u":
@@ -347,9 +342,9 @@ def _rhs_general(geo: _FlowGeometry, scheme: FlowScheme,
     for e_j, dh_xi in zip(forms._unit_vectors(geo.grid.dims),
                           geo.weight_grad_apply(scheme, geo.xi)):
         column = geo.skew(e_j, star)
-        first += _dot(column, forms.weight_apply(
+        first += dot(column, forms.weight_apply(
             geo.rho, scheme, geo.skew(e_j, comps=lap), geo.u))
-        second += _dot(column, dh_xi)
+        second += dot(column, dh_xi)
     if quantity == "rho_sq":
         return first + 2.0 * second
     return 0.5 * first + second
@@ -368,7 +363,7 @@ def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme,
     # 2 <grad f, rho+- xi> with the skew matrix rho+- = (R +- S) / 2
     part_xi = geo.skew(geo.xi)
     (np.add if plus else np.subtract)(part_xi, geo.skew(geo.xi, True), out=part_xi)
-    return diffusion - _dot(gf, part_xi)
+    return diffusion - dot(gf, part_xi)
 
 
 def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.ndarray:
@@ -383,15 +378,15 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
         if scheme.kind == "linear":
             return lap_lam - j_q - k_q if first else lap_lam - j_q + k_q
 
-        xx = _dot(xi, xi)
+        xx = dot(xi, xi)
         Rxi = -geo.skew(xi)         # R^T xi
         Sxi = -geo.skew(xi, True)   # S^T xi
-        bxx = _dot(Sxi, Sxi)  # xi^T b xi, b = S S^T
+        bxx = dot(Sxi, Sxi)  # xi^T b xi, b = S S^T
 
         if scheme.kind in ("matrix_a1", "matrix_b1"):
             # grad(|rho|^2 / u) along R xi (a1) or S xi (b1)
-            f_term = _dot(geo.scalar_weight_grad(forms.NORM_RATIO),
-                          Rxi if scheme.kind == "matrix_a1" else Sxi) / gap
+            f_term = dot(geo.scalar_weight_grad(forms.NORM_RATIO),
+                         Rxi if scheme.kind == "matrix_a1" else Sxi) / gap
 
         if scheme.kind == "matrix_a1":
             if first:
@@ -406,8 +401,8 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
             g1 = geo.grad_lam1
             g2 = geo.grad_lam2
             if first:
-                p = (_dot(g1, Sxi / lam2 - Rxi / lam1) / (lam1 * gap)
-                     + _dot(g2, Sxi / lam2 + Rxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Rxi)
+                p = (dot(g1, Sxi / lam2 - Rxi / lam1) / (lam1 * gap)
+                     + dot(g2, Sxi / lam2 + Rxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Rxi)
                      / (lam2 * gap))
                 return (lap_lam / lam2 ** 2 - (j_q + k_q) / lam2 ** 2
                         + (lam1 * bxx - u * lam2 * xx) / (u ** 2 * gap) + p)
@@ -431,14 +426,14 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
             g1 = geo.grad_lam1
             g2 = geo.grad_lam2
             if first:
-                extra = (_dot(g1, (2.0 * lam2 / lam1 ** 2 - 1.0 / lam2) * Sxi
-                              - Rxi / lam1) / (lam1 * gap)
-                         + _dot(g2, Sxi / lam2 - Rxi / lam1) / (lam2 * gap))
+                extra = (dot(g1, (2.0 * lam2 / lam1 ** 2 - 1.0 / lam2) * Sxi
+                             - Rxi / lam1) / (lam1 * gap)
+                         + dot(g2, Sxi / lam2 - Rxi / lam1) / (lam2 * gap))
                 return (lap_lam / lam1 ** 2 - (j_q + k_q) / lam1 ** 2
                         - lam1 * hxx / gap + xx / (lam1 * gap) + extra)
-            extra = (_dot(g2, Rxi / lam2 + Sxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Sxi)
+            extra = (dot(g2, Rxi / lam2 + Sxi / lam1 - 2.0 * lam1 / lam2 ** 2 * Sxi)
                      / (lam2 * gap)
-                     + _dot(g1, Rxi / lam2 - Sxi / lam1) / (lam1 * gap))
+                     + dot(g1, Rxi / lam2 - Sxi / lam1) / (lam1 * gap))
             return (lap_lam / lam2 ** 2 + (k_q - j_q) / lam2 ** 2
                     + lam2 * hxx / gap - xx / (lam2 * gap) + extra)
 

@@ -116,14 +116,13 @@ ALL_SCHEMES = (LINEAR, CONFORMAL, NORM_RATIO, MATRIX_A1, MATRIX_A2,
 
 
 def scheme_from_name(name: str) -> FlowScheme:
-    """Parse a scheme tag like 'conformal', 'linear', 'power_u:0.25', 'matrix_b2'."""
+    """Parse a scheme tag like 'conformal', 'linear', 'power_u:0.25', 'matrix_b2';
+    'power_u' alone is the conformal flow.  Raise ValueError on any other tag."""
     name = name.strip().lower()
-    if name == "conformal":
+    if name in ("conformal", "power_u"):
         return CONFORMAL
-    if name.startswith("power_u"):
-        _, _, arg = name.partition(":")
-        return FlowScheme("power_u", float(arg) if arg else 0.5)
-    return FlowScheme(name)
+    kind, colon, arg = name.partition(":")
+    return FlowScheme(kind, float(arg) if colon else None)
 
 
 def omega(grid: PeriodicGrid) -> TwoForm:
@@ -146,9 +145,14 @@ def hodge_star(rho: TwoForm) -> TwoForm:
     return TwoForm(rho.grid, starred)
 
 
+def dot(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Pointwise inner product sum_c x_c y_c over the leading (component) axis."""
+    return np.einsum("c...,c...->...", x, y, out=out)
+
+
 def norm_sq_values(rho: TwoForm) -> np.ndarray:
     """|rho|^2 = sum over i<j of rho_ij^2, pointwise."""
-    return np.einsum("c...,c...->...", rho.comps, rho.comps)
+    return dot(rho.comps, rho.comps)
 
 
 def norm_sq(rho: TwoForm) -> ScalarField:
@@ -197,8 +201,8 @@ def _skew_apply(comps: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-# The explicit (4, 4, *dims) builders below (matrix_ab, sqrt_b_values,
-# weight_h) serve the algebra suite and the tests.  M e_j is column j of M.
+# The explicit (4, 4, *dims) builders (matrix_ab for the algebra suite,
+# weight_h for the tests) read column j of a matrix M as M e_j.
 
 
 def _unit_vectors(dims: tuple) -> list:
@@ -226,22 +230,6 @@ def matrix_ab(rho: TwoForm):
     return _gram_values(rho, False), _gram_values(rho, True)
 
 
-def sqrt_b_values(rho: TwoForm) -> np.ndarray:
-    """Matrix square root of b via the closed form (u I + b) / (lambda1 + lambda2).
-
-    Well-defined at lambda1 = lambda2; the division is guarded below a tiny
-    eigenvalue threshold.
-    """
-    out = _gram_values(rho, True)
-    u = volume_potential_values(rho)
-    lam1, lam2 = eigenvalue_values(rho)
-    trace = np.maximum(lam1 + lam2, EIG_EPS)
-    for i in range(4):
-        out[i, i] += u
-    out /= trace
-    return out
-
-
 def require_above_floor(values: np.ndarray, what: str = "u") -> None:
     """The floor check: raise DegenerateForm unless min(values) > U_FLOOR."""
     m = float(values.min())
@@ -265,17 +253,10 @@ def scalar_weight_values(rho: TwoForm, scheme: FlowScheme,
 
 
 def weight_h(rho: TwoForm, scheme: FlowScheme) -> np.ndarray:
-    """Realized weight matrix h for a scheme; positive definite where u > 0."""
-    if scheme.is_scalar:
-        eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
-        return eye * scalar_weight_values(rho, scheme)
-    u = volume_potential_values(rho)
-    require_above_floor(u, f"u in the {scheme.kind} weight")
-    if scheme.kind == "matrix_bh":
-        return sqrt_b_values(rho) / u
-    gram = _gram_values(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
-    gram /= u if scheme.kind in ("matrix_a1", "matrix_b1") else u ** 2
-    return gram
+    """The weight matrix h of a scheme as a (4, 4, *dims) array, column j
+    being `weight_apply` of e_j; positive definite where u > 0."""
+    return np.stack([weight_apply(rho, scheme, e_j)
+                     for e_j in _unit_vectors(rho.grid.dims)], axis=1)
 
 
 def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
@@ -284,9 +265,9 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     `u` is the volume potential of rho, if at hand.
 
     a = R R^T and b = S S^T for the skew matrices R of rho and S of *rho, so
-    a xi = -R(R xi) and b xi = -S(S xi); sqrt(b) xi = (u xi + b xi)/(lambda1 +
-    lambda2) with the guard of `sqrt_b_values`.  `weight_h` is the explicit
-    matrix this must agree with.
+    a xi = -R(R xi) and b xi = -S(S xi).  sqrt(b) is the closed form
+    (u I + b)/(lambda1 + lambda2), well defined at lambda1 = lambda2, with the
+    sum guarded below by EIG_EPS.  This is the one implementation of h.
     """
     if scheme.is_scalar:
         return scalar_weight_values(rho, scheme, u) * xi

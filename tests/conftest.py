@@ -78,6 +78,33 @@ def as_skew_matrix(rho):
     return A
 
 
+def explicit_gram(rho, star=False):
+    """a = R R^T, or b = S S^T with S the skew matrix of *rho, by einsum."""
+    M = as_skew_matrix(forms.hodge_star(rho) if star else rho)
+    return np.einsum("ip...,jp...->ij...", M, M)
+
+
+def explicit_weight_h(rho, scheme):
+    """The weight h of a scheme as a (4, 4, *dims) array, from its definition:
+    f I for the scalar weights, a or b over u or u^2, and sqrt(b) / u with
+    sqrt(b) = (u I + b) / (lambda1 + lambda2), where (lambda1 + lambda2)^2 =
+    |rho|^2 + 2u.  The oracle of `forms.weight_apply`; no floor check."""
+    c = rho.comps
+    u = c[0] * c[5] - c[1] * c[4] + c[2] * c[3]
+    eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
+    rho_sq = (c ** 2).sum(axis=0)
+    if scheme.kind == "linear":
+        return eye * np.ones_like(u)
+    if scheme.kind == "power_u":
+        return eye * u ** -scheme.r
+    if scheme.kind == "norm_ratio":
+        return eye * (rho_sq / u)
+    if scheme.kind == "matrix_bh":
+        return (u * eye + explicit_gram(rho, True)) / (np.sqrt(rho_sq + 2 * u) * u)
+    gram = explicit_gram(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
+    return gram / u ** (1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2)
+
+
 def sd_asd_split(rho):
     """Self-dual and anti-self-dual parts (rho +- *rho) / 2 as forms, so that
     rho = rho+ + rho-: the oracle of the closed form `forms.dual_part_norms`."""

@@ -269,6 +269,11 @@ dir = {out}
     ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:abc")),
     ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:nan")),
     ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:inf")),
+    # power_u takes its exponent after a colon, or none at all
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u0.25")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u_2")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_ufoo")),
+    ("flow", FLOW_INI.replace("scheme = conformal", "scheme = power_u:")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 7")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8", "dims = 8 8 x 8")),
@@ -331,7 +336,8 @@ dir = {out}
     # a seed is a count
     ("flow", FLOW_INI.replace("seed = 3", "seed = -1")),
 ], ids=["scheme-nope", "scheme-power-abc", "scheme-power-nan",
-        "scheme-power-inf", "grid-dims-7", "grid-rank-2",
+        "scheme-power-inf", "scheme-power-u0.25", "scheme-power-u-2",
+        "scheme-power-ufoo", "scheme-power-colon", "grid-dims-7", "grid-rank-2",
         "grid-dims-not-int", "reduced-model-nope", "reduced-dims-7",
         "ab-system-1d", "reduced-4d", "soliton-1d", "n1d-7", "n1d-256",
         "a0-not-float", "flow-safety-2", "flow-t-end-negative",

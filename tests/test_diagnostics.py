@@ -11,9 +11,9 @@ from hodgeflow.errors import (BadSeries, CohomologyMismatch, DegenerateForm,
 from hodgeflow.grid import (PeriodicGrid, ScalarField, gradient_values, integrate,
                             laplacian_values)
 
-from conftest import (as_skew_matrix, energy, grad_log_u_sup, q1_functional,
-                      random_form, rel_err, sd_asd_split, shi_monitor,
-                      traced_peak)
+from conftest import (as_skew_matrix, energy, explicit_weight_h,
+                      grad_log_u_sup, q1_functional, random_form, rel_err,
+                      sd_asd_split, shi_monitor, traced_peak)
 
 
 def test_energy_of_reference(grid8):
@@ -432,7 +432,7 @@ def explicit_rhs_general(geo, scheme, quantity):
     X = as_skew_matrix(rho if quantity == "rho_sq" else forms.hodge_star(rho))
     lapR = as_skew_matrix(
         forms.TwoForm(rho.grid, laplacian_values(rho.comps, rho.grid)))
-    first = np.einsum("ij...,ik...,kj...->...", X, forms.weight_h(rho, scheme), lapR)
+    first = np.einsum("ij...,ik...,kj...->...", X, explicit_weight_h(rho, scheme), lapR)
     second = np.einsum("ij...,jik...,k...->...", X,
                        explicit_weight_grad(geo, scheme), geo.xi)
     if quantity == "rho_sq":

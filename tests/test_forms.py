@@ -6,11 +6,12 @@ from hodgeflow import forms
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
                              eigenvalue_values, hodge_star, matrix_ab, norm_sq_values, omega, scheme_from_name,
-                             sqrt_b_values, volume_potential_values,
+                             volume_potential_values,
                              weight_h, weight_spectral_radius)
 from hodgeflow.grid import PeriodicGrid
 
-from conftest import as_skew_matrix, random_form, sd_asd_split, traced_peak
+from conftest import (as_skew_matrix, explicit_gram, explicit_weight_h,
+                      random_form, rel_err, sd_asd_split, traced_peak)
 
 
 def sample_points(grid, count, seed=0):
@@ -47,10 +48,15 @@ def test_u_is_pfaffian(grid8):
         assert det == pytest.approx(u[p] ** 2, rel=1e-9, abs=1e-12)
 
 
+def _sqrt_b(rho):
+    """sqrt(b) = u h for the matrix_bh weight h = sqrt(b) / u."""
+    return volume_potential_values(rho) * weight_h(rho, forms.MATRIX_BHALF)
+
+
 def test_sqrt_b_against_symmetric_eigensolver(grid8):
     rho = random_form(grid8, eps=0.5, band=2, seed=21)
-    root = sqrt_b_values(rho)
-    _, b = matrix_ab(rho)
+    root = _sqrt_b(rho)
+    b = explicit_gram(rho, star=True)
     idx = sample_points(grid8, 30, seed=3)
     for n in range(30):
         p = tuple(ax[n] for ax in idx)
@@ -62,8 +68,8 @@ def test_sqrt_b_against_symmetric_eigensolver(grid8):
 
 def test_sqrt_b_squares_to_b(grid8):
     rho = random_form(grid8, eps=0.5, band=2, seed=22)
-    root = sqrt_b_values(rho)
-    _, b = matrix_ab(rho)
+    root = _sqrt_b(rho)
+    b = explicit_gram(rho, star=True)
     sq = np.einsum("ik...,kj...->ij...", root, root)
     assert np.abs(sq - b).max() < 1e-11
 
@@ -104,10 +110,9 @@ def test_eigenvalue_scalar_identities(grid8):
 def test_matrix_ab_equals_the_skew_matrix_products(grid8):
     # the column-by-column Gram matrices against R R^T and S S^T
     rho = random_form(grid8, 0.7, seed=9)
-    R, S = as_skew_matrix(rho), as_skew_matrix(hodge_star(rho))
     a, b = matrix_ab(rho)
-    assert np.abs(a - np.einsum("ip...,jp...->ij...", R, R)).max() < 1e-14
-    assert np.abs(b - np.einsum("ip...,jp...->ij...", S, S)).max() < 1e-14
+    assert np.abs(a - explicit_gram(rho)).max() < 1e-14
+    assert np.abs(b - explicit_gram(rho, star=True)).max() < 1e-14
 
 
 def test_a_plus_b_is_norm_identity(grid8):
@@ -140,8 +145,9 @@ def test_scheme_parsing():
     assert scheme_from_name("power_u:0.25") == FlowScheme("power_u", 0.25)
     assert scheme_from_name("power_u") == CONFORMAL
     assert scheme_from_name("matrix_b2").kind == "matrix_b2"
-    with pytest.raises(ValueError):
-        scheme_from_name("nope")
+    for tag in ("nope", "power_u0.25", "power_u_2", "power_ufoo", "power_u:"):
+        with pytest.raises(ValueError):
+            scheme_from_name(tag)
     with pytest.raises(ValueError):
         FlowScheme("power_u", -1.0)
     with pytest.raises(ValueError):
@@ -163,7 +169,7 @@ def test_weight_spectral_radius_oracle(grid8):
     idx = sample_points(grid8, 15, seed=5)
     for scheme in ALL_SCHEMES:
         radius = weight_spectral_radius(rho, scheme)
-        h = weight_h(rho, scheme)
+        h = explicit_weight_h(rho, scheme)
         for n in range(15):
             p = tuple(ax[n] for ax in idx)
             top = np.linalg.eigvalsh(h[(slice(None), slice(None)) + p]).max()
@@ -199,7 +205,7 @@ def test_weight_apply_matches_explicit_matrix(grid8, scheme):
     rng = np.random.default_rng(31)
     for rho in _flux_oracle_forms(grid8):
         xi = rng.standard_normal((4,) + grid8.dims)
-        want = np.einsum("ik...,k...->i...", weight_h(rho, scheme), xi)
+        want = np.einsum("ik...,k...->i...", explicit_weight_h(rho, scheme), xi)
         got = forms.weight_apply(rho, scheme, xi)
         assert got.shape == xi.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -270,35 +276,18 @@ def test_eigenvalues_hold_no_whole_form_temporaries():
     assert traced_peak(lambda: eigenvalue_values(rho)) <= rho.comps.nbytes
 
 
-def _weight_h_from_matrix_ab(rho, scheme):
-    """h through the pair (a, b) of `matrix_ab`: the route `weight_h` took
-    before it built only the Gram matrix its scheme uses."""
-    if scheme.is_scalar:
-        eye = np.eye(4).reshape((4, 4) + (1,) * rho.grid.rank)
-        return eye * forms.scalar_weight_values(rho, scheme)
-    u = volume_potential_values(rho)
-    a, b = matrix_ab(rho)
-    if scheme.kind == "matrix_bh":
-        lam1, lam2 = eigenvalue_values(rho)
-        root = b.copy()
-        for i in range(4):
-            root[i, i] += u
-        root /= np.maximum(lam1 + lam2, forms.EIG_EPS)
-        return root / u
-    base = a if scheme.kind in ("matrix_a1", "matrix_a2") else b
-    return base / u ** (1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2)
-
-
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
 def test_weight_h_equals_the_matrix_ab_route(grid8, scheme):
+    # the columns h e_j of `weight_apply` against h built from the explicit
+    # a = R R^T and b = S S^T
     for rho in _flux_oracle_forms(grid8):
-        assert np.array_equal(weight_h(rho, scheme),
-                              _weight_h_from_matrix_ab(rho, scheme))
+        assert rel_err(weight_h(rho, scheme), explicit_weight_h(rho, scheme)) < 1e-13
 
 
 def test_matrix_weight_builds_one_gram_matrix():
-    # at 16^4 a 4x4 field is 8/3 forms: building b alone keeps the matrix_b2
-    # weight under 6 forms, where building a and b peaked at 10.8
+    # at 16^4 a 4x4 field is 8/3 forms: the four columns and their stack keep
+    # the matrix_b2 weight under 6 forms (5.3), where building a and b
+    # peaked at 10.8
     grid = PeriodicGrid((16,) * 4)
     rho = random_form(grid, 0.05, band=3, seed=10)
     assert traced_peak(lambda: weight_h(rho, forms.MATRIX_B2)) \

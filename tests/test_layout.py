@@ -7,7 +7,7 @@ tracer looks the layers up by name.  A public function that only the tests
 call is a second API; its independent derivation belongs in the tests, as an
 oracle.  The u-floor is read by one function only, no function takes the
 floor or a record constant as a parameter, and no module imports a name it
-never reads."""
+never reads.  The pointwise inner product is written once, as `forms.dot`."""
 
 import ast
 import re
@@ -176,3 +176,27 @@ def test_only_grid_reads_the_fft_module():
     reads = [entry for path in sorted(PACKAGE.glob("*.py"))
              if path.stem != "grid" for entry in _fft_reads(path)]
     assert not reads, "np.fft read outside grid: " + ", ".join(reads)
+
+
+def _component_contractions(path: Path) -> list:
+    """(line, enclosing top-level function) of each `einsum` call in `path`
+    whose subscripts are "c...,c...->...", the pointwise inner product."""
+    found = []
+    for stmt in ast.parse(path.read_text()).body:
+        for node in ast.walk(stmt):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            spec = str(node.args[0].value).replace(" ", "")
+            if name == "einsum" and spec == "c...,c...->...":
+                found.append((node.lineno, getattr(stmt, "name", None)))
+    return found
+
+
+def test_only_forms_dot_contracts_components():
+    # the pointwise inner product sum_c x_c y_c is written once, as forms.dot
+    sites = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, owner in _component_contractions(path)
+             if (path.stem, owner) != ("forms", "dot")]
+    assert not sites, "inner product outside forms.dot: " + ", ".join(sites)
