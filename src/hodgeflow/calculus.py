@@ -7,7 +7,8 @@ Sign conventions, fixed once and used everywhere:
   (d* rho)_k    = sum_l d_l rho_kl        (rho the full antisymmetric matrix)
 
 With these choices d and d* are exact adjoints for the L2 pairings used in
-this package, and the assembled flows dissipate the Hodge energy.
+this package, and the assembled flows dissipate the Hodge energy.  Each is
+summed from signed terms d_a source -> target, one `deriv_values` call each.
 """
 
 from __future__ import annotations
@@ -73,23 +74,29 @@ def add_axis_terms(out: np.ndarray, axis_terms, Da, filled=None) -> None:
             filled.add(t)
 
 
-def _axis_sums(count: int, terms, comps: np.ndarray,
-               grid: PeriodicGrid) -> np.ndarray:
-    """add_axis_terms over every axis a into a new (count, *dims) array, with
-    one deriv_values call per axis on that axis's sources."""
-    out, filled = np.empty((count,) + grid.dims), set()
+def _axis_sums(count: int, terms, comps: np.ndarray, grid: PeriodicGrid,
+               out: np.ndarray = None) -> np.ndarray:
+    """out[t] +/-= d_a comps[s] over each axis a's terms (s, t, plus), in order,
+    into `out` or a new array: a target's first term is written into it
+    (negated by deriv_values), each later one via one reused buffer."""
+    out = np.empty((count,) + grid.dims) if out is None else out
+    buf, filled = None, set()
     for a, axis_terms in enumerate(terms):
-        src = [s for s, _, _ in axis_terms]
-        add_axis_terms(out, axis_terms,
-                       dict(zip(src, deriv_values(comps, grid, a, src))), filled)
+        for s, t, plus in axis_terms:
+            if t in filled:
+                buf = deriv_values(comps[s], grid, a, buf)
+                (np.add if plus else np.subtract)(out[t], buf, out=out[t])
+            else:
+                deriv_values(comps[s], grid, a, out[t], minus=not plus)
+                filled.add(t)
     return out
 
 
-def d_one(zeta: OneForm) -> TwoForm:
-    """Exterior derivative of a 1-form."""
+def d_one(zeta: OneForm, out: np.ndarray = None) -> TwoForm:
+    """Exterior derivative of a 1-form, written into `out` if given."""
     check_finite(zeta.comps, "d_one input")
     grid = zeta.grid
-    out = _axis_sums(6, _D_ONE_TERMS, zeta.comps, grid)
+    out = _axis_sums(6, _D_ONE_TERMS, zeta.comps, grid, out)
     check_finite(out, "d_one output")
     return TwoForm(grid, out)
 

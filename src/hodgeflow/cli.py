@@ -216,7 +216,7 @@ def snapshot_write(state: FlowState, path, scheme_name: str = "",
         fh.write(struct.pack(f"<{grid.rank}I", *grid.dims))
         fh.write(struct.pack(f"<{grid.rank}d", *grid.lengths))
         fh.write(struct.pack("<I", rho.comps.shape[0]))
-        fh.write(np.ascontiguousarray(rho.comps, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(rho.comps, dtype="<f8"))
     sidecar = {"scheme": scheme_name, "t": state.t, "step": state.step,
                "dt": state.dt, "config_digest": config_digest}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -335,7 +335,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         initial, scheme, t_end, sample_every, fixed_dt=fixed_dt, stats=stats)
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
-        snapshot_write(final, out_dir / "final.nhf", scheme.kind, cfg.digest())
+        snapshot_write(final, out_dir / "final.nhf", scheme.tag, cfg.digest())
     _write_summary(out_dir, trajectory, final, event,
                    {**stats, **_decay_fit(trajectory)})
     return _event_exit(event)

@@ -103,21 +103,20 @@ def decay_rate_fit(series) -> tuple:
 def _derivative_fields(rho: TwoForm, xi: np.ndarray):
     """(d rho, grad u, |grad rho|^2) as arrays, and d* rho written into `xi`,
     streamed over the axes: each D_a = d_a rho comes from one deriv_values
-    call and is folded into all four before the next, so no (4, 6, *dims)
-    gradient bundle is held.  With D_a's components 1 and 4 negated, u_a =
-    <*rho, D_a> is one contraction with the view rho.comps[::-1]."""
+    call into one buffer and is folded into all four before the next, so no
+    (4, 6, *dims) gradient bundle is held.  With D_a's components 1 and 4
+    negated, u_a = <*rho, D_a> is one contraction with the view rho.comps[::-1]."""
     grid, c = rho.grid, rho.comps
     drho, grad_u = np.empty((2, 4) + grid.dims)
     grad_sq = np.zeros(grid.dims)
-    xi_filled, drho_filled = set(), set()
+    xi_filled, drho_filled, Da = set(), set(), None
     for a in range(4):
-        Da = deriv_values(c, grid, a)
+        Da = deriv_values(c, grid, a, Da)
         calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da, xi_filled)
         calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da, drho_filled)
         np.negative(Da[1::3], out=Da[1::3])
         dot(c[::-1], Da, out=grad_u[a])
         grad_sq += dot(Da, Da)
-        del Da  # not held while the next one is taken: a form less at peak
     return drho, grad_u, grad_sq
 
 

@@ -77,14 +77,14 @@ def _check_u(rho: TwoForm) -> np.ndarray:
 
 
 def flow_rhs(rho: TwoForm, scheme: FlowScheme, u: Optional[np.ndarray] = None,
-             xi: Optional[np.ndarray] = None) -> TwoForm:
-    """d(sigma) with sigma = -h (d* rho); dissipates the Hodge energy.  `u`
-    and `xi` are the volume potential and d* rho of rho, if at hand."""
+             xi: Optional[np.ndarray] = None, out=None) -> TwoForm:
+    """d(sigma), sigma = -h (d* rho), into `out` (rho.comps may be it) if given;
+    dissipates the Hodge energy.  `u` and `xi` are u and d* rho, if at hand."""
     # d* rho goes to the weight unbound: it is not held through d_one
     sigma = forms.weight_apply(
         rho, scheme, calculus.codiff_two(rho).comps if xi is None else xi, u)
     np.negative(sigma, out=sigma)
-    return calculus.d_one(calculus.OneForm(rho.grid, sigma))
+    return calculus.d_one(calculus.OneForm(rho.grid, sigma), out)
 
 
 def parabolic_dt(grid, radius: float) -> float:
@@ -108,19 +108,27 @@ def rk4(y: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     """The classical four-stage explicit update of y' = f(y), for any model.
 
     Low storage: one accumulator takes k1 + 2 k2 + 2 k3 + k4 in that order,
-    so the sum is the textbook one to the bit, and each stage's k is dropped
-    once the next stage's input is formed.
+    so the sum is the textbook one to the bit.  Each k is doubled, added,
+    scaled by c dt / 2 (the products of c dt k) and y added in place, as the
+    next stage input: f may write over any argument but y, and a k that
+    shares memory with y or the sum is copied.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     acc = f(y)  # k1, then the running sum
     if np.may_share_memory(acc, y):
         acc = acc.copy()  # it is written in place below
-    k = acc
-    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        k = y + c * dt * k  # the stage input; the last k is dropped here
+    k = acc * (0.5 * dt)  # k1 stays in the sum: its stage input is a new array
+    for c in (0.5, 1.0, None):  # the c of the stage input after this k
+        k += y  # y + c dt k: the addition commutes, so the same bits
         k = f(k)  # k2, k3, k4
-        acc += weight * k
+        if np.may_share_memory(k, y) or np.may_share_memory(k, acc):
+            k = k.copy()
+        if c is not None:
+            k *= 2.0
+            acc += k
+            k *= 0.5 * c * dt
+    acc += k
     acc *= dt / 6.0
     acc += y  # y + (dt/6) * sum: the addition commutes, so the same bits
     check_finite(acc, "RK4 step")
@@ -230,9 +238,11 @@ def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
         u_r = handed.pop() if handed else _check_u(r)
         if stats is not None:
             stats["rhs_evals"] += 1
-        return flow_rhs(r, scheme, u_r, handed.pop() if handed else None).comps
+        # a stage input is dead once the weight has read it: d writes over it
+        return flow_rhs(r, scheme, u_r, handed.pop() if handed else None,
+                        None if comps is state.values else comps).comps
 
-    new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
+    new = TwoForm(grid, rk4(state.values, stage, dt))
     u[...] = _check_u(new)  # in place: a new array per step fragmented the heap
     return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt, u=u)
 

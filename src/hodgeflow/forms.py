@@ -101,6 +101,11 @@ class FlowScheme:
     def is_scalar(self) -> bool:
         return self.kind in ("linear", "power_u", "norm_ratio")
 
+    @property
+    def tag(self) -> str:
+        """The name `scheme_from_name` reads back as this scheme."""
+        return self.kind if self.r in (None, 0.5) else f"{self.kind}:{self.r!r}"
+
 
 LINEAR = FlowScheme("linear")
 CONFORMAL = FlowScheme("power_u", 0.5)

@@ -10,7 +10,8 @@ Along an axis of at most DENSE_MAX points the i*k symbol is applied as one
 matrix product with the dense spectral differentiation matrix of that axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): on the short axes of the 4D
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
-arithmetic.  Longer axes use one rfft/irfft pair.  A Fourier multiplier over
+arithmetic.  Longer axes use one rfft/irfft pair.  Only `deriv_values`, the
+one derivative kernel, reads the matrices.  A Fourier multiplier over
 all grid axes goes forward with `half_spectrum` and back with
 `from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
 (|k_a| <= band) take the pruned pair `band_spectrum`/`from_band_spectrum`
@@ -52,12 +53,16 @@ def _ik_symbol(n: int, length: float, trailing: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _diff_matrix(n: int, length: float) -> np.ndarray:
+def _diff_matrix(n: int, length: float, minus: bool = False) -> np.ndarray:
     """The n x n matrix of the i*k symbol above: column j is the derivative of
-    the j-th unit vector.  Made exactly antisymmetric (zero diagonal)."""
-    cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * _ik_symbol(n, length, 1),
-                        n=n, axis=0)
-    D = 0.5 * (cols - cols.T)
+    the j-th unit vector.  Made exactly antisymmetric (zero diagonal); with
+    `minus`, its negation."""
+    if minus:
+        D = -_diff_matrix(n, length, False)  # the cache key deriv_values uses
+    else:
+        cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0)
+                            * _ik_symbol(n, length, 1), n=n, axis=0)
+        D = 0.5 * (cols - cols.T)
     D.setflags(write=False)
     return D
 
@@ -167,38 +172,32 @@ def check_finite(values: np.ndarray, what: str) -> None:
 
 
 def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
-                 components=None) -> np.ndarray:
-    """Spectral partial derivative along a grid axis.
+                 out: np.ndarray = None, minus: bool = False) -> np.ndarray:
+    """Spectral partial derivative along a grid axis, negated with `minus`
+    (exactly), into `out` (C-contiguous, shaped as `values`) if given.
 
     `values` may carry leading component axes; the grid axes are the trailing
-    `grid.rank` axes of the array.  `components`, a list of indices into the
-    first axis, restricts the derivative to those components.
-
-    An axis of at most DENSE_MAX points takes one matrix product with the
-    cached differentiation matrix, applied to each line minus its first
-    sample, so that constants map to exactly 0; that subtraction is the gather
-    of `components`.  A longer axis takes one rfft/irfft pair.
+    `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
+    one matrix product with the cached differentiation matrix, applied to
+    each line minus its first sample, so that constants map to exactly 0.  A
+    longer axis takes one rfft/irfft pair.
     """
     arr_axis = values.ndim - grid.rank + axis
     n, length = grid.dims[axis], grid.lengths[axis]
     if n > DENSE_MAX:
-        if components is not None:
-            values = values[components]
         spec = np.fft.rfft(values, axis=arr_axis)
-        spec *= _ik_symbol(n, length, grid.rank - axis - 1)
-        return np.fft.irfft(spec, n=n, axis=arr_axis)
+        spec *= _ik_symbol(n, length, grid.rank - axis - 1) * (-1.0 if minus else 1.0)
+        return np.fft.irfft(spec, n=n, axis=arr_axis, out=out)
     first = (slice(None),) * arr_axis + (slice(0, 1),)
-    if components is None:
-        lines = values - values[first]
-    else:
-        lines = np.empty((len(components),) + values.shape[1:])
-        for out, c in zip(lines, components):
-            np.subtract(values[c], values[c][first[1:]], out=out)
-    D = _diff_matrix(n, length)
-    trail = math.prod(lines.shape[arr_axis + 1:])
+    lines = values - values[first]
+    out = np.empty(values.shape) if out is None else out
+    D = _diff_matrix(n, length, minus)
+    trail = math.prod(values.shape[arr_axis + 1:])
     if trail == 1:
-        return (lines.reshape(-1, n) @ D.T).reshape(lines.shape)
-    return np.matmul(D, lines.reshape(-1, n, trail)).reshape(lines.shape)
+        np.matmul(lines.reshape(-1, n), D.T, out=out.reshape(-1, n))
+    else:
+        np.matmul(D, lines.reshape(-1, n, trail), out=out.reshape(-1, n, trail))
+    return out
 
 
 def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

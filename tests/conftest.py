@@ -5,7 +5,8 @@ import pytest
 
 from hodgeflow import calculus, diagnostics, forms, scenarios
 from hodgeflow.forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
-from hodgeflow.grid import PeriodicGrid, ScalarField, gradient_values, integrate
+from hodgeflow.grid import (PeriodicGrid, ScalarField, deriv_values,
+                           gradient_values, integrate)
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +104,24 @@ def explicit_weight_h(rho, scheme):
         return (u * eye + explicit_gram(rho, True)) / (np.sqrt(rho_sq + 2 * u) * u)
     gram = explicit_gram(rho, scheme.kind in ("matrix_b1", "matrix_b2"))
     return gram / u ** (1 if scheme.kind in ("matrix_a1", "matrix_b1") else 2)
+
+
+def bundle_axis_sums(count, terms, comps, grid):
+    """The per-axis bundle route that `calculus._axis_sums` streams: per
+    axis a, one deriv_values call on the stacked sources of that axis's
+    terms, then each term added to, subtracted from or, at a target's first
+    term, copied or negated into its target, in the order of the terms."""
+    out, filled = np.empty((count,) + grid.dims), set()
+    for a, axis_terms in enumerate(terms):
+        src = [s for s, _, _ in axis_terms]
+        Da = dict(zip(src, deriv_values(comps[src], grid, a)))
+        for s, t, plus in axis_terms:
+            if t in filled:
+                (np.add if plus else np.subtract)(out[t], Da[s], out=out[t])
+            else:
+                out[t] = Da[s] if plus else -Da[s]
+                filled.add(t)
+    return out
 
 
 def sd_asd_split(rho):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hodgeflow import forms
+from hodgeflow import calculus, forms
 from hodgeflow.calculus import (OneForm, codiff_two, d_one, d_two,
                                 grad_norm_sq, max_abs_three, periods)
-from hodgeflow.grid import PeriodicGrid, ScalarField, integrate
+from hodgeflow.grid import DENSE_MAX, PeriodicGrid, ScalarField, integrate
 
-from conftest import component, random_form
+from conftest import bundle_axis_sums, component, random_form
 
 
 def analytic_one_form(grid):
@@ -112,3 +112,27 @@ def test_grad_norm_sq_oracle():
 def test_oneform_shape_validation(grid8):
     with pytest.raises(ValueError):
         OneForm(grid8, np.zeros((3,) + grid8.dims))
+
+
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid((8,) * 4),
+    PeriodicGrid((12,) * 4),
+    PeriodicGrid((8, 12, 8, 10), (1.0, 2.0, 3.0, 4.0)),
+    # one axis on the rfft/irfft branch, written through out= as well
+    PeriodicGrid((8, DENSE_MAX + 2, 8, 8), (2 * np.pi, 3.0, 1.0, 5.5)),
+], ids=["8^4", "12^4", "8x12x8x10", "fft-axis"])
+def test_streamed_assembly_equals_the_bundle_route(grid):
+    # one deriv_values call per term, first terms written straight into
+    # their targets (minus terms by the negated matrix), is the per-axis
+    # bundle route to the bit: the same products, summed in the same order
+    rng = np.random.default_rng(sum(grid.dims))
+    zeta = OneForm(grid, rng.standard_normal((4,) + grid.dims))
+    rho = forms.TwoForm(grid, rng.standard_normal((6,) + grid.dims))
+    cases = ((d_one(zeta).comps, 6, calculus._D_ONE_TERMS, zeta.comps),
+             (d_two(rho).comps, 4, calculus._D_TWO_TERMS, rho.comps),
+             (codiff_two(rho).comps, 4, calculus._CODIFF_TERMS, rho.comps))
+    for got, count, terms, comps in cases:
+        assert np.array_equal(got, bundle_axis_sums(count, terms, comps, grid))
+    out = np.full((6,) + grid.dims, np.nan)
+    assert d_one(zeta, out).comps is out
+    assert np.array_equal(out, cases[0][0])

@@ -115,6 +115,21 @@ def test_snapshot_roundtrip_bitwise(tmp_path, grid8):
     assert meta["scheme"] == "conformal" and meta["config_digest"] == "abc"
 
 
+@pytest.mark.parametrize(
+    "scheme", forms.ALL_SCHEMES + (forms.FlowScheme("power_u", 0.25),),
+    ids=lambda s: f"{s.kind}:{s.r}")
+def test_flow_sidecar_names_the_scheme_that_ran(tmp_path, scheme):
+    # the sidecar's scheme tag parses back to the scheme of the run: it used
+    # to hold the kind alone, so power_u:0.25 read back as the conformal flow
+    name = scheme.kind if scheme.r is None else f"{scheme.kind}:{scheme.r}"
+    path = write_config(tmp_path, FLOW_INI.format(out=tmp_path / "out"))
+    assert cli.main(["flow", path, "--set", f"flow.scheme={name}",
+                     "--set", "flow.t_end=0.01"]) == cli.EXIT_OK
+    sidecar = json.loads((tmp_path / "out" / "final.nhf.json").read_text())
+    assert sidecar["scheme"] == scheme.tag
+    assert forms.scheme_from_name(sidecar["scheme"]) == scheme
+
+
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "bad.nhf"
     path.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -107,15 +107,16 @@ def test_rank1_multiplier_equals_the_rfftn_round_trip(n, lead):
 def test_dense_axes_map_constants_to_exactly_zero(grid):
     rng = np.random.default_rng(3)
     const = np.full((3,) + grid.dims, 3.7)
+    out = np.full((3,) + grid.dims, np.nan)
     for axis in range(grid.rank):
         assert not deriv_values(const, grid, axis).any()
-        assert not deriv_values(const, grid, axis, [2, 0]).any()
+        assert not deriv_values(const, grid, axis, out, minus=True).any()
         # random across the other axes, constant along this one
         shape = list((3,) + grid.dims)
         shape[1 + axis] = 1
         along = np.broadcast_to(rng.standard_normal(shape), (3,) + grid.dims)
         assert not deriv_values(along, grid, axis).any()
-        assert not deriv_values(along, grid, axis, [1]).any()
+        assert not deriv_values(along[1], grid, axis, out[1]).any()
 
 
 @pytest.mark.parametrize("n", [8, 16, 24, 32, DENSE_MAX])
@@ -130,11 +131,19 @@ def test_diff_matrix_is_exactly_antisymmetric(n, length):
 @pytest.mark.parametrize("grid", [PeriodicGrid((16, 8, 8, 24)),
                                   PeriodicGrid((8, DENSE_MAX + 2))],
                          ids=["dense", "dense-and-fft"])
-def test_components_selects_leading_entries(grid):
+def test_out_and_minus_match_the_plain_derivative(grid):
+    # out= is written and returned, and minus= is the negation, to the bit,
+    # for the whole array and for one component written into a slice
     vals = np.random.default_rng(4).standard_normal((6,) + grid.dims)
+    out = np.full(vals.shape, np.nan)
+    row = out[1]
     for axis in range(grid.rank):
-        want = deriv_values(vals[[4, 1, 2]], grid, axis)
-        assert np.array_equal(deriv_values(vals, grid, axis, [4, 1, 2]), want)
+        want = deriv_values(vals, grid, axis)
+        assert deriv_values(vals, grid, axis, out) is out
+        assert np.array_equal(out, want)
+        assert deriv_values(vals[4], grid, axis, row, minus=True) is row
+        assert np.array_equal(row, -want[4])
+        assert np.array_equal(deriv_values(vals, grid, axis, minus=True), -want)
 
 
 def test_gradient_values_shape_and_axis_order():

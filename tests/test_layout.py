@@ -7,7 +7,8 @@ tracer looks the layers up by name.  A public function that only the tests
 call is a second API; its independent derivation belongs in the tests, as an
 oracle.  The u-floor is read by one function only, no function takes the
 floor or a record constant as a parameter, and no module imports a name it
-never reads.  The pointwise inner product is written once, as `forms.dot`."""
+never reads.  The pointwise inner product is written once, as `forms.dot`,
+and the differentiation matrices are read by the one derivative kernel."""
 
 import ast
 import re
@@ -200,3 +201,32 @@ def test_only_forms_dot_contracts_components():
              for line, owner in _component_contractions(path)
              if (path.stem, owner) != ("forms", "dot")]
     assert not sites, "inner product outside forms.dot: " + ", ".join(sites)
+
+
+def _name_sites(name: str) -> list:
+    """(module, enclosing top-level def or None, line) of each read or
+    import of `name` in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                hit = (isinstance(node, ast.Name) and node.id == name
+                       or isinstance(node, ast.Attribute) and node.attr == name
+                       or isinstance(node, ast.alias) and node.name == name)
+                if hit:
+                    found.append((path.stem, getattr(stmt, "name", None),
+                                  getattr(node, "lineno", stmt.lineno)))
+    return found
+
+
+def test_only_deriv_values_reads_the_differentiation_matrices():
+    # one spectral derivative kernel: the cached matrix grid._diff_matrix,
+    # and the negation it caches from it, are read only inside
+    # grid.deriv_values, so every caller differentiates through the kernel
+    sites = [f"{module}.py:{line}" for module, owner, line
+             in _name_sites("_diff_matrix")
+             if (module, owner) not in (("grid", "deriv_values"),
+                                        ("grid", "_diff_matrix"))]
+    assert not sites, "differentiation matrix read outside deriv_values: " \
+        + ", ".join(sites)
+    assert ("grid", "deriv_values") in {s[:2] for s in _name_sites("_diff_matrix")}
