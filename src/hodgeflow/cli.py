@@ -283,10 +283,24 @@ def write_series(trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_PROC_STATUS = Path("/proc/self/status")
+
+
+def _peak_rss_mb():
+    """This process's peak resident set so far (VmHWM in `_PROC_STATUS`) in
+    MB of 1024 kB, or None where that file is missing."""
+    try:
+        lines = _PROC_STATUS.read_text().splitlines()
+    except OSError:
+        return None
+    return next((int(line.split()[1]) / 1024.0 for line in lines
+                 if line.startswith("VmHWM:")), None)
+
+
 def _write_summary(out_dir: Path, trajectory, final, event, extra=None) -> None:
     """summary.json of a flow or reduced run: sample count, the final
     state's t and step count and the degeneracy event, plus `extra` (the
-    march's wall_s, dt_min and dt_max, and a flow's decay fit)."""
+    march's wall_s, dt_min and dt_max, and a flow's decay fit) and peak_rss_mb."""
     summary = {"samples": len(trajectory),
                "final_t": final.t,
                "steps": final.step,
@@ -297,6 +311,7 @@ def _write_summary(out_dir: Path, trajectory, final, event, extra=None) -> None:
                             "location": list(event.location)}
     if extra:
         summary.update(extra)
+    summary["peak_rss_mb"] = _peak_rss_mb()
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1))
 
 
@@ -326,13 +341,13 @@ def cmd_flow(cfg: RunConfig) -> int:
                              lengths=cfg.get("grid", "lengths", ()))
     scheme = cfg.get("flow", "scheme", forms.CONFORMAL)
     t_end, sample_every, fixed_dt = _time_settings(cfg, "flow", 50)
-    initial = _scenario_from_config(cfg, grid)
+    stats = {}
+    # the initial form goes to run_flow unbound, so that the run can free it
+    trajectory, final, event = flows.run_flow(
+        _scenario_from_config(cfg, grid), scheme, t_end, sample_every,
+        fixed_dt=fixed_dt, stats=stats)
     out_dir = Path(cfg.get("output", "dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    stats = {}
-    trajectory, final, event = flows.run_flow(
-        initial, scheme, t_end, sample_every, fixed_dt=fixed_dt, stats=stats)
     write_series(trajectory, out_dir / "series.csv")
     if event is None:
         snapshot_write(final, out_dir / "final.nhf", scheme.tag, cfg.digest())

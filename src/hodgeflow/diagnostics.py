@@ -66,12 +66,15 @@ def _require_class_omega(rho: TwoForm) -> None:
 
 
 def normalized_energy(rho: TwoForm) -> float:
-    """Integral of |rho - omega|^2 for forms in the class of omega."""
+    """Integral of |rho - omega|^2 for forms in the class of omega, the
+    squares summed over the components in order, with no copy of rho."""
     _require_class_omega(rho)
-    diff = rho.copy()
-    diff.comps[0] -= 1.0  # omega is 1 on rho_12 and rho_34, 0 elsewhere
-    diff.comps[5] -= 1.0
-    return integrate(forms.norm_sq(diff))
+    total, term = np.zeros(rho.grid.dims), np.empty(rho.grid.dims)
+    for n, comp in enumerate(rho.comps):
+        if n in (0, 5):  # omega is 1 on rho_12 and rho_34, 0 elsewhere
+            comp = np.subtract(comp, 1.0, out=term)
+        total += np.multiply(comp, comp, out=term)
+    return integrate(ScalarField(rho.grid, total))
 
 
 def _coexact_energy(xi: calculus.OneForm) -> float:
@@ -101,23 +104,26 @@ def decay_rate_fit(series) -> tuple:
 
 
 def _derivative_fields(rho: TwoForm, xi: np.ndarray):
-    """(d rho, grad u, |grad rho|^2) as arrays, and d* rho written into `xi`,
+    """(max |d rho|, |grad u|^2, |grad rho|^2), and d* rho written into `xi`,
     streamed over the axes: each D_a = d_a rho comes from one deriv_values
-    call into one buffer and is folded into all four before the next, so no
-    (4, 6, *dims) gradient bundle is held.  With D_a's components 1 and 4
-    negated, u_a = <*rho, D_a> is one contraction with the view rho.comps[::-1]."""
+    call into one buffer and is folded into all of them before the next, so
+    no (4, 6, *dims) gradient bundle and no grad u is held, and d rho is
+    dropped once its max is read.  With D_a's components 1 and 4 negated,
+    u_a = <*rho, D_a> is one contraction with the view rho.comps[::-1]."""
     grid, c = rho.grid, rho.comps
-    drho, grad_u = np.empty((2, 4) + grid.dims)
-    grad_sq = np.zeros(grid.dims)
+    drho = np.empty((4,) + grid.dims)
+    grad_u_sq, grad_sq = np.zeros((2,) + grid.dims)
+    term = np.empty(grid.dims)
     xi_filled, drho_filled, Da = set(), set(), None
     for a in range(4):
         Da = deriv_values(c, grid, a, Da)
         calculus.add_axis_terms(xi, calculus._CODIFF_TERMS[a], Da, xi_filled)
         calculus.add_axis_terms(drho, calculus._D_TWO_TERMS[a], Da, drho_filled)
         np.negative(Da[1::3], out=Da[1::3])
-        dot(c[::-1], Da, out=grad_u[a])
-        grad_sq += dot(Da, Da)
-    return drho, grad_u, grad_sq
+        dot(c[::-1], Da, out=term)
+        grad_u_sq += np.multiply(term, term, out=term)
+        grad_sq += dot(Da, Da, out=term)
+    return float(np.abs(drho, out=drho).max()), grad_u_sq, grad_sq
 
 
 def poincare_ratio(rho: TwoForm) -> float:
@@ -147,8 +153,7 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
     (4, *dims) receives d* rho, which the pass folds anyway."""
     check_finite(rho.comps, "make_record input")
     xi = np.empty((4,) + rho.grid.dims) if xi_out is None else xi_out
-    drho, grad_u, grad_sq = _derivative_fields(rho, xi)
-    d_rho_residual = float(np.abs(drho).max())
+    d_rho_residual, grad_u_sq, grad_sq = _derivative_fields(rho, xi)
     u = forms.volume_potential_values(rho) if u is None else u
     rho_sq = forms.norm_sq_values(rho)
     try:
@@ -156,7 +161,6 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
         q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + Q1_WEIGHT * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
-    grad_u_sq = dot(grad_u, grad_u)
     try:  # sup |grad u| / u
         forms.require_above_floor(u)
         sup_grad_log_u = float((np.sqrt(grad_u_sq) / u).max())

@@ -15,7 +15,8 @@ floor.
 An RK4 state keeps the `u` of the floor check that accepted it, for its
 record, `cfl_dt` and its step, whose first stage reads it and whose end
 writes the next state's u over it, and the `xi` = d* rho its record folds,
-which that first stage takes off it and drops.  A LINEAR state keeps neither.
+which that first stage takes off it and writes -h xi over.  A LINEAR
+state keeps neither.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def _check_u(rho: TwoForm) -> np.ndarray:
 def flow_rhs(rho: TwoForm, scheme: FlowScheme, u: Optional[np.ndarray] = None,
              xi: Optional[np.ndarray] = None, out=None) -> TwoForm:
     """d(sigma), sigma = -h (d* rho), into `out` (rho.comps may be it) if given;
-    dissipates the Hodge energy.  `u` and `xi` are u and d* rho, if at hand."""
-    # d* rho goes to the weight unbound: it is not held through d_one
-    sigma = forms.weight_apply(
-        rho, scheme, calculus.codiff_two(rho).comps if xi is None else xi, u)
+    dissipates the Hodge energy.  `u` and `xi` are u and d* rho, if at hand:
+    sigma is written over xi."""
+    xi = calculus.codiff_two(rho).comps if xi is None else xi
+    sigma = forms.weight_apply(rho, scheme, xi, u, out=xi)
     np.negative(sigma, out=sigma)
     return calculus.d_one(calculus.OneForm(rho.grid, sigma), out)
 
@@ -254,6 +255,8 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
 
     Returns (trajectory, final_state, event) from `march`, which also fills
     `stats`; never raises for the terminal conditions (u at the floor, blowup).
+    `initial` is not written, but it is not copied either: the run frees it
+    after the first step when the caller holds it no longer.
     """
     from . import diagnostics
 
@@ -272,8 +275,11 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
         return diagnostics.make_record(st.rho, st.t, st.dt, ref_periods, st.u,
                                        st.xi)
 
+    # the first state reaches march unbound: once replaced, nothing holds it
+    first = [FlowState(rho=initial, u=None if exact else u)]
+    del initial
     trajectory, final, event = march(
-        FlowState(rho=initial.copy(), u=None if exact else u),
+        first.pop(),
         lambda st, dt: (step_linear(st, dt) if exact
                         else step_rk4(st, dt, scheme, stats)),
         lambda st: cfl_dt(st.rho, scheme, st.u),

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateForm
-from .grid import PeriodicGrid, ScalarField
+from .errors import DegenerateForm, NumericalBlowup
+from .grid import PeriodicGrid
 
 # lexicographic (i, j) pairs, i < j, for the six components
 COMPONENT_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -50,9 +50,6 @@ class TwoForm:
     @classmethod
     def zero(cls, grid: PeriodicGrid) -> "TwoForm":
         return cls(grid, np.zeros((6,) + grid.dims))
-
-    def copy(self) -> "TwoForm":
-        return TwoForm(self.grid, self.comps.copy())
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.grid, self.comps + other.comps)
@@ -160,10 +157,6 @@ def norm_sq_values(rho: TwoForm) -> np.ndarray:
     return dot(rho.comps, rho.comps)
 
 
-def norm_sq(rho: TwoForm) -> ScalarField:
-    return ScalarField(rho.grid, norm_sq_values(rho))
-
-
 def volume_potential_values(rho: TwoForm) -> np.ndarray:
     """u = rho_12 rho_34 - rho_13 rho_24 + rho_14 rho_23; 2u = <rho, *rho>."""
     c = rho.comps
@@ -236,8 +229,11 @@ def matrix_ab(rho: TwoForm):
 
 
 def require_above_floor(values: np.ndarray, what: str = "u") -> None:
-    """The floor check: raise DegenerateForm unless min(values) > U_FLOOR."""
+    """The floor check: raise DegenerateForm unless min(values) > U_FLOOR,
+    NumericalBlowup if that minimum is not finite (a NaN compares False)."""
     m = float(values.min())
+    if not np.isfinite(m):
+        raise NumericalBlowup(f"min {what} = {m} is not finite")
     if m <= U_FLOOR:
         raise DegenerateForm(f"min {what} = {m:.6g} at/below floor {U_FLOOR:.3g}")
 
@@ -265,9 +261,10 @@ def weight_h(rho: TwoForm, scheme: FlowScheme) -> np.ndarray:
 
 
 def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
-                 u: Optional[np.ndarray] = None) -> np.ndarray:
-    """h xi pointwise for a 1-form xi of shape (4, *dims), without building h;
-    `u` is the volume potential of rho, if at hand.
+                 u: Optional[np.ndarray] = None, out=None) -> np.ndarray:
+    """h xi pointwise for a 1-form xi of shape (4, *dims), without building h,
+    into `out` (xi itself may be it) if given; `u` is the volume potential of
+    rho, if at hand.
 
     a = R R^T and b = S S^T for the skew matrices R of rho and S of *rho, so
     a xi = -R(R xi) and b xi = -S(S xi).  sqrt(b) is the closed form
@@ -275,7 +272,7 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     sum guarded below by EIG_EPS.  This is the one implementation of h.
     """
     if scheme.is_scalar:
-        return scalar_weight_values(rho, scheme, u) * xi
+        return np.multiply(scalar_weight_values(rho, scheme, u), xi, out=out)
     u = volume_potential_values(rho) if u is None else u
     require_above_floor(u, f"u in the {scheme.kind} weight")
     terms = _SKEW_TERMS if scheme.kind in ("matrix_a1", "matrix_a2") \
@@ -285,9 +282,10 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
         scale = np.maximum(lam1 + lam2, EIG_EPS) * u
     else:
         scale = -u if scheme.kind in ("matrix_a1", "matrix_b1") else -(u * u)
-    out = np.empty_like(xi)
+    out = np.empty_like(xi) if out is None else out
     # one slab of the first grid axis at a time, so that the mat-vec
-    # operands stay in cache: about 40% faster than whole fields at 24^4
+    # operands stay in cache: about 40% faster than whole fields at 24^4.
+    # A slab of xi is read in full before its slab of out is written.
     for k in range(xi.shape[1]):
         v, slab = xi[:, k], rho.comps[:, k]
         twice = _skew_apply(slab, _skew_apply(slab, v, terms), terms)  # -(a or b) v

@@ -178,25 +178,29 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
 
     `values` may carry leading component axes; the grid axes are the trailing
     `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
-    one matrix product with the cached differentiation matrix, applied to
-    each line minus its first sample, so that constants map to exactly 0.  A
-    longer axis takes one rfft/irfft pair.
+    one matrix product per component with the cached differentiation matrix,
+    applied to each line minus its first sample, so that constants map to
+    exactly 0; the lines of one component at a time go through one scratch
+    field.  A longer axis takes one rfft/irfft pair.
     """
-    arr_axis = values.ndim - grid.rank + axis
+    lead = values.ndim - grid.rank
     n, length = grid.dims[axis], grid.lengths[axis]
     if n > DENSE_MAX:
-        spec = np.fft.rfft(values, axis=arr_axis)
+        spec = np.fft.rfft(values, axis=lead + axis)
         spec *= _ik_symbol(n, length, grid.rank - axis - 1) * (-1.0 if minus else 1.0)
-        return np.fft.irfft(spec, n=n, axis=arr_axis, out=out)
-    first = (slice(None),) * arr_axis + (slice(0, 1),)
-    lines = values - values[first]
+        return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
     out = np.empty(values.shape) if out is None else out
     D = _diff_matrix(n, length, minus)
-    trail = math.prod(values.shape[arr_axis + 1:])
-    if trail == 1:
-        np.matmul(lines.reshape(-1, n), D.T, out=out.reshape(-1, n))
-    else:
-        np.matmul(D, lines.reshape(-1, n, trail), out=out.reshape(-1, n, trail))
+    first = (slice(None),) * axis + (slice(0, 1),)
+    trail = math.prod(values.shape[lead + axis + 1:])
+    lines = np.empty(values.shape[lead:])
+    for c in np.ndindex(values.shape[:lead]):
+        np.subtract(values[c], values[c][first], out=lines)
+        if trail == 1:
+            np.matmul(lines.reshape(-1, n), D.T, out=out[c].reshape(-1, n))
+        else:
+            np.matmul(D, lines.reshape(-1, n, trail),
+                      out=out[c].reshape(-1, n, trail))
     return out
 
 

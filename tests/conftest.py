@@ -135,9 +135,15 @@ def sd_asd_split(rho):
 # The record quantities, each from its definition and the full (4, 6, *dims)
 # gradient bundle, not from the one streamed pass that make_record makes.
 
+def norm_sq(rho):
+    """|rho|^2 as a field, one contraction over the components: the oracle
+    of `diagnostics.normalized_energy`'s sum of squares in component order."""
+    return ScalarField(rho.grid, forms.norm_sq_values(rho))
+
+
 def energy(rho):
     """Hodge energy: integral of |rho|^2."""
-    return integrate(forms.norm_sq(rho))
+    return integrate(norm_sq(rho))
 
 
 def grad_u(rho):

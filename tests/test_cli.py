@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -435,7 +436,7 @@ def test_main_reduced_writes_summary(tmp_path):
                         .replace("t_end = 0.02", "t_end = 0.02\nfixed_dt = 0.005"))
     assert cli.main(["reduced", path]) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary.pop("wall_s") > 0.0
+    assert summary.pop("wall_s") > 0.0 and summary.pop("peak_rss_mb") > 0.0
     assert summary == {"samples": 5, "final_t": pytest.approx(0.02),
                        "steps": 4, "event": None, "rhs_evals": 0,
                        "dt_min": pytest.approx(0.005), "dt_max": pytest.approx(0.005)}
@@ -455,6 +456,50 @@ def test_main_flow_summary_reports_wall_time_and_dt_range(tmp_path):
     dts = [float(row.split(",")[1]) for row in rows]
     assert min(dts) == summary["dt_min"] and max(dts) == summary["dt_max"]
     assert "wall_s" not in (out / "series.csv").read_text()
+
+
+def test_summary_reports_the_peak_resident_set(tmp_path, monkeypatch):
+    # VmHWM in MB (of 1024 kB) when the summary is written, for a flow and
+    # a reduced run, null where the status file is missing, never in
+    # series.csv
+    runs = (("flow", FLOW_INI), ("reduced", HEAT_INI))
+    for command, text in runs:
+        out = tmp_path / command
+        assert cli.main([command, write_config(tmp_path, text.format(out=out))]) \
+            == cli.EXIT_OK
+        peak = json.loads((out / "summary.json").read_text())["peak_rss_mb"]
+        assert 0.0 < peak <= cli._peak_rss_mb()
+        assert "peak_rss" not in (out / "series.csv").read_text()
+    monkeypatch.setattr(cli, "_PROC_STATUS", tmp_path / "no-such-file")
+    for command, text in runs:
+        out = tmp_path / f"{command}-without-status"
+        assert cli.main([command, write_config(tmp_path, text.format(out=out))]) \
+            == cli.EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["peak_rss_mb"] is None
+
+
+def test_flow_command_frees_the_initial_form_after_the_first_step(
+        tmp_path, monkeypatch):
+    # cmd_flow hands the scenario's form to run_flow and keeps no name for
+    # it, so the run can drop it once the first step has replaced it
+    made, alive = [], []
+    scenario, step = cli._scenario_from_config, flows.step_rk4
+
+    def spy_scenario(cfg, grid):
+        rho = scenario(cfg, grid)
+        made.append(weakref.ref(rho.comps))
+        return rho
+
+    def spy_step(state, dt, *args):
+        alive.append(made[0]() is not None)
+        return step(state, dt, *args)
+
+    monkeypatch.setattr(cli, "_scenario_from_config", spy_scenario)
+    monkeypatch.setattr(flows, "step_rk4", spy_step)
+    out = tmp_path / "out"
+    assert cli.main(["flow", write_config(tmp_path, FLOW_INI.format(out=out))]) \
+        == cli.EXIT_OK
+    assert len(alive) >= 3 and alive[0] and not any(alive[1:])
 
 
 def test_summary_counts_the_right_hand_sides(tmp_path, monkeypatch):

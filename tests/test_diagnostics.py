@@ -12,8 +12,8 @@ from hodgeflow.grid import (PeriodicGrid, ScalarField, gradient_values, integrat
                             laplacian_values)
 
 from conftest import (as_skew_matrix, energy, explicit_weight_h,
-                      grad_log_u_sup, q1_functional, random_form, rel_err,
-                      sd_asd_split, shi_monitor, traced_peak)
+                      grad_log_u_sup, norm_sq, q1_functional, random_form,
+                      rel_err, sd_asd_split, shi_monitor, traced_peak)
 
 
 def test_energy_of_reference(grid8):
@@ -37,15 +37,15 @@ def test_normalized_energy_oracle(grid8):
 def test_normalized_energy_is_the_difference_oracle_exactly(n, seed):
     grid = PeriodicGrid((n,) * 4, (2 * np.pi, 3.0, 2 * np.pi, 5.0))
     rho = random_form(grid, 0.05, band=3, seed=seed)
-    want = integrate(forms.norm_sq(rho - forms.omega(grid)))
+    want = integrate(norm_sq(rho - forms.omega(grid)))
     assert normalized_energy(rho) == want
 
 
 def test_normalized_energy_builds_no_omega():
-    # one copy of rho (1.17 forms with the squared norm); with omega and
-    # rho - omega it peaked at 2.0
+    # two scalar fields, the sum and one term (0.33 forms); a copy of rho
+    # peaked at 1.17, and omega with rho - omega at 2.0
     rho = random_form(PeriodicGrid((16,) * 4), 0.05, band=3, seed=10)
-    assert traced_peak(lambda: normalized_energy(rho)) < 1.5 * rho.comps.nbytes
+    assert traced_peak(lambda: normalized_energy(rho)) < 0.5 * rho.comps.nbytes
 
 
 def test_normalized_energy_rejects_wrong_class(grid8):
@@ -330,14 +330,16 @@ def test_d_two_by_axis_terms_is_the_stacked_formula(grid12):
 
 
 def test_record_and_d_two_hold_no_gradient_bundle():
-    # at 16^4: make_record peaks at 4.2 forms (5.3 while each D_a was held
-    # through the next one's derivative call) and d_two at 1.7; the bundle
-    # alone is 4 forms, and with it they peaked at 7.2 and 6.0
+    # at 16^4: make_record peaks at 3.02 forms (4.19 while deriv_values
+    # held a whole form of first-sample differences, grad u four fields and
+    # normalized_energy a copy of rho; 5.3 while each D_a was held through
+    # the next one's derivative call) and d_two at 1.02; the bundle alone is
+    # 4 forms, and with it they peaked at 7.2 and 6.0
     grid = PeriodicGrid((16,) * 4)
     rho = random_form(grid, 0.05, band=3, seed=10)
     ref = calculus.periods(rho)
     form = rho.comps.nbytes
-    assert traced_peak(lambda: make_record(rho, 0.0, 0.0, ref)) <= 4.5 * form
+    assert traced_peak(lambda: make_record(rho, 0.0, 0.0, ref)) <= 3.25 * form
     assert traced_peak(lambda: calculus.d_two(rho)) <= 2.0 * form
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgeflow import forms
-from hodgeflow.errors import DegenerateForm
+from hodgeflow.errors import DegenerateForm, NumericalBlowup
 from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
                              eigenvalue_values, hodge_star, matrix_ab, norm_sq_values, omega, scheme_from_name,
                              volume_potential_values,
@@ -209,6 +209,30 @@ def test_weight_apply_matches_explicit_matrix(grid8, scheme):
         got = forms.weight_apply(rho, scheme, xi)
         assert got.shape == xi.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_weight_apply_writes_over_xi_to_the_bit(grid8, scheme):
+    # out= may be xi itself: each slab of xi is read before it is written
+    xi = np.random.default_rng(32).standard_normal((4,) + grid8.dims)
+    for rho in _flux_oracle_forms(grid8):
+        want = forms.weight_apply(rho, scheme, xi)
+        buf = xi.copy()
+        assert forms.weight_apply(rho, scheme, buf, out=buf) is buf
+        assert np.array_equal(buf, want)
+
+
+def test_floor_check_calls_a_non_finite_minimum_a_blowup():
+    # a NaN minimum compares False with the floor: it used to pass
+    for bad in (np.nan, -np.inf):
+        values = np.ones(8)
+        values[3] = bad
+        with pytest.raises(NumericalBlowup):
+            forms.require_above_floor(values)
+    for low in (forms.U_FLOOR, -5.0):
+        with pytest.raises(DegenerateForm):
+            forms.require_above_floor(np.array([1.0, low, np.inf]))
+    forms.require_above_floor(np.array([1.0, np.inf]))
 
 
 @pytest.mark.parametrize("scheme", [s for s in ALL_SCHEMES if not s.is_scalar],

@@ -8,6 +8,8 @@ from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _dd_symbol,
                             from_half_spectrum, gradient_values, half_spectrum,
                             integrate, laplacian_values, propagate)
 
+from conftest import traced_peak
+
 
 # ---------------------------------------------------------------------------
 # complex-FFT oracles: the kernel as it was before the real-FFT rewrite
@@ -144,6 +146,18 @@ def test_out_and_minus_match_the_plain_derivative(grid):
         assert deriv_values(vals[4], grid, axis, row, minus=True) is row
         assert np.array_equal(row, -want[4])
         assert np.array_equal(deriv_values(vals, grid, axis, minus=True), -want)
+
+
+def test_dense_kernel_holds_one_component_of_scratch():
+    # at 16^4 the first-sample differences of a (6, *dims) input go through
+    # one component's scratch (1.13 components with numpy's own buffer); the
+    # whole difference array held six (1.02 forms)
+    grid = PeriodicGrid((16,) * 4)
+    comps = np.random.default_rng(5).standard_normal((6,) + grid.dims)
+    out = np.empty_like(comps)
+    for axis in range(grid.rank):
+        peak = traced_peak(lambda: deriv_values(comps, grid, axis, out))
+        assert peak <= 1.25 * comps[0].nbytes, (axis, peak)
 
 
 def test_gradient_values_shape_and_axis_order():
