@@ -75,14 +75,15 @@ def add_axis_terms(out: np.ndarray, axis_terms, Da, filled=None) -> None:
 
 
 def _axis_sums(count: int, terms, comps: np.ndarray, grid: PeriodicGrid,
-               out: np.ndarray = None) -> np.ndarray:
+               out: np.ndarray = None, minus: bool = False) -> np.ndarray:
     """out[t] +/-= d_a comps[s] over each axis a's terms (s, t, plus), in order,
-    into `out` or a new array: a target's first term is written into it
-    (negated by deriv_values), each later one via one reused buffer."""
+    signs flipped with `minus`, into `out` or a new array: a target's first
+    term is written into it (negated by deriv_values), each later via a buffer."""
     out = np.empty((count,) + grid.dims) if out is None else out
     buf, filled = None, set()
     for a, axis_terms in enumerate(terms):
         for s, t, plus in axis_terms:
+            plus = plus != minus
             if t in filled:
                 buf = deriv_values(comps[s], grid, a, buf)
                 (np.add if plus else np.subtract)(out[t], buf, out=out[t])
@@ -92,11 +93,11 @@ def _axis_sums(count: int, terms, comps: np.ndarray, grid: PeriodicGrid,
     return out
 
 
-def d_one(zeta: OneForm, out: np.ndarray = None) -> TwoForm:
-    """Exterior derivative of a 1-form, written into `out` if given."""
+def d_one(zeta: OneForm, out: np.ndarray = None, minus: bool = False) -> TwoForm:
+    """Exterior derivative of a 1-form (exactly negated with `minus`), into `out`."""
     check_finite(zeta.comps, "d_one input")
     grid = zeta.grid
-    out = _axis_sums(6, _D_ONE_TERMS, zeta.comps, grid, out)
+    out = _axis_sums(6, _D_ONE_TERMS, zeta.comps, grid, out, minus)
     check_finite(out, "d_one output")
     return TwoForm(grid, out)
 

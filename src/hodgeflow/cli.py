@@ -69,7 +69,7 @@ def _one_of(names):
 
 
 # Each key's cast and bound; a rule that depends on the command or on
-# another key (a grid's rank, the count of lengths) is checked where it is read.
+# another key (a grid's rank, count of lengths or band) is checked where read.
 _SCHEMA = {
     "grid": {"dims": _dims,
              "lengths": lambda raw: tuple(_finite(tok) for tok in raw.split())},
@@ -182,9 +182,12 @@ def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
     if kind == "omega":
         return forms.omega(grid)
     if kind == "random_near_omega":
-        return scenarios.make_random_near_omega(
-            grid, cfg.get("scenario", "eps", 0.05), cfg.get("scenario", "band", 4),
-            cfg.get("scenario", "seed", 0))
+        try:  # eps, and band >= 1, are checked at load; the band's top here
+            return scenarios.make_random_near_omega(
+                grid, cfg.get("scenario", "eps", 0.05),
+                cfg.get("scenario", "band", None), cfg.get("scenario", "seed", 0))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for scenario.band: {exc}") from exc
     if kind == "product_u":
         amp = cfg.get("scenario", "amplitude", 0.3)
         g2 = PeriodicGrid(grid.dims[:2], grid.lengths[:2])
@@ -367,11 +370,7 @@ def cmd_reduced(cfg: RunConfig) -> int:
         b = ScalarField.from_function(grid, lambda x1, x2: amp * np.sin(x2))
         state = reduced.ReducedState(model, (a, b))
     else:
-        if grid.rank == 1:
-            base = ScalarField.from_function(grid, lambda x: 1.0 + amp * np.sin(x))
-        else:
-            base = ScalarField.from_function(
-                grid, lambda x1, x2: 1.0 + amp * np.sin(x1))
+        base = ScalarField.from_function(grid, lambda x1, *rest: 1.0 + amp * np.sin(x1))
         state = reduced.ReducedState(model, (base,))
     # precondition: the initial data must already satisfy positivity
     reduced.reduced_cfl_dt(state)

@@ -135,17 +135,6 @@ def poincare_ratio(rho: TwoForm) -> float:
     return num / den
 
 
-def sobolev_poincare_ratio(rho: TwoForm) -> float:
-    """int |rho - omega|^2 / (int |d* rho|^{4/3})^{3/2}."""
-    num = normalized_energy(rho)
-    xi = calculus.codiff_two(rho)
-    mag = np.sqrt(dot(xi.comps, xi.comps))
-    den = integrate(ScalarField(rho.grid, mag ** (4.0 / 3.0))) ** 1.5
-    if den < 1e-14:
-        raise BadSeries(f"coexact 4/3-energy {den:.3g} too small for a ratio")
-    return num / den
-
-
 def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
                 u: np.ndarray = None, xi_out: np.ndarray = None) -> TrajectoryRecord:
     """One diagnostics row; every derivative comes from one pass over the
@@ -287,16 +276,6 @@ class _FlowGeometry:
                         - u * h_v * (self.grad_lam1[j] + self.grad_lam2[j])) \
                     / (self.lam1 + self.lam2)
             yield dm_v / u ** power - power * h_v * (gu[j] / u)
-
-
-def jk_quantities(rho: TwoForm, mask_eps: float):
-    """(J, K, valid-mask); J, K are zeroed where either dual part is tiny."""
-    geo = _FlowGeometry(rho)
-    j, k = geo.jk()
-    valid = (geo.sp > mask_eps) & (geo.sm > mask_eps)
-    j = np.where(valid, j, 0.0)
-    k = np.where(valid, k, 0.0)
-    return ScalarField(rho.grid, j), ScalarField(rho.grid, k), valid
 
 
 RESIDUAL_QUANTITIES = ("rho_sq", "u", "rho_plus_sq", "rho_minus_sq",

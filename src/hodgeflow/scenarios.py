@@ -35,16 +35,20 @@ def _band_limited_field(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
     return from_band_spectrum(_band_cube(rng, grid, band), grid)
 
 
-def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
-                           seed: int = 0) -> TwoForm:
+def make_random_near_omega(grid: PeriodicGrid, eps: float,
+                           band: Optional[int] = None, seed: int = 0) -> TwoForm:
     """omega + d(zeta) for a seeded band-limited 1-form, scaled so the
     perturbation has sup norm eps; re-scaled down if u would dip below 1/2.
     zeta is four `_band_cube`s; (d zeta)_ij = ik_i zeta_j - ik_j zeta_i, with
-    `grid`'s Nyquist-zeroed ik, is formed on them and synthesized at once."""
+    `grid`'s Nyquist-zeroed ik, is formed on them and synthesized at once.
+    The band is 1 to n/2 - 1 on the shortest axis (no Nyquist row); unset, 4
+    or that bound."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    if band < 1:
-        raise ValueError(f"band must be at least 1, got {band!r}")
+    top = min(grid.dims) // 2 - 1
+    band = min(4, top) if band is None else band
+    if not 1 <= band <= top:
+        raise ValueError(f"band must lie in 1 .. {top} on this grid, got {band!r}")
     if eps == 0.0:
         return forms.omega(grid)
     rng = np.random.default_rng(seed)
@@ -59,25 +63,6 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
         if float(forms.volume_potential_values(rho).min()) > 0.5:
             return rho
         scale *= 0.5
-
-
-def isotopy_path(theta: OneForm, s: float) -> TwoForm:
-    """omega + s * d(theta) for s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("path parameter s must lie in [0, 1]")
-    rho = TwoForm(theta.grid,
-                  forms.omega(theta.grid).comps + s * calculus.d_one(theta).comps)
-    forms.require_above_floor(forms.volume_potential_values(rho),
-                              f"u on the path at s = {s}")
-    return rho
-
-
-def isotopy_min_u(theta: OneForm, samples: int = 11) -> np.ndarray:
-    """min u along the sampled path s = 0 .. 1."""
-    base, dtheta = forms.omega(theta.grid).comps, calculus.d_one(theta).comps
-    mins = [forms.volume_potential_values(TwoForm(theta.grid, base + s * dtheta)).min()
-            for s in np.linspace(0.0, 1.0, samples)]
-    return np.array(mins, dtype=float)
 
 
 # ---------------------------------------------------------------------------

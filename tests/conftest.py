@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hodgeflow import calculus, diagnostics, forms, scenarios
+from hodgeflow.errors import BadSeries
 from hodgeflow.forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
 from hodgeflow.grid import (PeriodicGrid, ScalarField, deriv_values,
                            gradient_values, integrate)
@@ -122,6 +123,88 @@ def bundle_axis_sums(count, terms, comps, grid):
                 out[t] = Da[s] if plus else -Da[s]
                 filled.add(t)
     return out
+
+
+def skew_apply_zeros(comps, v, terms):
+    """M v pointwise for the skew matrix M read from `comps` through the
+    (i, j, source, plus) `terms` of `forms`, summed from zeros: every term
+    made in one scratch field and added to or subtracted from its target.
+    The oracle of `forms._skew_signed`, which writes each target's first
+    term straight into it and tracks its sign instead."""
+    out = np.zeros_like(v)
+    term = np.empty_like(v[0])
+    for i, j, src, plus in terms:
+        np.multiply(comps[src], v[j], out=term)
+        (np.add if plus else np.subtract)(out[i], term, out=out[i])
+        np.multiply(comps[src], v[i], out=term)
+        (np.subtract if plus else np.add)(out[j], term, out=out[j])
+    return out
+
+
+def weight_apply_oracle(rho, scheme, xi):
+    """h xi composed slab by slab from `skew_apply_zeros`, each slab's
+    result in a new array: twice = X(X xi) = -(a or b) xi, divided by -u or
+    -u^2, or (u xi - twice) / ((lambda1 + lambda2) u) for sqrt(b) / u.  The
+    scalar weights multiply xi by `forms.scalar_weight_values`."""
+    if scheme.is_scalar:
+        return forms.scalar_weight_values(rho, scheme) * xi
+    u = forms.volume_potential_values(rho)
+    terms = (forms._SKEW_TERMS if scheme.kind in ("matrix_a1", "matrix_a2")
+             else forms._STAR_SKEW_TERMS)
+    if scheme.kind == "matrix_bh":
+        lam1, lam2 = forms.eigenvalue_values(rho)
+        scale = np.maximum(lam1 + lam2, forms.EIG_EPS) * u
+    else:
+        scale = -u if scheme.kind in ("matrix_a1", "matrix_b1") else -(u * u)
+    out = np.empty_like(xi)
+    for k in range(xi.shape[1]):
+        v, slab = xi[:, k], rho.comps[:, k]
+        twice = skew_apply_zeros(slab, skew_apply_zeros(slab, v, terms), terms)
+        if scheme.kind == "matrix_bh":
+            twice = u[k] * v - twice
+        np.divide(twice, scale[k], out=out[:, k])
+    return out
+
+
+def isotopy_path(theta, s):
+    """omega + s * d(theta) for s in [0, 1]; DegenerateForm at the floor."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError("path parameter s must lie in [0, 1]")
+    rho = TwoForm(theta.grid,
+                  forms.omega(theta.grid).comps + s * calculus.d_one(theta).comps)
+    forms.require_above_floor(forms.volume_potential_values(rho),
+                              f"u on the path at s = {s}")
+    return rho
+
+
+def isotopy_min_u(theta, samples=11):
+    """min u along the sampled path s = 0 .. 1."""
+    base, dtheta = forms.omega(theta.grid).comps, calculus.d_one(theta).comps
+    mins = [forms.volume_potential_values(TwoForm(theta.grid, base + s * dtheta)).min()
+            for s in np.linspace(0.0, 1.0, samples)]
+    return np.array(mins, dtype=float)
+
+
+def sobolev_poincare_ratio(rho):
+    """int |rho - omega|^2 / (int |d* rho|^{4/3})^{3/2}."""
+    num = diagnostics.normalized_energy(rho)
+    xi = calculus.codiff_two(rho)
+    mag = np.sqrt(forms.dot(xi.comps, xi.comps))
+    den = integrate(ScalarField(rho.grid, mag ** (4.0 / 3.0))) ** 1.5
+    if den < 1e-14:
+        raise BadSeries(f"coexact 4/3-energy {den:.3g} too small for a ratio")
+    return num / den
+
+
+def jk_quantities(rho, mask_eps):
+    """(J, K, valid-mask) of the Kato gap; J, K are zeroed where either dual
+    part is tiny."""
+    geo = diagnostics._FlowGeometry(rho)
+    j, k = geo.jk()
+    valid = (geo.sp > mask_eps) & (geo.sm > mask_eps)
+    j = np.where(valid, j, 0.0)
+    k = np.where(valid, k, 0.0)
+    return ScalarField(rho.grid, j), ScalarField(rho.grid, k), valid
 
 
 def sd_asd_split(rho):

@@ -384,6 +384,31 @@ def test_bad_input_is_a_config_error(tmp_path, command, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_band_the_grid_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # above n/2 - 1 on the shortest axis the band takes in the Nyquist rows
+    # (band 10 on 8^4 was full-spectrum noise): exit 1, naming the key,
+    # before anything is written
+    text = FLOW_INI.replace("seed = 3", "seed = 3\nband = 10")
+    path = write_config(tmp_path, text.format(out=tmp_path / "out"))
+    assert cli.main(["flow", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "scenario.band" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n,band", [(8, 3), (16, 4), (24, 4)])
+def test_a_band_the_grid_holds_still_runs(tmp_path, n, band):
+    # n/2 - 1 on 8^4, and the benchmark's band 4 on 16^4 and 24^4
+    text = FLOW_INI.replace("dims = 8 8 8 8", f"dims = {n} {n} {n} {n}") \
+        .replace("seed = 3", f"seed = 3\nband = {band}") \
+        .replace("t_end = 0.05", "t_end = 1e-4\nfixed_dt = 1e-4") \
+        .replace("sample_every = 0.01", "sample_every = 1e-4")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, text.format(out=out))
+    assert cli.main(["flow", path]) == cli.EXIT_OK
+    assert len((out / "series.csv").read_text().splitlines()) == 3
+
+
 def test_override_with_a_percent_is_a_config_error(tmp_path, capsys):
     # values are read as written: a % is no interpolation, and 5% no number
     path = write_config(tmp_path, FLOW_INI.format(out=tmp_path / "out"))

@@ -259,6 +259,35 @@ def test_run_flow_rejects_non_closed(grid8):
         run_flow(rho, forms.LINEAR, 0.1, sample_every=0.1)
 
 
+def test_closedness_is_read_off_the_first_record(grid8, monkeypatch):
+    # no d_two runs: a form that is not closed raises before any step, and
+    # the first record's dRhoResidual is max |d rho| to the bit
+    rho = forms.omega(grid8)
+    x3 = grid8.coordinates()[2]
+    rho.comps[0] = rho.comps[0] + 0.1 * np.sin(x3) * np.ones(grid8.dims)
+    steps = []
+
+    def spy(*args, **kwargs):
+        steps.append(args)
+        return step_rk4(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_flow called d_two")
+
+    monkeypatch.setattr(flows, "step_rk4", spy)
+    monkeypatch.setattr(calculus, "d_two", refuse)
+    for scheme in (forms.CONFORMAL, forms.MATRIX_B2):
+        with pytest.raises(ValueError, match="not closed"):
+            run_flow(rho, scheme, 0.1, sample_every=0.1)
+    assert steps == []
+    monkeypatch.undo()
+    record = make_record(rho, 0.0, 0.0, calculus.periods(rho))
+    assert record.dRhoResidual == calculus.max_abs_three(calculus.d_two(rho))
+    closed = random_form(grid8, 0.05, seed=4)
+    assert make_record(closed, 0.0, 0.0, calculus.periods(closed)).dRhoResidual \
+        == calculus.max_abs_three(calculus.d_two(closed))
+
+
 @pytest.mark.parametrize("sample_every", [0.0, -0.1])
 def test_run_flow_rejects_nonpositive_sample_every(grid8, sample_every):
     # the sampling cadence never advances otherwise, and the march never ends
@@ -344,9 +373,9 @@ def test_record_hands_u_and_xi_to_the_next_step(grid8, monkeypatch):
     # d* rho its record folded (12 deriv_values calls fewer per step) and,
     # like the record and cfl_dt, the u of the floor check that accepted the
     # state.  Per step 4 right-hand sides of 24 calls less those 12, and a
-    # record of 4; per run the closedness check's d_two (12) and the first
-    # record (4).  Without the handover a run made 100N + 16 deriv_values
-    # and 7N + 2 u calls
+    # record of 4; per run the first record (4), whose dRhoResidual is the
+    # closedness check (a d_two of its own made 12 more).  Without the
+    # handover a run made 100N + 16 deriv_values and 7N + 2 u calls
     rho = random_form(grid8, 0.05, band=3, seed=9)
     run_flow(rho, forms.CONFORMAL, 0.001, 0.001)  # warm the caches
     calls = count_transform_calls(monkeypatch)
@@ -362,7 +391,7 @@ def test_record_hands_u_and_xi_to_the_next_step(grid8, monkeypatch):
                                         stats=stats)
     n = final.step
     assert event is None and n >= 2 and len(trajectory) == n + 1
-    assert calls["deriv_values"] == 88 * n + 16, calls
+    assert calls["deriv_values"] == 88 * n + 4, calls
     assert calls["volume_potential_values"] <= 4 * n + 4, calls
     assert calls["flow_rhs"] == 4 * n == stats["rhs_evals"], (calls, stats)
 

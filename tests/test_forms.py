@@ -11,7 +11,8 @@ from hodgeflow.forms import (ALL_SCHEMES, CONFORMAL, FlowScheme, TwoForm,
 from hodgeflow.grid import PeriodicGrid
 
 from conftest import (as_skew_matrix, explicit_gram, explicit_weight_h,
-                      random_form, rel_err, sd_asd_split, traced_peak)
+                      random_form, rel_err, sd_asd_split, skew_apply_zeros,
+                      traced_peak, weight_apply_oracle)
 
 
 def sample_points(grid, count, seed=0):
@@ -220,6 +221,33 @@ def test_weight_apply_writes_over_xi_to_the_bit(grid8, scheme):
         buf = xi.copy()
         assert forms.weight_apply(rho, scheme, buf, out=buf) is buf
         assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.kind)
+def test_weight_apply_equals_the_sums_from_zero_to_the_bit(scheme):
+    # each target's first term written straight into a buffer made once per
+    # call, its sign carried instead of negated, is the slab-by-slab
+    # composition of mat-vecs summed from zeros, byte for byte, into a new
+    # array and over xi
+    grid = PeriodicGrid((8, 12, 8, 10))
+    xi = np.random.default_rng(33).standard_normal((4,) + grid.dims)
+    for rho in _flux_oracle_forms(grid):
+        want = weight_apply_oracle(rho, scheme, xi).tobytes()
+        assert forms.weight_apply(rho, scheme, xi).tobytes() == want
+        buf = xi.copy()
+        assert forms.weight_apply(rho, scheme, buf, out=buf).tobytes() == want
+
+
+def test_skew_apply_equals_the_sums_from_zero_to_the_bit(grid8):
+    # the mat-vec that the identity checks and matrix_ab read: each output's
+    # first product written as it comes, and an output held negated then
+    # negated once
+    rng = np.random.default_rng(34)
+    comps = rng.standard_normal((6,) + grid8.dims)
+    v = rng.standard_normal((4,) + grid8.dims)
+    for terms in (forms._SKEW_TERMS, forms._STAR_SKEW_TERMS):
+        assert forms._skew_apply(comps, v, terms).tobytes() == \
+            skew_apply_zeros(comps, v, terms).tobytes()
 
 
 def test_floor_check_calls_a_non_finite_minimum_a_blowup():

@@ -148,6 +148,69 @@ def test_out_and_minus_match_the_plain_derivative(grid):
         assert np.array_equal(deriv_values(vals, grid, axis, minus=True), -want)
 
 
+def _single_product(values, grid, axis):
+    """The dense derivative as one wide product per leading component: its
+    lines minus their first sample, reshaped to (n, rest), times the matrix
+    (rows times the transpose when the axis is the last)."""
+    n = grid.dims[axis]
+    D = _diff_matrix(n, grid.lengths[axis])
+    out = np.empty(values.shape)
+    for c in np.ndindex(values.shape[:values.ndim - grid.rank]):
+        lines = values[c] - values[c][(slice(None),) * axis + (slice(0, 1),)]
+        trail = lines[(0,) * (axis + 1)].size
+        if trail == 1:
+            out[c] = np.matmul(lines.reshape(-1, n), D.T).reshape(lines.shape)
+        else:
+            out[c] = np.matmul(D, lines.reshape(-1, n, trail)).reshape(lines.shape)
+    return out
+
+
+def _product_shapes(monkeypatch, values, grid, axis):
+    """The shapes of the second operand of each np.matmul that one
+    deriv_values call makes."""
+    shapes, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        shapes.append(b.shape)
+        return matmul(a, b, **kwargs)
+    monkeypatch.setattr(np, "matmul", spy)
+    try:
+        deriv_values(values, grid, axis)
+    finally:
+        monkeypatch.undo()
+    return shapes
+
+
+@pytest.mark.parametrize("dims,batched", [
+    ((16,) * 4, True), ((24,) * 4, True), ((8, 12, 8, 10), True),
+    ((128, 16, 8, 8), False), ((32, 8, 32, 32), False), ((16, 12), False),
+    ((16,), False)],
+    ids=["16^4", "24^4", "8x12x8x10", "128x16x8x8", "32x8x32x32", "rank-2",
+         "rank-1"])
+def test_first_axis_product_is_batched_where_it_pays_and_same_bits(
+        dims, batched, monkeypatch):
+    # on a rank-4 grid's first axis, one (n0 x n0)(n0 x n2 n3) product per
+    # slab of the second axis while a slab's product stays within
+    # SLAB_PRODUCT_MAX; else, and on ranks 1 and 2, one wide product.  Each
+    # output element is the same dot product in the same order: same bits
+    grid = PeriodicGrid(dims)
+    vals = np.random.default_rng(6).standard_normal((2,) + dims)
+    shapes = _product_shapes(monkeypatch, vals, grid, 0)
+    n, rest = dims[0], int(np.prod(dims[1:]))
+    if batched:
+        want_shape = (dims[1], n, rest // dims[1])
+    else:
+        want_shape = (1, n, rest) if rest > 1 else (n, n)
+    assert shapes == [want_shape] * 2
+    for minus in (False, True):
+        want = _single_product(vals, grid, 0) * (-1.0 if minus else 1.0)
+        got = deriv_values(vals, grid, 0, minus=minus)
+        assert got.tobytes() == want.tobytes()
+        out = np.full(vals.shape, np.nan)
+        deriv_values(vals[1], grid, 0, out[1], minus=minus)
+        assert out[1].tobytes() == want[1].tobytes()
+
+
 def test_dense_kernel_holds_one_component_of_scratch():
     # at 16^4 the first-sample differences of a (6, *dims) input go through
     # one component's scratch (1.13 components with numpy's own buffer); the

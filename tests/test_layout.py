@@ -18,10 +18,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hodgeflow"
 
-# The paper's quantities, kept in the library without a caller in the
-# program, and the snapshot reader that resuming a run needs.
-ALLOWED = {"isotopy_path", "isotopy_min_u", "sobolev_poincare_ratio",
-           "jk_quantities", "snapshot_read"}
+# The snapshot reader that resuming a run needs.
+ALLOWED = {"snapshot_read"}
 
 
 def _name_counts(node) -> Counter:

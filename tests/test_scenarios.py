@@ -6,14 +6,13 @@ from hodgeflow.calculus import OneForm
 from hodgeflow.errors import DegenerateForm
 from hodgeflow.grid import PeriodicGrid
 from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profiles,
-                                 isotopy_min_u, isotopy_path,
                                  make_example_counterexample,
                                  make_random_near_omega, _antiderivative_1d,
                                  _band_limited_field, _sample_f0, _sample_h0)
 
 from conftest import (band_limited_field_oracle, counterexample_profile_oracle,
-                      counterexample_series, min_u_direct,
-                      random_near_omega_oracle)
+                      counterexample_series, isotopy_min_u, isotopy_path,
+                      min_u_direct, random_near_omega_oracle)
 
 
 def test_random_near_omega_properties(grid8):
@@ -29,15 +28,14 @@ def test_random_near_omega_properties(grid8):
 
 
 @pytest.mark.parametrize("dims,lengths,band,eps", [
-    ((8,) * 4, (), 4, 0.05),
+    ((8,) * 4, (), 3, 0.05),
     ((16,) * 4, (), 1, 0.05),
     ((16,) * 4, (), 3, 3.0),
-    ((8, 12, 8, 10), (1.0, 2.0, 3.0, 4.0), 5, 0.05),
-], ids=["8-band4-nyquist", "16-band1", "16-band3-halved", "8x12x8x10-lengths"])
+    ((8, 12, 8, 10), (1.0, 2.0, 3.0, 4.0), 3, 0.05),
+], ids=["8-band3-widest", "16-band1", "16-band3-halved", "8x12x8x10-lengths"])
 def test_random_near_omega_matches_the_full_grid_oracle(dims, lengths, band, eps):
     # the pruned build against full-grid fftn/ifftn and a d_one pass on the
-    # values; at 8^4 with band 4 (and on the 8- and 10-point axes with band
-    # 5) each axis's Nyquist row falls inside the band, and eps 3 makes
+    # values; band 3 is the widest an 8-point axis holds, and eps 3 makes
     # make_random_near_omega halve its scale
     grid = PeriodicGrid(dims, lengths)
     rho = make_random_near_omega(grid, eps, band=band, seed=42)
@@ -50,12 +48,45 @@ def test_random_near_omega_matches_the_full_grid_oracle(dims, lengths, band, eps
     assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("eps,band", [(np.nan, 4), (np.inf, 4), (0.05, 0)],
+@pytest.mark.parametrize("dims,band", [((8,) * 4, 4), ((8, 12, 8, 10), 5)],
+                         ids=["8-band4", "8x12x8x10-band5"])
+def test_band_limited_field_matches_the_oracle_with_nyquist_rows_in_the_band(
+        dims, band):
+    # the pruned pair also holds when each axis's Nyquist row falls inside
+    # the band (on the 8- and 10-point axes here), which random data refuse
+    grid = PeriodicGrid(dims)
+    field = _band_limited_field(np.random.default_rng(7), grid, band)
+    ref = band_limited_field_oracle(np.random.default_rng(7), grid, band)
+    assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dims,band", [((8,) * 4, 4), ((8,) * 4, 10),
+                                       ((8, 12, 8, 10), 5)],
+                         ids=["8-band4", "8-band10", "8x12x8x10-band5"])
+def test_random_near_omega_rejects_a_band_the_grid_cannot_hold(dims, band):
+    # a band above n/2 - 1 on the shortest axis takes in the Nyquist rows:
+    # band 10 on 8^4 was full-spectrum noise
+    with pytest.raises(ValueError, match="band"):
+        make_random_near_omega(PeriodicGrid(dims), 0.05, band=band, seed=1)
+
+
+def test_random_near_omega_default_band_is_capped_by_the_grid(grid8):
+    # unset, the band is 4 where the grid holds it, n/2 - 1 where it does not
+    capped = make_random_near_omega(grid8, 0.05, seed=2)
+    assert capped.comps.tobytes() == make_random_near_omega(
+        grid8, 0.05, band=3, seed=2).comps.tobytes()
+    grid = PeriodicGrid((16, 10, 12, 10))
+    assert make_random_near_omega(grid, 0.05, seed=2).comps.tobytes() == \
+        make_random_near_omega(grid, 0.05, band=4, seed=2).comps.tobytes()
+
+
+@pytest.mark.parametrize("eps,band", [(np.nan, 3), (np.inf, 3), (0.05, 0)],
                          ids=["eps-nan", "eps-inf", "band-0"])
 def test_random_near_omega_rejects_a_non_finite_eps_or_an_empty_band(
         grid8, eps, band):
     # a NaN or infinite scale is halved forever, and band 0 leaves no mode
-    with pytest.raises(ValueError):
+    # (band 3 is the widest 8^4 holds, so only eps is at fault in the others)
+    with pytest.raises(ValueError, match="eps" if band else "band"):
         make_random_near_omega(grid8, eps, band=band)
 
 
