@@ -185,7 +185,7 @@ def _scenario_from_config(cfg: RunConfig, grid: PeriodicGrid) -> TwoForm:
         try:  # eps, and band >= 1, are checked at load; the band's top here
             return scenarios.make_random_near_omega(
                 grid, cfg.get("scenario", "eps", 0.05),
-                cfg.get("scenario", "band", None), cfg.get("scenario", "seed", 0))
+                cfg.get("scenario", "band", 4), cfg.get("scenario", "seed", 0))
         except ValueError as exc:
             raise ConfigError(f"bad value for scenario.band: {exc}") from exc
     if kind == "product_u":

@@ -191,7 +191,8 @@ def _skew_signed(comps: np.ndarray, v: np.ndarray, terms, signs, out: np.ndarray
     """M v as `_skew_apply`, for v[c] = -v_c where signs[c] is False, into
     `out`; returns the signs of what out holds.  Each out[t] takes its first
     product as it comes, and each later one (made in `term`) is added or
-    subtracted: negation is exact, so out[t] = +-(M v)_t to the bit."""
+    subtracted: negation is exact, so out[t] = +-(M v)_t to the bit, but
+    for the sign of a zero (no +0.0 is added before the first product)."""
     stored = [None] * 4
     for i, j, src, plus in terms:
         for t, s, add in ((i, j, plus), (j, i, not plus)):
@@ -297,10 +298,9 @@ def weight_apply(rho: TwoForm, scheme: FlowScheme, xi: np.ndarray,
     if scheme.kind == "matrix_bh":
         lam1, lam2 = eigenvalue_values(rho)
         scale = np.maximum(lam1 + lam2, EIG_EPS) * u
-    else:  # twice / -u^p, for twice held as -twice (signs False) or twice
+    else:  # twice / -u^p: by u^p where twice is held negated, else -u^p
         power = u if scheme.kind in ("matrix_a1", "matrix_b1") else u * u
-        # R(R xi) holds every component negated: the a-schemes need no -u^p
-        scales = (power, None if terms is _SKEW_TERMS else np.negative(power))
+        scales = (power, np.negative(power))
     out = np.empty_like(xi) if out is None else out
     inner, twice = np.empty((2,) + xi[:, 0].shape)
     term = np.empty(xi.shape[2:])

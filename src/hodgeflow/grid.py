@@ -42,12 +42,6 @@ TWO_PI = 2.0 * np.pi
 # the FFT.
 DENSE_MAX = 128
 
-# A rank-4 grid's first axis takes one (n0 x n0)(n0 x n2 n3) product per slab
-# of the second axis while one has at most this many multiply-adds: the bits
-# of one wide product, 1.4-1.7x faster at 16^4 to 28^4, slower at 2^20.
-SLAB_PRODUCT_MAX = 10 ** 6
-
-
 @functools.lru_cache(maxsize=None)
 def _ik_symbol(n: int, length: float, trailing: int) -> np.ndarray:
     """Half-spectrum i*2*pi*k/L, Nyquist zeroed, for an axis before `trailing` axes."""
@@ -185,7 +179,7 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
     `values` may carry leading component axes; the grid axes are the trailing
     `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
     one matrix product per component with the cached differentiation matrix
-    (batched over the second axis on a rank-4 grid's first: SLAB_PRODUCT_MAX),
+    (on a rank-4 grid's first axis, one per slab of the second axis),
     applied to each line minus its first sample, so that constants map to
     exactly 0; the lines of one component at a time go through one scratch
     field.  A longer axis takes one rfft/irfft pair.
@@ -202,8 +196,8 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
     first = (slice(None),) * axis + (slice(0, 1),)
     trail = math.prod(shape[axis + 1:])
     batch, order = (-1, n, trail), (0, 1, 2)  # (batches, n, columns), axis order
-    if axis == 0 and grid.rank == 4 and n * n * trail <= SLAB_PRODUCT_MAX * shape[1]:
-        batch, order = (n, shape[1], -1), (1, 0, 2)  # one (n0, n2 n3) per slab
+    if axis == 0 and grid.rank == 4:  # one (n0, n2 n3) per slab: same bits
+        batch, order = (n, shape[1], -1), (1, 0, 2)
     lines = np.empty(shape)
     for c in np.ndindex(values.shape[:lead]):
         np.subtract(values[c], values[c][first], out=lines)

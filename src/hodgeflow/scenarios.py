@@ -35,22 +35,20 @@ def _band_limited_field(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
     return from_band_spectrum(_band_cube(rng, grid, band), grid)
 
 
-def make_random_near_omega(grid: PeriodicGrid, eps: float,
-                           band: Optional[int] = None, seed: int = 0) -> TwoForm:
+def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
+                           seed: int = 0) -> TwoForm:
     """omega + d(zeta) for a seeded band-limited 1-form, scaled so the
     perturbation has sup norm eps; re-scaled down if u would dip below 1/2.
     zeta is four `_band_cube`s; (d zeta)_ij = ik_i zeta_j - ik_j zeta_i, with
     `grid`'s Nyquist-zeroed ik, is formed on them and synthesized at once.
-    The band is 1 to n/2 - 1 on the shortest axis (no Nyquist row); unset, 4
-    or that bound."""
+    The band is 1 to n/2 - 1 on the shortest axis (no Nyquist row)."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
+    if eps == 0.0:  # no field is drawn, so the band goes unread
+        return forms.omega(grid)
     top = min(grid.dims) // 2 - 1
-    band = min(4, top) if band is None else band
     if not 1 <= band <= top:
         raise ValueError(f"band must lie in 1 .. {top} on this grid, got {band!r}")
-    if eps == 0.0:
-        return forms.omega(grid)
     rng = np.random.default_rng(seed)
     zeta = [_band_cube(rng, grid, band) for _ in range(4)]
     ik = [np.sign(k) * _ik_symbol(n, L, 0)[np.abs(k)] for k, n, L

@@ -381,6 +381,7 @@ sample_every = 0.01
 [scenario]
 kind = random_near_omega
 eps = 0.05
+band = 3
 seed = 11
 [output]
 dir = {out}

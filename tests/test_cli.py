@@ -37,6 +37,7 @@ sample_every = 0.01
 [scenario]
 kind = random_near_omega
 eps = 0.05
+band = 3
 seed = 3
 [output]
 dir = {out}
@@ -327,7 +328,7 @@ dir = {out}
     # a float setting must be finite, and a perturbation needs a band
     ("flow", FLOW_INI.replace("eps = 0.05", "eps = nan")),
     ("flow", FLOW_INI.replace("eps = 0.05", "eps = inf")),
-    ("flow", FLOW_INI.replace("seed = 3", "seed = 3\nband = 0")),
+    ("flow", FLOW_INI.replace("band = 3", "band = 0")),
     ("flow", FLOW_INI.replace("dims = 8 8 8 8",
                               "dims = 8 8 8 8\nlengths = 6.28 6.28 6.28 inf")),
     ("flow", FLOW_INI.replace("kind = random_near_omega", "kind = product_u")
@@ -384,11 +385,12 @@ def test_bad_input_is_a_config_error(tmp_path, command, text):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_band_the_grid_cannot_hold_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("band", ["band = 10\n", ""], ids=["band-10", "unset"])
+def test_a_band_the_grid_cannot_hold_is_a_config_error(tmp_path, capsys, band):
     # above n/2 - 1 on the shortest axis the band takes in the Nyquist rows
-    # (band 10 on 8^4 was full-spectrum noise): exit 1, naming the key,
-    # before anything is written
-    text = FLOW_INI.replace("seed = 3", "seed = 3\nband = 10")
+    # (band 10 on 8^4 was full-spectrum noise; unset, it is 4): exit 1,
+    # naming the key, before anything is written
+    text = FLOW_INI.replace("band = 3\n", band)
     path = write_config(tmp_path, text.format(out=tmp_path / "out"))
     assert cli.main(["flow", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -400,7 +402,7 @@ def test_a_band_the_grid_cannot_hold_is_a_config_error(tmp_path, capsys):
 def test_a_band_the_grid_holds_still_runs(tmp_path, n, band):
     # n/2 - 1 on 8^4, and the benchmark's band 4 on 16^4 and 24^4
     text = FLOW_INI.replace("dims = 8 8 8 8", f"dims = {n} {n} {n} {n}") \
-        .replace("seed = 3", f"seed = 3\nband = {band}") \
+        .replace("band = 3", f"band = {band}") \
         .replace("t_end = 0.05", "t_end = 1e-4\nfixed_dt = 1e-4") \
         .replace("sample_every = 0.01", "sample_every = 1e-4")
     out = tmp_path / "out"
@@ -887,6 +889,7 @@ sample_every = 0.001
 [scenario]
 kind = random_near_omega
 eps = 0.05
+band = 3
 seed = 3
 [output]
 dir = {out}

@@ -236,6 +236,15 @@ def test_weight_apply_equals_the_sums_from_zero_to_the_bit(scheme):
         assert forms.weight_apply(rho, scheme, xi).tobytes() == want
         buf = xi.copy()
         assert forms.weight_apply(rho, scheme, buf, out=buf).tobytes() == want
+    # where every product is +-0 (xi = 0 at a point, a unit vector's zero
+    # components) only the sign of a zero may differ: == sees no other bit
+    xi[:, :, :3] = 0.0
+    xi[2] = 0.0
+    for rho in _flux_oracle_forms(grid):
+        want = weight_apply_oracle(rho, scheme, xi)
+        assert np.array_equal(forms.weight_apply(rho, scheme, xi), want)
+        buf = xi.copy()
+        assert np.array_equal(forms.weight_apply(rho, scheme, buf, out=buf), want)
 
 
 def test_skew_apply_equals_the_sums_from_zero_to_the_bit(grid8):
@@ -245,9 +254,16 @@ def test_skew_apply_equals_the_sums_from_zero_to_the_bit(grid8):
     rng = np.random.default_rng(34)
     comps = rng.standard_normal((6,) + grid8.dims)
     v = rng.standard_normal((4,) + grid8.dims)
+    unit = np.zeros_like(v)
+    unit[1] = 1.0
+    unit[:, :, :2] = 0.0
     for terms in (forms._SKEW_TERMS, forms._STAR_SKEW_TERMS):
         assert forms._skew_apply(comps, v, terms).tobytes() == \
             skew_apply_zeros(comps, v, terms).tobytes()
+        # a unit vector, and v = 0 at some points: the same values, but a
+        # zero result may carry the other sign (== sees no other bit)
+        assert np.array_equal(forms._skew_apply(comps, unit, terms),
+                              skew_apply_zeros(comps, unit, terms))
 
 
 def test_floor_check_calls_a_non_finite_minimum_a_blowup():

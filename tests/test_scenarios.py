@@ -70,16 +70,6 @@ def test_random_near_omega_rejects_a_band_the_grid_cannot_hold(dims, band):
         make_random_near_omega(PeriodicGrid(dims), 0.05, band=band, seed=1)
 
 
-def test_random_near_omega_default_band_is_capped_by_the_grid(grid8):
-    # unset, the band is 4 where the grid holds it, n/2 - 1 where it does not
-    capped = make_random_near_omega(grid8, 0.05, seed=2)
-    assert capped.comps.tobytes() == make_random_near_omega(
-        grid8, 0.05, band=3, seed=2).comps.tobytes()
-    grid = PeriodicGrid((16, 10, 12, 10))
-    assert make_random_near_omega(grid, 0.05, seed=2).comps.tobytes() == \
-        make_random_near_omega(grid, 0.05, band=4, seed=2).comps.tobytes()
-
-
 @pytest.mark.parametrize("eps,band", [(np.nan, 3), (np.inf, 3), (0.05, 0)],
                          ids=["eps-nan", "eps-inf", "band-0"])
 def test_random_near_omega_rejects_a_non_finite_eps_or_an_empty_band(
