@@ -7,7 +7,7 @@ of the equation is kept in the diagnostics module as an independent oracle.
 `rk4` and `march` are the one integrator and the one time loop; the reduced
 models in `reduced` use them too.  The LINEAR scheme is stepped exactly
 instead: on closed forms -dd* rho = sum_j D_j^2 rho componentwise, so a step
-multiplies the carried half spectrum by e^{dt * symbol}.  The step is kept
+is `grid.exp_values` on the components, one factor per axis.  The step is kept
 to `cfl_dt`, so that the floor check cannot step over a dip of u; `march`
 clips it to the sample times, and bisects the time at which u reaches the
 floor.
@@ -30,29 +30,23 @@ import numpy as np
 from . import calculus, forms
 from .errors import DegenerateForm, NumericalBlowup
 from .forms import FlowScheme, TwoForm
-from .grid import SpectralValues, _dd_symbol, check_finite, propagate
+from .grid import check_finite, exp_values
 
 # Fraction of the parabolic stability bound taken as the step; `fixed_dt`
 # takes a smaller one.
 CFL_SAFETY = 0.25
 
 
-class FlowState(SpectralValues):
-    """The 2-form at time t (from `rho`, or `grid` and the half spectrum of
-    its six components: `grid.SpectralValues`), with the `u` and `xi` above."""
+@dataclass
+class FlowState:
+    """The 2-form at time t, with the `u` and `xi` above."""
 
-    def __init__(self, rho: Optional[TwoForm] = None, t: float = 0.0,
-                 step: int = 0, dt: float = 0.0, *, grid=None,
-                 spectrum: Optional[np.ndarray] = None,
-                 u: Optional[np.ndarray] = None):
-        super().__init__(grid if rho is None else rho.grid,
-                         None if rho is None else rho.comps, spectrum)
-        self.t, self.step, self.dt = t, step, dt
-        self.u, self.xi = u, None
-
-    @property
-    def rho(self) -> TwoForm:
-        return TwoForm(self.grid, self.values)
+    rho: TwoForm
+    t: float = 0.0
+    step: int = 0
+    dt: float = 0.0
+    u: Optional[np.ndarray] = None
+    xi: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -213,13 +207,16 @@ def _last_above_floor(state, step, dt: float):
 
 
 def step_linear(state: FlowState, dt: float) -> FlowState:
-    """The exact step of the LINEAR scheme on a closed form: the half spectrum
-    times e^{dt * symbol} of `grid._dd_symbol`; checks u > floor."""
-    grid = state.grid
-    new = FlowState(t=state.t + dt, step=state.step + 1, dt=dt, grid=grid,
-                    spectrum=propagate(state.spectrum, _dd_symbol, grid, dt))
-    _check_u(new.rho)
-    return new
+    """The exact step of the LINEAR scheme on a closed form: e^{dt L} on the
+    components, L = sum_j D_j^2 (`grid.exp_values`, Nyquist zeroed); checks
+    u > floor."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    grid = state.rho.grid
+    rho = TwoForm(grid, exp_values(state.rho.comps, grid, dt, nyquist=False))
+    check_finite(rho.comps, "exact step")
+    _check_u(rho)
+    return FlowState(rho=rho, t=state.t + dt, step=state.step + 1, dt=dt)
 
 
 def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
@@ -240,9 +237,9 @@ def step_rk4(state: FlowState, dt: float, scheme: FlowScheme,
             stats["rhs_evals"] += 1
         # a stage input is dead once the weight has read it: d writes over it
         return flow_rhs(r, scheme, u_r, handed.pop() if handed else None,
-                        None if comps is state.values else comps).comps
+                        None if comps is state.rho.comps else comps).comps
 
-    new = TwoForm(grid, rk4(state.values, stage, dt))
+    new = TwoForm(grid, rk4(state.rho.comps, stage, dt))
     u[...] = _check_u(new)  # in place: a new array per step fragmented the heap
     return FlowState(rho=new, t=state.t + dt, step=state.step + 1, dt=dt, u=u)
 
@@ -269,7 +266,7 @@ def run_flow(initial: TwoForm, scheme: FlowScheme, t_end: float,
     exact = scheme.kind == "linear"
 
     def record(st: FlowState) -> diagnostics.TrajectoryRecord:
-        st.xi = None if exact else np.empty((4,) + st.grid.dims)
+        st.xi = None if exact else np.empty((4,) + st.rho.grid.dims)
         row = diagnostics.make_record(st.rho, st.t, st.dt, ref_periods, st.u,
                                       st.xi)
         if st.step == 0 and row.dRhoResidual > 1e-8:

@@ -11,16 +11,17 @@ matrix product with the dense spectral differentiation matrix of that axis
 (Trefethen, Spectral Methods in MATLAB, ch. 3): on the short axes of the 4D
 flow, handling thousands of 16- to 32-point FFT lines costs more than the
 arithmetic; on a 4D grid's first axis it is batched, one product per slab of
-the second axis.  Longer axes use one rfft/irfft pair.  Only `deriv_values`,
-the one derivative kernel, reads the matrices.  A Fourier multiplier over
-all grid axes goes forward with `half_spectrum` and back with
+the second axis.  Longer axes use one rfft/irfft pair.  The linear models
+step exactly with `exp_values`: e^{sL} for L the Laplacian (Nyquist kept) or
+sum_a D_a^2 (Nyquist zeroed, -dd* on closed forms), one factor per axis, on
+the same dense products or FFT pairs.  Only `deriv_values` and `exp_values`
+read the matrices, both through one loop.  A Fourier multiplier over all
+grid axes goes forward with `half_spectrum` and back with
 `from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
 (|k_a| <= band) take the pruned pair `band_spectrum`/`from_band_spectrum`
 (Markel, "FFT pruning", 1971): an rfft, then an fft per axis, each axis cut to
 its band before the next; back, the zeros go in before each ifft, then an
-irfft.  The linear models step exactly: `propagate` multiplies a carried half
-spectrum by e^{dt*symbol}, for the Laplacian's symbol or for that of -dd*
-(Nyquist zeroed).
+irfft.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from .errors import NumericalBlowup
 
 TWO_PI = 2.0 * np.pi
 
-# Longest axis differentiated by the dense matrix.  On one core, per axis of
-# three components, the product beats the rfft/irfft pair by 1.3-6x at 16 to
-# 32 points (the 4D flow), costs about the same at 128 (the 128^2 soliton and
-# fast-diffusion grids) and about twice as much at 256; 512-point axes stay on
-# the FFT.
+# Longest axis that takes a dense matrix, for a derivative and for e^{sL}.
+# On one core, per axis of three components, the derivative product beats the
+# rfft/irfft pair by 1.3-6x at 16 to 32 points (the 4D flow), costs about the
+# same at 128 (the 128^2 soliton and fast-diffusion grids) and about twice as
+# much at 256; 512-point axes stay on the FFT.  e^{sL} on one 16^4 form takes
+# 2.0 ms as four per-axis products against 9.3 ms for rfftn, the multiplier
+# and irfftn.
 DENSE_MAX = 128
 
 @functools.lru_cache(maxsize=None)
@@ -67,54 +70,43 @@ def _diff_matrix(n: int, length: float, minus: bool = False) -> np.ndarray:
     return D
 
 
-def _half_symbol(dims: tuple, lengths: tuple, nyquist: bool) -> np.ndarray:
-    """-sum_j k_j^2 on the rfftn half spectrum (last axis halved), with each
-    axis's Nyquist wavenumber kept or zeroed."""
+@functools.lru_cache(maxsize=None)
+def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
+    """-|k|^2 on the rfftn half spectrum (last axis halved), Nyquist kept: the
+    Laplacian."""
     ks = []
     for a, (n, L) in enumerate(zip(dims, lengths)):
         freq = np.fft.rfftfreq if a == len(dims) - 1 else np.fft.fftfreq
-        k = freq(n, 1.0 / n) * (TWO_PI / L)
-        if not nyquist:
-            k[n // 2] = 0.0
-        ks.append(k)
+        ks.append(freq(n, 1.0 / n) * (TWO_PI / L))
     total = -sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
     total.setflags(write=False)
     return total
 
 
 @functools.lru_cache(maxsize=None)
-def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
-    """-|k|^2 on the half spectrum, Nyquist kept: the Laplacian."""
-    return _half_symbol(dims, lengths, True)
+def _axis_symbol(n: int, length: float, nyquist: bool) -> np.ndarray:
+    """-k^2 on one axis's half spectrum, its Nyquist wavenumber kept (the
+    Laplacian's factor) or zeroed (that of D^2, D as in `_ik_symbol`)."""
+    k = np.fft.rfftfreq(n, 1.0 / n) * (TWO_PI / length)
+    if not nyquist:
+        k[n // 2] = 0.0
+    symbol = -(k ** 2)
+    symbol.setflags(write=False)
+    return symbol
 
 
-@functools.lru_cache(maxsize=None)
-def _dd_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
-    """-sum_j k'_j^2 with k' the Nyquist-zeroed wavenumber of `_ik_symbol`:
-    the symbol of -dd* on closed forms, sum_j D_j^2 componentwise.  Not the
-    Laplacian's: it leaves each axis's Nyquist mode undamped on that axis."""
-    return _half_symbol(dims, lengths, False)
-
-
+# Eight matrices hold two step sizes (the bound and the remainder to a sample
+# time) on four distinct axes; a bisection's many step sizes pass through
+# without growing the cache.
 @functools.lru_cache(maxsize=8)
-def _propagator(symbol, dims: tuple, lengths: tuple, dt: float) -> np.ndarray:
-    """e^{dt * symbol} on the half spectrum: the exact step of s' = symbol * s."""
-    factor = np.exp(dt * symbol(dims, lengths))
-    factor.setflags(write=False)
-    return factor
-
-
-def propagate(spec: np.ndarray, symbol, grid: PeriodicGrid,
-              dt: float) -> np.ndarray:
-    """The half spectrum `spec` advanced by dt under the cached `_propagator`
-    of `symbol`; raises NumericalBlowup if it is not finite."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    out = spec * _propagator(symbol, grid.dims, grid.lengths, dt)
-    # twice the sum of |Re| + |Im| bounds every partial sum of the inverse
-    # transform: while it is finite, so are the values rebuilt from out
-    check_finite(2.0 * np.abs(out.view(float)).sum(), "exact step")
-    return out
+def _exp_matrix(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
+    """The n x n matrix of e^{s * `_axis_symbol`}: column j is the image of
+    the j-th unit vector.  Made exactly symmetric."""
+    factor = np.exp(s * _axis_symbol(n, length, nyquist))[:, None]
+    cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * factor, n=n, axis=0)
+    M = 0.5 * (cols + cols.T)
+    M.setflags(write=False)
+    return M
 
 
 @dataclass(frozen=True)
@@ -171,27 +163,15 @@ def check_finite(values: np.ndarray, what: str) -> None:
         raise NumericalBlowup(f"non-finite values in {what}")
 
 
-def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
-                 out: np.ndarray = None, minus: bool = False) -> np.ndarray:
-    """Spectral partial derivative along a grid axis, negated with `minus`
-    (exactly), into `out` (C-contiguous, shaped as `values`) if given.
-
-    `values` may carry leading component axes; the grid axes are the trailing
-    `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
-    one matrix product per component with the cached differentiation matrix
-    (on a rank-4 grid's first axis, one per slab of the second axis),
-    applied to each line minus its first sample, so that constants map to
-    exactly 0; the lines of one component at a time go through one scratch
-    field.  A longer axis takes one rfft/irfft pair.
-    """
+def _axis_products(values: np.ndarray, grid: PeriodicGrid, axis: int,
+                   M: np.ndarray, out: np.ndarray, keep_first: bool) -> np.ndarray:
+    """The n x n matrix M applied along grid `axis` of `values` (component
+    axes leading) into `out`, which may be `values`: one matrix product per
+    component (on a rank-4 grid's first axis, one per slab of the second
+    axis), on each line minus its first sample, which `keep_first` adds back.
+    The lines of one component at a time go through one scratch field."""
     lead = values.ndim - grid.rank
-    n, length = grid.dims[axis], grid.lengths[axis]
-    if n > DENSE_MAX:
-        spec = np.fft.rfft(values, axis=lead + axis)
-        spec *= _ik_symbol(n, length, grid.rank - axis - 1) * (-1.0 if minus else 1.0)
-        return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
-    out = np.empty(values.shape) if out is None else out
-    D = _diff_matrix(n, length, minus)
+    n = grid.dims[axis]
     shape = values.shape[lead:]
     first = (slice(None),) * axis + (slice(0, 1),)
     trail = math.prod(shape[axis + 1:])
@@ -200,12 +180,65 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
         batch, order = (n, shape[1], -1), (1, 0, 2)
     lines = np.empty(shape)
     for c in np.ndindex(values.shape[:lead]):
-        np.subtract(values[c], values[c][first], out=lines)
+        # kept apart from values, which the product may write over
+        base = values[c][first].copy() if keep_first else values[c][first]
+        np.subtract(values[c], base, out=lines)
         if trail == 1:
-            np.matmul(lines.reshape(-1, n), D.T, out=out[c].reshape(-1, n))
+            np.matmul(lines.reshape(-1, n), M.T, out=out[c].reshape(-1, n))
         else:
-            np.matmul(D, lines.reshape(batch).transpose(order),
+            np.matmul(M, lines.reshape(batch).transpose(order),
                       out=out[c].reshape(batch).transpose(order))
+        if keep_first:
+            out[c] += base
+    return out
+
+
+def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
+                 out: np.ndarray = None, minus: bool = False) -> np.ndarray:
+    """Spectral partial derivative along a grid axis, negated with `minus`
+    (exactly), into `out` (C-contiguous, shaped as `values`) if given.
+
+    `values` may carry leading component axes; the grid axes are the trailing
+    `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
+    the cached differentiation matrix through `_axis_products`, whose
+    first-sample differences map constants to exactly 0.  A longer axis
+    takes one rfft/irfft pair.
+    """
+    lead = values.ndim - grid.rank
+    n, length = grid.dims[axis], grid.lengths[axis]
+    if n > DENSE_MAX:
+        spec = np.fft.rfft(values, axis=lead + axis)
+        spec *= _ik_symbol(n, length, grid.rank - axis - 1) * (-1.0 if minus else 1.0)
+        return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
+    out = np.empty(values.shape) if out is None else out
+    return _axis_products(values, grid, axis, _diff_matrix(n, length, minus),
+                          out, False)
+
+
+def exp_values(values: np.ndarray, grid: PeriodicGrid, s: float, *,
+               nyquist: bool) -> np.ndarray:
+    """e^{sL} on `values` (component axes leading, grid axes trailing), one
+    factor per grid axis: L is the Laplacian if `nyquist` (each axis's
+    Nyquist mode kept), else sum_a D_a^2 with D_a as in `deriv_values`
+    (Nyquist zeroed), which is -dd* on closed forms, componentwise.
+
+    An axis of at most DENSE_MAX points takes a cached matrix through
+    `_axis_products`, with the first sample of each line added back, so that
+    a constant maps to itself exactly.  A longer axis takes one rfft, the
+    factor e^{s * symbol} and one irfft.
+    """
+    lead = values.ndim - grid.rank
+    out = np.empty(values.shape)
+    for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
+        if n > DENSE_MAX:
+            spec = np.fft.rfft(values, axis=lead + axis)
+            spec *= np.exp(s * _axis_symbol(n, length, nyquist)).reshape(
+                (-1,) + (1,) * (grid.rank - axis - 1))
+            np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
+        else:
+            _axis_products(values, grid, axis,
+                           _exp_matrix(n, length, s, nyquist), out, True)
+        values = out
     return out
 
 
@@ -254,30 +287,6 @@ def from_band_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
         spec = np.fft.ifft(np.insert(spec, [(m + 1) // 2] * (grid.dims[a] - m),
                                      0, axis=a), axis=a)
     return np.fft.irfft(spec, n=grid.dims[-1])
-
-
-class SpectralValues:
-    """Values on `grid` (its axes trailing) and their `half_spectrum`: two
-    views of one state of a model that steps the spectrum.  Built from
-    either one; the other is made on first read, with one real transform,
-    and kept."""
-
-    def __init__(self, grid: PeriodicGrid, values=None, spectrum=None):
-        if grid is None or values is None and spectrum is None:
-            raise ValueError("a state needs values, or a grid and a spectrum")
-        self.grid, self._values, self._spectrum = grid, values, spectrum
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = from_half_spectrum(self._spectrum, self.grid)
-        return self._values
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = half_spectrum(self._values, self.grid)
-        return self._spectrum
 
 
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

@@ -7,10 +7,9 @@ the u^-2 b weight reduces to inverse diffusion dv/dt = Lap(-1/v) on each
 factor; the sqrt(b)/u weight reduces to log diffusion dv/dt = Lap(log v).
 Each model is an adapter onto `flows.march`, the nonlinear ones through
 `flows.rk4`.  The heat model is linear with constant coefficients, so it is
-stepped exactly: each mode is multiplied by e^{-dt |k|^2}, with no step
-bound, so a march steps from sample to sample.  It stays in Fourier space:
-one forward transform when it starts, and one inverse transform for each
-state whose values are read.
+stepped exactly, by e^{dt Lap} on its values (`grid.exp_values`, which
+multiplies each mode by e^{-dt |k|^2}), with no step bound, so a march steps
+from sample to sample.
 """
 
 from __future__ import annotations
@@ -24,46 +23,28 @@ from . import forms
 from .errors import CohomologyMismatch
 from .flows import march, parabolic_dt, rk4
 from .forms import PAIR_INDEX, TwoForm
-from .grid import (PeriodicGrid, ScalarField, SpectralValues,
-                   _laplacian_symbol, deriv_values, gradient_values, integrate,
-                   laplacian_values, propagate)
+from .grid import (PeriodicGrid, ScalarField, check_finite, deriv_values,
+                   exp_values, gradient_values, integrate, laplacian_values)
 
 MODELS = ("fast_diffusion", "ab_system", "inverse_diffusion",
           "log_diffusion", "heat")
 
 
-class ReducedState(SpectralValues):
-    """A reduced model's fields at time t: `values` stacks them, shape
-    (fields, *dims), and `spectrum` is their half spectrum (see
-    `grid.SpectralValues`).  Built from `fields`, or from `grid` and
-    `spectrum`.  The heat march steps the spectrum, so it reads the values
-    only where something uses them.
-    """
+class ReducedState:
+    """A reduced model's `fields` at time t: one ScalarField, or (a, b) for
+    the shear system, each a row of `values`, shape (fields, *dims)."""
 
-    def __init__(self, model: str, fields: Optional[tuple] = None,
-                 t: float = 0.0, step: int = 0, dt: float = 0.0, *,
-                 grid: Optional[PeriodicGrid] = None,
-                 spectrum: Optional[np.ndarray] = None):
+    def __init__(self, model: str, fields: tuple, t: float = 0.0,
+                 step: int = 0, dt: float = 0.0):
         if model not in MODELS:
             raise ValueError(f"unknown reduced model {model!r}")
         n = 2 if model == "ab_system" else 1
-        given = tuple(fields) if fields is not None else spectrum
-        if given is None or len(given) != n:
-            raise ValueError(f"model {model!r} needs {n} field(s), or a grid "
-                             f"and their stacked spectrum")
-        values = None
-        if fields is not None:
-            grid, values = given[0].grid, np.stack([f.values for f in given])
-        super().__init__(grid, values, spectrum)
+        if len(fields) != n:
+            raise ValueError(f"model {model!r} needs {n} field(s)")
+        self.grid = fields[0].grid
+        self.values = np.stack([f.values for f in fields])
+        self.fields = tuple(ScalarField(self.grid, v) for v in self.values)
         self.model, self.t, self.step, self.dt = model, t, step, dt
-        self._fields = None
-
-    @property
-    def fields(self) -> tuple:
-        """One ScalarField, or (a, b) for the shear system: rows of `values`."""
-        if self._fields is None:
-            self._fields = tuple(ScalarField(self.grid, v) for v in self.values)
-        return self._fields
 
 
 @dataclass
@@ -139,15 +120,20 @@ def step_rk4_reduced(state: ReducedState, dt: float,
     """One RK4 step of the model on its stacked fields; re-checks positivity.
     A given `stats` counts the right-hand sides in `rhs_evals`.
 
-    Heat takes the exact step instead: the half spectrum times e^{dt*lambda},
-    lambda = -|k|^2, checked by `propagate`; the new state's values are left
-    to be rebuilt by one inverse transform if something reads them.
+    Heat takes the exact step instead: e^{dt Lap} on the values
+    (`grid.exp_values`, Nyquist kept), checked to be finite.
     """
     grid = state.grid
     if state.model == "heat":
-        spec = propagate(state.spectrum, _laplacian_symbol, grid, dt)
-        return ReducedState("heat", t=state.t + dt, step=state.step + 1, dt=dt,
-                            grid=grid, spectrum=spec)
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        (v,) = exp_values(state.values, grid, dt, nyquist=True)
+        # the sum is finite only if every value is (or it overflowed: a
+        # blowup too); a scalar check keeps the heat run off numpy's array
+        # isfinite loop, whose first use adds about 0.1 MB to the peak RSS
+        check_finite(v.sum(), "exact step")
+        return ReducedState("heat", (ScalarField(grid, v),), t=state.t + dt,
+                            step=state.step + 1, dt=dt)
 
     def stage(v: np.ndarray) -> np.ndarray:
         if stats is not None:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import ctypes
 import json
 import os
@@ -867,12 +868,13 @@ def test_bench_trace_mode_wraps_the_reduced_march(tmp_path):
     trace = data["trace"]
     steps = trace["reduced.step_rk4_reduced"]["calls"]
     assert steps > 0
-    # the march stays in Fourier space: one forward transform, then one
-    # inverse for each record after the first, and no Laplacian call
-    records = len((tmp_path / "out" / "series.csv").read_text()
-                  .strip().split("\n")) - 1
-    assert records > 2
-    assert trace["fft"]["calls"] == 1 + (records - 1)
+    # one exact step per record after the first, on the 64-point values: the
+    # only transforms build the cached exponential of each distinct step size
+    # (one rfft/irfft pair of the identity), and no Laplacian call
+    with open(tmp_path / "out" / "series.csv") as fh:
+        dts = [float(row["dt"]) for row in csv.DictReader(fh)][1:]
+    assert len(dts) > 2 and steps == len(dts)
+    assert trace["fft"]["calls"] == 2 * len(set(dts))
     assert trace["grid.laplacian_values"]["calls"] == 0
     assert data["aliases_before"] == [] and data["aliases_after"] == []
     assert data["main_loop_at"] is not None

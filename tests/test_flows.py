@@ -8,6 +8,7 @@ import pytest
 from hodgeflow import calculus, flows, forms
 from hodgeflow import grid as grid_module
 from hodgeflow.diagnostics import make_record
+from hodgeflow.errors import NumericalBlowup
 from hodgeflow.flows import (FlowState, _check_u, cfl_dt, flow_rhs, march, rk4,
                              run_flow, step_rk4)
 from hodgeflow.forms import TwoForm
@@ -94,7 +95,8 @@ def test_conformal_rhs_matches_power_scheme(grid8):
 
 def test_linear_flow_is_componentwise_heat():
     # on closed forms the unweighted flow is the heat semigroup, and its
-    # step is exact: 50 fixed steps end on the Fourier-kernel solution
+    # step is exact: 50 fixed steps end on the Fourier-kernel solution, to
+    # the rounding of values of size 1 once per step
     grid = PeriodicGrid((12,) * 4)
     rho0 = random_form(grid, 0.2, band=2, seed=5)
     t_end = 0.05
@@ -112,7 +114,7 @@ def test_linear_flow_is_componentwise_heat():
     exact = forms.omega(grid).comps + np.fft.ifftn(
         spec * np.exp(-ksq * t_end), axes=(1, 2, 3, 4)).real
     err = np.abs(final.rho.comps - exact).max()
-    assert err < 5e-15  # rounding
+    assert err < 50 * np.finfo(float).eps
     assert final.step == 50
 
 
@@ -131,27 +133,34 @@ def test_linear_step_matches_rk4_at_small_dt(grid8):
         assert np.abs(got - want).max() <= 1e-10, dt
 
 
-def test_linear_run_steps_to_samples_on_one_forward_transform(grid8,
-                                                              monkeypatch):
-    # no step bound: one exact step per sample, one forward 4D transform for
-    # the run and one inverse per state that is read, and no flow_rhs call
+def test_linear_run_steps_on_values_with_no_transform(grid8, monkeypatch):
+    # no step bound: one exact step per sample, each a product per axis with
+    # the cached exponential, so no transform and no flow_rhs call; the only
+    # derivatives are the records' (4 each)
     rho0 = random_form(grid8, 0.2, seed=4)
-    calls = {}
+    run_flow(rho0, forms.LINEAR, 0.05, sample_every=0.01)  # warm the caches
+    calls = count_transform_calls(monkeypatch)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in FFT_ENTRY_POINTS:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    monkeypatch.setattr(flows, "flow_rhs", counting("flow_rhs", flow_rhs))
+    def counting_rhs(*args, **kwargs):
+        calls["flow_rhs"] = calls.get("flow_rhs", 0) + 1
+        return flow_rhs(*args, **kwargs)
+    monkeypatch.setattr(flows, "flow_rhs", counting_rhs)
     traj, final, event = run_flow(rho0, forms.LINEAR, 0.05, sample_every=0.01)
     assert event is None and final.step == 5 and len(traj) == 6
     assert max(abs(r.t - 0.01 * i) for i, r in enumerate(traj)) <= 1e-15
     assert final.t == 0.05
-    assert calls == {"rfftn": 1, "irfftn": 5}, calls
+    assert calls == {"deriv_values": 4 * 6}, calls
+
+
+def test_linear_step_checks_dt_and_finiteness(grid8):
+    state = FlowState(rho=forms.omega(grid8))
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            flows.step_linear(state, bad)
+    comps = forms.omega(grid8).comps
+    comps[2, 3, 1, 4, 5] = np.inf
+    with pytest.raises(NumericalBlowup), np.errstate(invalid="ignore"):
+        flows.step_linear(FlowState(rho=TwoForm(grid8, comps)), 1e-3)
 
 
 def test_march_bisects_an_exact_step_that_meets_the_floor():
@@ -464,7 +473,7 @@ def test_a_nan_in_u_ends_the_march_in_a_blowup_event(grid8):
     rho = random_form(grid8, 0.05, seed=5)
 
     def step(state, dt):
-        comps = state.values.copy()
+        comps = state.rho.comps.copy()
         comps[0, 1, 2, 3, 4] = np.nan
         new = FlowState(rho=TwoForm(grid8, comps), t=state.t + dt,
                         step=state.step + 1, dt=dt)

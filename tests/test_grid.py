@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from hodgeflow.errors import NumericalBlowup
-from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _dd_symbol,
-                            _diff_matrix, _laplacian_symbol, deriv_values,
+from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _diff_matrix,
+                            _laplacian_symbol, deriv_values, exp_values,
                             from_half_spectrum, gradient_values, half_spectrum,
-                            integrate, laplacian_values, propagate)
+                            integrate, laplacian_values)
 
-from conftest import traced_peak
+from conftest import fourier_d2_matrix, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -323,37 +323,55 @@ def test_laplacian_keeps_nyquist():
     assert np.abs(lap + 16 * vals).max() < 1e-12
 
 
-@pytest.mark.parametrize("grid", [PeriodicGrid((8, 12, 8, 10)),
-                                  PeriodicGrid((16, 8), (2 * np.pi, 1.5)),
-                                  PeriodicGrid((256,))])
-def test_dd_symbol_is_the_sum_of_repeated_first_derivatives(grid):
-    # sum_j D_j^2 with the Nyquist-zeroed D_j (dense or FFT): it differs from
-    # the Laplacian's symbol exactly where some axis sits at its Nyquist row
-    vals = np.random.default_rng(3).standard_normal((2,) + grid.dims)
-    want = sum(deriv_values(deriv_values(vals, grid, a), grid, a)
-               for a in range(grid.rank))
-    spec = half_spectrum(vals, grid) * _dd_symbol(grid.dims, grid.lengths)
-    got = from_half_spectrum(spec, grid)
-    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-    differs = _dd_symbol(grid.dims, grid.lengths) \
-        != _laplacian_symbol(grid.dims, grid.lengths)
-    nyquist = np.zeros(differs.shape, dtype=bool)
-    for a, n in enumerate(grid.dims):
-        index = [slice(None)] * grid.rank
-        index[a] = n // 2
-        nyquist[tuple(index)] = True
-    assert np.array_equal(differs, nyquist)
+# s |k_max|^2 reaches 180 at 128 points on a period of 3: expm's own
+# rounding stays below 1e-14 there
+EXP_STEPS = (1e-4, 1e-3, 1e-2)
 
 
-def test_propagate_checks_dt_and_finiteness():
-    g = PeriodicGrid((16,))
-    spec = half_spectrum(np.ones(g.dims), g)
-    for bad in (0.0, -1e-3):
-        with pytest.raises(ValueError):
-            propagate(spec, _laplacian_symbol, g, bad)
-    spec[3] = np.inf
-    with pytest.raises(NumericalBlowup), np.errstate(invalid="ignore"):
-        propagate(spec, _laplacian_symbol, g, 1e-3)
+@pytest.mark.parametrize("n", [16, 24, DENSE_MAX])
+@pytest.mark.parametrize("length", [2 * np.pi, 3.0])
+def test_exp_values_is_expm_of_the_axis_operators(n, length):
+    # e^{s D^2} with D the Nyquist-zeroed derivative matrix, and e^{s D2} with
+    # D2 the closed-form Laplacian matrix: the kernel applied to the identity
+    # (rows as components) against scipy's expm
+    grid = PeriodicGrid((n,), (length,))
+    D = _diff_matrix(n, length)
+    for s in EXP_STEPS:
+        dd = exp_values(np.eye(n), grid, s, nyquist=False)
+        lap = exp_values(np.eye(n), grid, s, nyquist=True)
+        assert np.abs(dd - expm(s * D @ D)).max() <= 1e-14, s
+        assert np.abs(lap - expm(s * fourier_d2_matrix(n, length))).max() \
+            <= 1e-14, s
+        # the two differ by the factor on the Nyquist mode only
+        diff = np.fft.rfft(lap - dd, axis=0)
+        assert np.abs(np.delete(diff, n // 2, axis=0)).max() <= 1e-14, s
+        assert np.abs(diff[n // 2]).max() > 1e-3, s
+
+
+@pytest.mark.parametrize("grid", [
+    PeriodicGrid((16, 8, 24, 10), (1.0, 2.0, 2 * np.pi, 4.0)),
+    PeriodicGrid((12, 2 * DENSE_MAX), (3.0, 2 * np.pi)),
+], ids=["16x8x24x10-mixed", "dense-and-fft"])
+@pytest.mark.parametrize("nyquist", [False, True])
+def test_exp_values_is_one_factor_per_axis(grid, nyquist):
+    # several axes (the batched rank-4 first axis, and an FFT axis) against
+    # the per-axis expm applied with tensordot; constants map to themselves
+    # to the bit on dense axes
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((3,) + grid.dims)
+    s = 1e-3
+    want = vals
+    for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
+        D = _diff_matrix(n, length)
+        L = fourier_d2_matrix(n, length) if nyquist else D @ D
+        want = np.moveaxis(np.tensordot(expm(s * L), want, axes=(1, axis + 1)),
+                           0, axis + 1)
+    got = exp_values(vals, grid, s, nyquist=nyquist)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(vals).max()
+    if max(grid.dims) <= DENSE_MAX:
+        const = np.broadcast_to(rng.standard_normal((3,) + (1,) * grid.rank),
+                                vals.shape)
+        assert np.array_equal(exp_values(const, grid, s, nyquist=nyquist), const)
 
 
 def test_integrate_is_mean_times_volume():

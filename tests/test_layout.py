@@ -8,7 +8,8 @@ call is a second API; its independent derivation belongs in the tests, as an
 oracle.  The u-floor is read by one function only, no function takes the
 floor or a record constant as a parameter, and no module imports a name it
 never reads.  The pointwise inner product is written once, as `forms.dot`,
-and the differentiation matrices are read by the one derivative kernel."""
+and the differentiation and exponential matrices are read by the one
+derivative kernel and the one exponential."""
 
 import ast
 import re
@@ -218,13 +219,14 @@ def _name_sites(name: str) -> list:
 
 
 def test_only_deriv_values_reads_the_differentiation_matrices():
-    # one spectral derivative kernel: the cached matrix grid._diff_matrix,
-    # and the negation it caches from it, are read only inside
-    # grid.deriv_values, so every caller differentiates through the kernel
-    sites = [f"{module}.py:{line}" for module, owner, line
-             in _name_sites("_diff_matrix")
-             if (module, owner) not in (("grid", "deriv_values"),
-                                        ("grid", "_diff_matrix"))]
-    assert not sites, "differentiation matrix read outside deriv_values: " \
-        + ", ".join(sites)
-    assert ("grid", "deriv_values") in {s[:2] for s in _name_sites("_diff_matrix")}
+    # one spectral derivative kernel and one exponential: the cached matrix
+    # grid._diff_matrix (and the negation it caches from it) is read only
+    # inside grid.deriv_values, and grid._exp_matrix only inside
+    # grid.exp_values, so every caller goes through the kernel
+    for matrix, kernel in (("_diff_matrix", "deriv_values"),
+                           ("_exp_matrix", "exp_values")):
+        sites = [f"{module}.py:{line}" for module, owner, line
+                 in _name_sites(matrix)
+                 if (module, owner) not in (("grid", kernel), ("grid", matrix))]
+        assert not sites, f"{matrix} read outside {kernel}: " + ", ".join(sites)
+        assert ("grid", kernel) in {s[:2] for s in _name_sites(matrix)}

@@ -4,7 +4,6 @@ import sympy as sp
 from scipy.linalg import expm
 
 from hodgeflow import forms, reduced
-from hodgeflow import grid as grid_module
 from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
 from hodgeflow.grid import PeriodicGrid, ScalarField
 from hodgeflow.reduced import (ReducedState, embed_ab, embed_product,
@@ -140,15 +139,16 @@ def test_run_reduced_reports_degeneracy(monkeypatch):
 
 
 def test_step_rejects_bad_dt():
-    grid = PeriodicGrid((16,))
-    state = ReducedState("heat", (ScalarField.constant(grid, 1.0),))
-    with pytest.raises(ValueError):
-        step_rk4_reduced(state, -0.1)
+    for n in (16, 512):  # the dense and the FFT heat step
+        grid = PeriodicGrid((n,))
+        state = ReducedState("heat", (ScalarField.constant(grid, 1.0),))
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                step_rk4_reduced(state, bad)
 
 
 # ---------------------------------------------------------------------------
-# the heat step as the exact multiplier e^{-dt |k|^2} on the carried half
-# spectrum, against expm(t D2) of the closed-form second-derivative matrix on
+# the heat step as the exact multiplier e^{-dt |k|^2} on the values, against expm(t D2) of the closed-form second-derivative matrix on
 # each axis: a semigroup that shares no FFT with the program.  expm's own
 # rounding grows with |t D2|: against a long-double direct DFT it is 4e-14 at
 # 64 points and t = 1, but 1.5e-13 at 512 points and t = 1e-3 (the program's
@@ -209,9 +209,12 @@ def test_heat_has_no_step_bound():
     assert reduced_cfl_dt(state) == np.inf
 
 
-@pytest.mark.parametrize("grid", HEAT_GRIDS, ids=HEAT_IDS)
-def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
-        grid, monkeypatch):
+@pytest.mark.parametrize("grid,want", zip(HEAT_GRIDS, (
+    {"rfft": 200, "irfft": 200}, {})), ids=HEAT_IDS)
+def test_heat_march_takes_one_transform_pair_per_step_on_long_axes(
+        grid, want, monkeypatch):
+    # the 512-point axis takes one rfft/irfft pair per step; the dense 32x16
+    # grid takes one cached product per axis and no transform at all
     calls = {}
 
     def counting(name, fn):
@@ -220,27 +223,15 @@ def test_heat_march_is_one_forward_transform_and_one_inverse_per_read(
             return fn(*args, **kwargs)
         return wrapped
 
+    state = heat_state(grid)
+    run_reduced(state, HEAT_DT, fixed_dt=HEAT_DT)  # warm the caches
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
                  "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    lap = counting("laplacian_values", grid_module.laplacian_values)
-    for mod in (grid_module, reduced):
-        monkeypatch.setattr(mod, "laplacian_values", lap)
-    forward, inverse = "rfftn", "irfftn"
-    # 200 steps with a record every 50: the start record reads the given
-    # values, each of the 4 later ones rebuilds its state's values once
-    traj, final, event = run_reduced(heat_state(grid), 200 * HEAT_DT,
+    traj, final, event = run_reduced(state, 200 * HEAT_DT,
                                      sample_every=50 * HEAT_DT, fixed_dt=HEAT_DT)
     assert event is None and final.step == 200 and len(traj) == 5
-    assert calls == {forward: 1, inverse: 4}, calls
-    final.fields[0].values  # read by the last record: no transform
-    assert calls == {forward: 1, inverse: 4}, calls
-    # a caller stepping the final state reuses its spectrum, and the new
-    # state's values cost one inverse transform on first read only
-    new = step_rk4_reduced(final, HEAT_DT)
-    assert calls == {forward: 1, inverse: 4}, calls
-    new.fields, new.fields
-    assert calls == {forward: 1, inverse: 5}, calls
+    assert calls == want, calls
 
 
 def test_heat_march_ends_on_the_exact_solution():
@@ -280,28 +271,14 @@ def test_heat_march_on_non_finite_data_ends_in_blowup():
     assert final is state and event.t == 0.0 and len(traj) == 1
 
 
-def test_state_is_built_from_values_or_from_a_spectrum():
-    grid = PeriodicGrid((16,))
-    f = ScalarField(grid, np.random.default_rng(1).standard_normal(grid.dims))
-    state = ReducedState("heat", (f,))
-    spec = state.spectrum
-    assert spec.shape == (1, 9) and state.spectrum is spec
-    again = ReducedState("heat", grid=grid, spectrum=spec)
-    assert np.abs(again.fields[0].values - f.values).max() <= 1e-15
-    assert again.fields is again.fields
-    with pytest.raises(ValueError):
-        ReducedState("heat", grid=grid)
-    with pytest.raises(ValueError):
-        ReducedState("ab_system", grid=grid, spectrum=spec)
-
-
 def test_heat_step_rejects_non_finite_data():
-    grid = PeriodicGrid((16,))
-    vals = np.ones(grid.dims)
-    vals[3] = np.nan
-    state = ReducedState("heat", (ScalarField(grid, vals),))
-    with pytest.raises(NumericalBlowup):
-        step_rk4_reduced(state, 1e-3)
+    for n in (16, 512):  # the dense and the FFT heat step
+        grid = PeriodicGrid((n,))
+        vals = np.ones(grid.dims)
+        vals[3] = np.nan
+        state = ReducedState("heat", (ScalarField(grid, vals),))
+        with pytest.raises(NumericalBlowup):
+            step_rk4_reduced(state, 1e-3)
 
 
 # ---------------------------------------------------------------------------
