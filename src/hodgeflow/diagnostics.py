@@ -56,10 +56,11 @@ CSV_COLUMNS = tuple(f.name for f in dataclass_fields(TrajectoryRecord))
 # energies and scalar diagnostics
 
 
-def _require_class_omega(rho: TwoForm) -> None:
+def _require_class_omega(rho: TwoForm, per: np.ndarray) -> None:
+    """Raise CohomologyMismatch unless rho's `per`iods are omega's."""
     L = rho.grid.lengths
     omega_periods = np.array([L[0] * L[1], 0.0, 0.0, 0.0, 0.0, L[2] * L[3]])
-    worst = float(np.abs(calculus.periods(rho) - omega_periods).max())
+    worst = float(np.abs(per - omega_periods).max())
     if worst > 1e-8:
         raise CohomologyMismatch(
             f"periods differ from the reference class by {worst:.3g}")
@@ -68,7 +69,12 @@ def _require_class_omega(rho: TwoForm) -> None:
 def normalized_energy(rho: TwoForm) -> float:
     """Integral of |rho - omega|^2 for forms in the class of omega, the
     squares summed over the components in order, with no copy of rho."""
-    _require_class_omega(rho)
+    _require_class_omega(rho, calculus.periods(rho))
+    return _omega_energy(rho)
+
+
+def _omega_energy(rho: TwoForm) -> float:
+    """`normalized_energy` without the class check."""
     total, term = np.zeros(rho.grid.dims), np.empty(rho.grid.dims)
     for n, comp in enumerate(rho.comps):
         if n in (0, 5):  # omega is 1 on rho_12 and rho_34, 0 elsewhere
@@ -145,8 +151,10 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
     d_rho_residual, grad_u_sq, grad_sq = _derivative_fields(rho, xi)
     u = forms.volume_potential_values(rho) if u is None else u
     rho_sq = forms.norm_sq_values(rho)
+    per = calculus.periods(rho)
     try:
-        e0 = normalized_energy(rho)
+        _require_class_omega(rho, per)
+        e0 = _omega_energy(rho)
         q1 = _coexact_energy(calculus.OneForm(rho.grid, xi)) + Q1_WEIGHT * e0
     except CohomologyMismatch:
         e0 = q1 = float("nan")
@@ -159,7 +167,6 @@ def make_record(rho: TwoForm, t: float, dt: float, ref_periods: np.ndarray,
     f_max = float((grad_sq + MONITOR_A * grad_u_sq + MONITOR_B * rho_sq
                    + 1.0).max())
     lam1, lam2 = forms.eigenvalue_values(rho)
-    per = calculus.periods(rho)
     drift = float(np.abs(per - ref_periods).max()
                   / max(1.0, float(np.abs(ref_periods).max())))
     return TrajectoryRecord(

@@ -18,10 +18,11 @@ the same dense products or FFT pairs.  Only `deriv_values` and `exp_values`
 read the matrices, both through one loop.  A Fourier multiplier over all
 grid axes goes forward with `half_spectrum` and back with
 `from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
-(|k_a| <= band) take the pruned pair `band_spectrum`/`from_band_spectrum`
-(Markel, "FFT pruning", 1971): an rfft, then an fft per axis, each axis cut to
-its band before the next; back, the zeros go in before each ifft, then an
-irfft.
+(|k_a| <= band) take the pair `band_spectrum`/`from_band_spectrum`: per axis,
+one real product with a cached partial-DFT matrix (the transform of the
+identity, cut to the band's modes), so only the band is ever computed;
+complex data go through the products as their interleaved float view.  Only
+those two read the band matrices.
 """
 
 from __future__ import annotations
@@ -264,29 +265,78 @@ def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
                          axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
 
 
+def _axis_band_modes(n: int, band: int, last: bool) -> np.ndarray:
+    """One axis's integer k with |k| <= band, in fft order (k >= 0 on the
+    `last`, rfft axis)."""
+    k = np.arange(n // 2 + 1) if last else (np.arange(n) + n // 2) % n - n // 2
+    return k[np.abs(k) <= band]
+
+
 def _band_modes(dims: tuple, band: int) -> list:
     """Per grid axis, the band cube's integer k (fft order, k >= 0 on the last)."""
-    ks = [np.fft.ifftshift(np.arange(-(n // 2), n - n // 2)) for n in dims[:-1]]
-    ks.append(np.arange(dims[-1] // 2 + 1))
-    return np.meshgrid(*(k[np.abs(k) <= band] for k in ks), indexing="ij", sparse=True)
+    return np.meshgrid(*(_axis_band_modes(n, band, a == len(dims) - 1)
+                         for a, n in enumerate(dims)), indexing="ij", sparse=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _band_matrices(n: int, band: int, last: bool) -> tuple:
+    """(forward, inverse) real matrices of one axis's partial DFT onto its
+    band modes, each the transform of the identity.  `last` (rfft) axis:
+    (n, 2m) with cos and -sin columns interleaved, and (2m, n) whose rows are
+    irfft of each mode's 1 and 1j (irfft drops Im at k = 0 and Nyquist).
+    Other axes: the fft rows G and ifft columns G' as [Re G; Im G] (2m, n)
+    and [Re G'; Im G'] (2n, m), for `_complex_products`."""
+    k = _axis_band_modes(n, band, last)
+    eye = np.eye(n)
+    if last:
+        fwd = np.ascontiguousarray(np.fft.rfft(eye)[:, k]).view(float)
+        inv = np.fft.irfft(np.eye(2 * k.size).view(complex), n=n)
+    else:
+        fwd, inv = np.fft.fft(eye, axis=0)[k], np.fft.ifft(eye, axis=0)[:, k]
+        fwd, inv = (np.concatenate([M.real, M.imag]) for M in (fwd, inv))
+    for M in (fwd, inv):
+        M.setflags(write=False)
+    return fwd, inv
+
+
+def _complex_products(spec: np.ndarray, axis: int, M: np.ndarray) -> np.ndarray:
+    """The complex matrix G = A + iB given as M = [A; B] (2p, q), applied
+    along `axis` (negative, not the last) of the C-contiguous complex `spec`:
+    one real product on its interleaved float view gives AZ and BZ, and
+    GZ = AZ + i BZ."""
+    shape = spec.shape
+    p = M.shape[0] // 2
+    parts = np.matmul(M, spec.view(float).reshape(
+        math.prod(shape[:axis]), shape[axis], -1)).view(complex)
+    out = parts[:, p:] * 1j
+    out += parts[:, :p]
+    return out.reshape(shape[:axis] + (p,) + shape[axis + 1:])
 
 
 def band_spectrum(values: np.ndarray, grid: PeriodicGrid, band: int) -> np.ndarray:
-    """Forward transform over the trailing grid axes, pruned to |k_a| <= band."""
-    modes = _band_modes(grid.dims, band)
-    spec = np.fft.rfft(values)[..., :modes[-1].size]
-    for a in range(-2, -grid.rank - 1, -1):
-        spec = np.fft.fft(spec, axis=a).take(modes[a].ravel(), axis=a)
+    """Forward transform over the trailing grid axes, pruned to |k_a| <= band:
+    one real product per axis with `_band_matrices`, the last axis first and
+    then the others outermost first, so each product runs few batches."""
+    n = grid.dims[-1]
+    fwd, _ = _band_matrices(n, band, True)
+    spec = np.matmul(values.reshape(-1, n), fwd).view(complex).reshape(
+        values.shape[:-1] + (-1,))
+    for a in range(-grid.rank, -1):
+        spec = _complex_products(spec, a, _band_matrices(grid.dims[a], band,
+                                                         False)[0])
     return spec
 
 
 def from_band_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """The inverse of `band_spectrum`: zeros put back and an ifft per axis."""
-    for a in range(-grid.rank, -1):
-        m = spec.shape[a]
-        spec = np.fft.ifft(np.insert(spec, [(m + 1) // 2] * (grid.dims[a] - m),
-                                     0, axis=a), axis=a)
-    return np.fft.irfft(spec, n=grid.dims[-1])
+    """The inverse of `band_spectrum`: one real product per axis with
+    `_band_matrices` (the band read off the shape), innermost first and the
+    last axis last, so each product runs few batches."""
+    spec = np.ascontiguousarray(spec)
+    for a in range(-2, -grid.rank - 1, -1):
+        spec = _complex_products(spec, a, _band_matrices(
+            grid.dims[a], spec.shape[a] // 2, False)[1])
+    _, inv = _band_matrices(grid.dims[-1], spec.shape[-1] - 1, True)
+    return np.matmul(spec.view(float), inv)
 
 
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:

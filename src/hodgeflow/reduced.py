@@ -14,6 +14,7 @@ from sample to sample.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,14 @@ class ReducedState:
         self.values = np.stack([f.values for f in fields])
         self.fields = tuple(ScalarField(self.grid, v) for v in self.values)
         self.model, self.t, self.step, self.dt = model, t, step, dt
+
+    def _after(self, values: np.ndarray, dt: float) -> "ReducedState":
+        """The state one step of size dt later, on `values` (fields, *dims),
+        held without a copy."""
+        new = copy.copy(self)
+        new.values, new.t, new.step, new.dt = values, self.t + dt, self.step + 1, dt
+        new.fields = tuple(ScalarField(self.grid, v) for v in values)
+        return new
 
 
 @dataclass
@@ -127,21 +136,18 @@ def step_rk4_reduced(state: ReducedState, dt: float,
     if state.model == "heat":
         if not dt > 0:
             raise ValueError("dt must be positive")
-        (v,) = exp_values(state.values, grid, dt, nyquist=True)
+        v = exp_values(state.values, grid, dt, nyquist=True)
         # the sum is finite only if every value is (or it overflowed: a
         # blowup too); a scalar check keeps the heat run off numpy's array
         # isfinite loop, whose first use adds about 0.1 MB to the peak RSS
         check_finite(v.sum(), "exact step")
-        return ReducedState("heat", (ScalarField(grid, v),), t=state.t + dt,
-                            step=state.step + 1, dt=dt)
+        return state._after(v, dt)
 
     def stage(v: np.ndarray) -> np.ndarray:
         if stats is not None:
             stats["rhs_evals"] += 1
         return rhs_values(state.model, v, grid)
-    y = rk4(state.values, stage, dt)
-    new = ReducedState(state.model, tuple(ScalarField(grid, v) for v in y),
-                       t=state.t + dt, step=state.step + 1, dt=dt)
+    new = state._after(rk4(state.values, stage, dt), dt)
     forms.require_above_floor(_positivity_field(new))
     return new
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import calculus, forms, reduced
 from .calculus import OneForm
-from .forms import COMPONENT_PAIRS, TwoForm
+from .forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
 from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _ik_symbol,
                    band_spectrum, from_band_spectrum, from_half_spectrum,
                    half_spectrum)
@@ -23,24 +23,27 @@ from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _ik_symbol,
 MIN_N1D = 512
 
 
-def _band_cube(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
-    """The `band_spectrum` of one standard normal draw, |k|^2 <= 1 zeroed too:
-    inside the spectral gap, so linearized flows damp it like e^{-2t} or faster."""
-    spec = band_spectrum(rng.standard_normal(grid.dims), grid, band)
+def _band_cube(draw: np.ndarray, grid: PeriodicGrid, band: int) -> np.ndarray:
+    """The `band_spectrum` of one standard normal `draw`, |k|^2 <= 1 zeroed
+    too: inside the spectral gap, so linearized flows damp it like e^{-2t} or
+    faster."""
+    spec = band_spectrum(draw, grid, band)
     return spec * (sum(k ** 2 for k in _band_modes(grid.dims, band)) > 1)
 
 
 def _band_limited_field(rng, grid: PeriodicGrid, band: int) -> np.ndarray:
     """Seeded random real field: one `_band_cube` sent through the inverse."""
-    return from_band_spectrum(_band_cube(rng, grid, band), grid)
+    return from_band_spectrum(
+        _band_cube(rng.standard_normal(grid.dims), grid, band), grid)
 
 
 def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
                            seed: int = 0) -> TwoForm:
     """omega + d(zeta) for a seeded band-limited 1-form, scaled so the
     perturbation has sup norm eps; re-scaled down if u would dip below 1/2.
-    zeta is four `_band_cube`s; (d zeta)_ij = ik_i zeta_j - ik_j zeta_i, with
-    `grid`'s Nyquist-zeroed ik, is formed on them and synthesized at once.
+    zeta is four `_band_cube`s, drawn in turn into one buffer;
+    (d zeta)_ij = ik_i zeta_j - ik_j zeta_i, with `grid`'s Nyquist-zeroed ik,
+    is formed on them and synthesized at once.  rho is built in one buffer.
     The band is 1 to n/2 - 1 on the shortest axis (no Nyquist row)."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
@@ -50,14 +53,20 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
     if not 1 <= band <= top:
         raise ValueError(f"band must lie in 1 .. {top} on this grid, got {band!r}")
     rng = np.random.default_rng(seed)
-    zeta = [_band_cube(rng, grid, band) for _ in range(4)]
+    draw = np.empty(grid.dims)
+    zeta = [_band_cube(rng.standard_normal(out=draw), grid, band)
+            for _ in range(4)]
     ik = [np.sign(k) * _ik_symbol(n, L, 0)[np.abs(k)] for k, n, L
           in zip(_band_modes(grid.dims, band), grid.dims, grid.lengths)]
     dzeta = from_band_spectrum(np.stack([ik[i] * zeta[j] - ik[j] * zeta[i]
                                          for i, j in COMPONENT_PAIRS]), grid)
-    scale = eps / float(np.abs(dzeta).max())
+    scale = eps / max(float(dzeta.max()), -float(dzeta.min()))
+    comps = np.empty_like(dzeta)
     while True:
-        rho = TwoForm(grid, forms.omega(grid).comps + scale * dzeta)
+        np.multiply(dzeta, scale, out=comps)
+        comps[PAIR_INDEX[(0, 1)]] += 1.0  # omega
+        comps[PAIR_INDEX[(2, 3)]] += 1.0
+        rho = TwoForm(grid, comps)
         if float(forms.volume_potential_values(rho).min()) > 0.5:
             return rho
         scale *= 0.5

@@ -143,6 +143,26 @@ def test_make_record_nan_on_wrong_class(grid8):
     assert rec.minU == pytest.approx(1.69)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.3], ids=["class-omega", "wrong-class"])
+def test_make_record_reads_the_periods_once(grid8, monkeypatch, scale):
+    # the class check and periodDrift share one pass over the components
+    rho = scale * random_form(grid8, 0.05, band=3, seed=42)
+    ref = calculus.periods(forms.omega(grid8))
+    want = make_record(rho, 0.0, 0.0, ref)
+    calls = []
+    periods = calculus.periods
+
+    def counting(form):
+        calls.append(form)
+        return periods(form)
+
+    monkeypatch.setattr(calculus, "periods", counting)
+    rec = make_record(rho, 0.0, 0.0, ref)
+    assert len(calls) == 1
+    assert np.array([getattr(rec, c) for c in CSV_COLUMNS]).tobytes() == \
+        np.array([getattr(want, c) for c in CSV_COLUMNS]).tobytes()
+
+
 def test_jk_quantities_masking(grid8):
     # the reference form is self-dual, so K's denominator vanishes and the
     # mask must zero it rather than emit NaN

@@ -499,14 +499,21 @@ def test_final_state_holds_no_handover(grid8):
 
 @pytest.mark.parametrize("dims", [(8,) * 4, (16, 8, 12, 10)])
 def test_random_near_omega_transform_budget(dims, monkeypatch):
-    # the data are built on the band cube: per draw one rfft and one fft per
-    # other axis, each cut to the band, then d as ik products on the cube and
-    # one pruned inverse of all six components (an ifft per axis but the
-    # last, one irfft).  No n-dimensional transform and no derivative pass
-    # runs on the grid
+    # the data are built on the band cube: each draw and the six components
+    # of d zeta take one product per axis with the cached band matrices, and
+    # d is ik products on the cube.  Cold, the matrices cost one transform
+    # of the identity each: rfft and irfft on the last axis, fft and ifft
+    # per other axis length; warm, the build makes no transform.  No
+    # n-dimensional transform and no derivative pass runs on the grid
+    grid_module._band_matrices.cache_clear()
     calls = count_transform_calls(monkeypatch)
     random_form(PeriodicGrid(dims), 0.05, band=3, seed=9)
-    assert calls == {"rfft": 4, "fft": 12, "ifft": 3, "irfft": 1}, calls
+    lengths = len(set(dims[:-1]))
+    assert calls == {"rfft": 1, "irfft": 1, "fft": lengths,
+                     "ifft": lengths}, calls
+    calls.clear()
+    random_form(PeriodicGrid(dims), 0.05, band=3, seed=10)
+    assert calls == {}, calls
 
 
 def rk4_textbook(y, f, dt):

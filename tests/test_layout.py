@@ -8,8 +8,8 @@ call is a second API; its independent derivation belongs in the tests, as an
 oracle.  The u-floor is read by one function only, no function takes the
 floor or a record constant as a parameter, and no module imports a name it
 never reads.  The pointwise inner product is written once, as `forms.dot`,
-and the differentiation and exponential matrices are read by the one
-derivative kernel and the one exponential."""
+and the differentiation, exponential and band matrices are read by the one
+derivative kernel, the one exponential and the one band transform pair."""
 
 import ast
 import re
@@ -219,14 +219,20 @@ def _name_sites(name: str) -> list:
 
 
 def test_only_deriv_values_reads_the_differentiation_matrices():
-    # one spectral derivative kernel and one exponential: the cached matrix
-    # grid._diff_matrix (and the negation it caches from it) is read only
-    # inside grid.deriv_values, and grid._exp_matrix only inside
-    # grid.exp_values, so every caller goes through the kernel
-    for matrix, kernel in (("_diff_matrix", "deriv_values"),
-                           ("_exp_matrix", "exp_values")):
+    # one spectral derivative kernel, one exponential and one band-limited
+    # transform pair: the cached matrix grid._diff_matrix (and the negation
+    # it caches from it) is read only inside grid.deriv_values,
+    # grid._exp_matrix only inside grid.exp_values, and grid._band_matrices
+    # only inside grid.band_spectrum and grid.from_band_spectrum, so every
+    # caller goes through the kernels
+    for matrix, kernels in (("_diff_matrix", ("deriv_values",)),
+                            ("_exp_matrix", ("exp_values",)),
+                            ("_band_matrices", ("band_spectrum",
+                                                "from_band_spectrum"))):
+        owners = {("grid", k) for k in kernels + (matrix,)}
         sites = [f"{module}.py:{line}" for module, owner, line
-                 in _name_sites(matrix)
-                 if (module, owner) not in (("grid", kernel), ("grid", matrix))]
-        assert not sites, f"{matrix} read outside {kernel}: " + ", ".join(sites)
-        assert ("grid", kernel) in {s[:2] for s in _name_sites(matrix)}
+                 in _name_sites(matrix) if (module, owner) not in owners]
+        assert not sites, (f"{matrix} read outside {', '.join(kernels)}: "
+                           + ", ".join(sites))
+        readers = {s[:2] for s in _name_sites(matrix)}
+        assert all(("grid", k) in readers for k in kernels)

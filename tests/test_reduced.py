@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from hodgeflow import forms, reduced
 from hodgeflow.errors import CohomologyMismatch, DegenerateForm, NumericalBlowup
+from hodgeflow.flows import rk4
 from hodgeflow.grid import PeriodicGrid, ScalarField
 from hodgeflow.reduced import (ReducedState, embed_ab, embed_product,
                                embed_product_vw, reduced_cfl_dt, rhs_values,
@@ -125,6 +126,27 @@ def test_fast_diffusion_conserves_mass_and_contracts():
     maxs = [r.maxU for r in traj]
     assert all(b >= a - 1e-9 for a, b in zip(mins, mins[1:]))
     assert all(b <= a + 1e-9 for a, b in zip(maxs, maxs[1:]))
+
+
+def test_rk4_step_hands_its_result_to_the_new_state(monkeypatch):
+    # the new state's values are rk4's result, and its field a row of them:
+    # no copy of the 131,072-byte result per step
+    results = []
+
+    def keeping(*args):
+        results.append(rk4(*args))
+        return results[-1]
+
+    monkeypatch.setattr(reduced, "rk4", keeping)
+    grid = PeriodicGrid((128, 128))
+    x, y = grid.coordinates()
+    u0 = ScalarField(grid, 1.0 + 0.3 * np.sin(x) * np.cos(y))
+    state = ReducedState("fast_diffusion", (u0,))
+    new = step_rk4_reduced(state, reduced_cfl_dt(state))
+    assert len(results) == 1 and new.values.shape == (1, 128, 128)
+    assert np.shares_memory(new.values, results[0])
+    assert np.shares_memory(new.fields[0].values, new.values)
+    assert new.step == 1 and new.t == new.dt > 0
 
 
 def test_run_reduced_reports_degeneracy(monkeypatch):

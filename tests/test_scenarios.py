@@ -48,12 +48,16 @@ def test_random_near_omega_matches_the_full_grid_oracle(dims, lengths, band, eps
     assert np.abs(field - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dims,band", [((8,) * 4, 4), ((8, 12, 8, 10), 5)],
-                         ids=["8-band4", "8x12x8x10-band5"])
+@pytest.mark.parametrize("dims,band", [((8,) * 4, 4), ((8, 12, 8, 10), 5),
+                                       ((10,), 5), ((8, 12), 5), ((12, 8), 6)],
+                         ids=["8-band4", "8x12x8x10-band5", "10-band5",
+                              "8x12-band5", "12x8-band6"])
 def test_band_limited_field_matches_the_oracle_with_nyquist_rows_in_the_band(
         dims, band):
-    # the pruned pair also holds when each axis's Nyquist row falls inside
-    # the band (on the 8- and 10-point axes here), which random data refuse
+    # the pruned pair also holds when an axis's Nyquist row falls inside the
+    # band, which random data refuse: on the 8- and 10-point axes here, on
+    # the last (rfft) axis of 8x12x8x10, 10 and 12x8, and on the first axis
+    # of 8x12 and 12x8
     grid = PeriodicGrid(dims)
     field = _band_limited_field(np.random.default_rng(7), grid, band)
     ref = band_limited_field_oracle(np.random.default_rng(7), grid, band)
@@ -78,6 +82,27 @@ def test_random_near_omega_rejects_a_non_finite_eps_or_an_empty_band(
     # (band 3 is the widest 8^4 holds, so only eps is at fault in the others)
     with pytest.raises(ValueError, match="eps" if band else "band"):
         make_random_near_omega(grid8, eps, band=band)
+
+
+def test_warm_random_data_make_no_transform(monkeypatch):
+    # the band matrices and wavenumber tables are cached, so a second build
+    # on the same grid and band reads no np.fft function at all
+    grid = PeriodicGrid((16,) * 4)
+    make_random_near_omega(grid, 0.05, band=4, seed=1)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    rho = make_random_near_omega(grid, 0.05, band=4, seed=2)
+    assert calls == []
+    assert rho.comps.tobytes() == make_random_near_omega(
+        grid, 0.05, band=4, seed=2).comps.tobytes()
 
 
 def test_random_near_omega_spectral_gap(grid8):
