@@ -231,9 +231,6 @@ class _FlowGeometry:
         self.grad_plus_sq = 0.5 * (grad_sq + 2.0 * star_pair)
         self.grad_minus_sq = 0.5 * (grad_sq - 2.0 * star_pair)
 
-    def lap(self, values: np.ndarray) -> np.ndarray:
-        return laplacian_values(values, self.grid)
-
     # R v, or S v with star, for the skew matrix R of `comps` (default rho)
     # and S of its Hodge star; R^T v = -R v.
     def skew(self, v: np.ndarray, star: bool = False,
@@ -325,7 +322,7 @@ def _rhs_general(geo: _FlowGeometry, scheme: FlowScheme,
                  quantity: str) -> np.ndarray:
     """Weight-matrix identity for |rho|^2 and u, matrix-free."""
     star = quantity == "u"
-    lap = geo.lap(geo.rho.comps)
+    lap = laplacian_values(geo.rho.comps, geo.grid)
     first = np.zeros(geo.grid.dims)
     second = np.zeros(geo.grid.dims)
     for e_j, dh_xi in zip(forms._unit_vectors(geo.grid.dims),
@@ -348,7 +345,7 @@ def _rhs_split_scalar(geo: _FlowGeometry, scheme: FlowScheme,
     part_sq = 0.5 * (geo.rho_sq + 2.0 * geo.u) if plus \
         else 0.5 * (geo.rho_sq - 2.0 * geo.u)
     grad_part_sq = geo.grad_plus_sq if plus else geo.grad_minus_sq
-    diffusion = f * (geo.lap(part_sq) - 2.0 * grad_part_sq)
+    diffusion = f * (laplacian_values(part_sq, geo.grid) - 2.0 * grad_part_sq)
     # 2 <grad f, rho+- xi> with the skew matrix rho+- = (R +- S) / 2
     part_xi = geo.skew(geo.xi)
     (np.add if plus else np.subtract)(part_xi, geo.skew(geo.xi, True), out=part_xi)
@@ -361,7 +358,7 @@ def _rhs_lambda(geo: _FlowGeometry, scheme: FlowScheme, quantity: str) -> np.nda
     first = quantity == "lambda1"
     lam1, lam2, u, xi = geo.lam1, geo.lam2, geo.u, geo.xi
     j_q, k_q = geo.jk()
-    lap_lam = geo.lap(lam1 if first else lam2)
+    lap_lam = laplacian_values(lam1 if first else lam2, geo.grid)
     gap = lam1 ** 2 - lam2 ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         if scheme.kind == "linear":

@@ -6,16 +6,19 @@ mode's weight zeroed (symmetric convention) so real fields map to real
 fields; the Laplacian's -|k|^2 symbol keeps it.  d∘d = 0 and adjointness of d
 and its formal adjoint hold to machine precision.
 
-Along an axis of at most DENSE_MAX points the i*k symbol is applied as one
-matrix product with the dense spectral differentiation matrix of that axis
-(Trefethen, Spectral Methods in MATLAB, ch. 3): on the short axes of the 4D
-flow, handling thousands of 16- to 32-point FFT lines costs more than the
-arithmetic; on a 4D grid's first axis it is batched, one product per slab of
-the second axis.  Longer axes use one rfft/irfft pair.  The linear models
-step exactly with `exp_values`: e^{sL} for L the Laplacian (Nyquist kept) or
-sum_a D_a^2 (Nyquist zeroed, -dd* on closed forms), one factor per axis, on
-the same dense products or FFT pairs.  Only `deriv_values` and `exp_values`
-read the matrices, both through one loop.  A Fourier multiplier over all
+The derivative `deriv_values` and the exponential `exp_values` are two uses
+of one per-axis operator: a factor on one axis's half spectrum, i*k or
+e^{-s k^2}, from one cached wavenumber table.  Along an axis
+of at most DENSE_MAX points the factor is applied as one matrix product with
+its dense matrix, the transform of the identity (Trefethen, Spectral Methods
+in MATLAB, ch. 3): on the short axes of the 4D flow, handling thousands of
+16- to 32-point FFT lines costs more than the arithmetic; on a 4D grid's
+first axis it is batched, one product per slab of the second axis.  Longer
+axes use one rfft/irfft pair.  The linear models step exactly with
+`exp_values`: e^{sL} for L the Laplacian (Nyquist kept) or sum_a D_a^2
+(Nyquist zeroed, -dd* on closed forms), one factor per axis.  Only that
+per-axis apply reads the derivative and exponential matrices, whose caches
+stay apart (the exponential's is bounded).  A Fourier multiplier over all
 grid axes goes forward with `half_spectrum` and back with
 `from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
 (|k_a| <= band) take the pair `band_spectrum`/`from_band_spectrum`: per axis,
@@ -47,28 +50,52 @@ TWO_PI = 2.0 * np.pi
 DENSE_MAX = 128
 
 @functools.lru_cache(maxsize=None)
-def _ik_symbol(n: int, length: float, trailing: int) -> np.ndarray:
-    """Half-spectrum i*2*pi*k/L, Nyquist zeroed, for an axis before `trailing` axes."""
-    ik = 1j * (np.fft.rfftfreq(n, 1.0 / n) * (TWO_PI / length))
-    ik[n // 2] = 0.0
-    ik = ik.reshape((-1,) + (1,) * trailing)
-    ik.setflags(write=False)
-    return ik
+def _wavenumbers(n: int, length: float, nyquist: bool) -> np.ndarray:
+    """One axis's half-spectrum wavenumbers 2*pi*k/L, the Nyquist one kept or
+    zeroed (for D, whose i*k must map real fields to real fields)."""
+    k = np.fft.rfftfreq(n, 1.0 / n) * (TWO_PI / length)
+    if not nyquist:
+        k[n // 2] = 0.0
+    k.setflags(write=False)
+    return k
+
+
+def _axis_factor(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
+    """One axis's Fourier factor on its half spectrum: i*k of D (Nyquist
+    zeroed) if s is None, else e^{-s k^2}."""
+    if s is None:
+        return 1j * _wavenumbers(n, length, False)
+    return np.exp(-s * _wavenumbers(n, length, nyquist) ** 2)
+
+
+def _identity_matrix(n: int, factor: np.ndarray, sign: float) -> np.ndarray:
+    """The n x n matrix of a half-spectrum factor (column j is the image of
+    the j-th unit vector), made exactly symmetric (`sign` 1) or antisymmetric
+    (-1) and read-only."""
+    cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * factor[:, None],
+                        n=n, axis=0)
+    M = 0.5 * (cols + sign * cols.T)
+    M.setflags(write=False)
+    return M
 
 
 @functools.lru_cache(maxsize=None)
 def _diff_matrix(n: int, length: float, minus: bool = False) -> np.ndarray:
-    """The n x n matrix of the i*k symbol above: column j is the derivative of
-    the j-th unit vector.  Made exactly antisymmetric (zero diagonal); with
-    `minus`, its negation."""
-    if minus:
-        D = -_diff_matrix(n, length, False)  # the cache key deriv_values uses
-    else:
-        cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0)
-                            * _ik_symbol(n, length, 1), n=n, axis=0)
-        D = 0.5 * (cols - cols.T)
+    """The matrix of D (zero diagonal); with `minus`, its negation."""
+    if not minus:
+        return _identity_matrix(n, _axis_factor(n, length, None, False), -1.0)
+    D = -_diff_matrix(n, length, False)  # the cache key deriv_values uses
     D.setflags(write=False)
     return D
+
+
+# Not one cache with _diff_matrix: eight matrices hold two step sizes (the
+# bound and the remainder to a sample time) on four distinct axes, and a
+# bisection's many step sizes pass through without evicting a derivative.
+@functools.lru_cache(maxsize=8)
+def _exp_matrix(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
+    """The matrix of e^{-s k^2}."""
+    return _identity_matrix(n, _axis_factor(n, length, s, nyquist), 1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,32 +109,6 @@ def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
     total = -sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
     total.setflags(write=False)
     return total
-
-
-@functools.lru_cache(maxsize=None)
-def _axis_symbol(n: int, length: float, nyquist: bool) -> np.ndarray:
-    """-k^2 on one axis's half spectrum, its Nyquist wavenumber kept (the
-    Laplacian's factor) or zeroed (that of D^2, D as in `_ik_symbol`)."""
-    k = np.fft.rfftfreq(n, 1.0 / n) * (TWO_PI / length)
-    if not nyquist:
-        k[n // 2] = 0.0
-    symbol = -(k ** 2)
-    symbol.setflags(write=False)
-    return symbol
-
-
-# Eight matrices hold two step sizes (the bound and the remainder to a sample
-# time) on four distinct axes; a bisection's many step sizes pass through
-# without growing the cache.
-@functools.lru_cache(maxsize=8)
-def _exp_matrix(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
-    """The n x n matrix of e^{s * `_axis_symbol`}: column j is the image of
-    the j-th unit vector.  Made exactly symmetric."""
-    factor = np.exp(s * _axis_symbol(n, length, nyquist))[:, None]
-    cols = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * factor, n=n, axis=0)
-    M = 0.5 * (cols + cols.T)
-    M.setflags(write=False)
-    return M
 
 
 @dataclass(frozen=True)
@@ -194,26 +195,38 @@ def _axis_products(values: np.ndarray, grid: PeriodicGrid, axis: int,
     return out
 
 
+def _axis_apply(values: np.ndarray, grid: PeriodicGrid, axis: int,
+                out: np.ndarray, s: float = None, nyquist: bool = False,
+                minus: bool = False) -> np.ndarray:
+    """One axis's Fourier factor (`_axis_factor`: D, negated with `minus`, if
+    s is None, else e^{-s k^2}) applied along grid `axis` of `values` into
+    `out`.  An axis of at most DENSE_MAX points takes the factor's cached
+    matrix through `_axis_products`, e^{-s k^2} with each line's first sample
+    added back; a longer axis takes one rfft, the factor and one irfft."""
+    n, length = grid.dims[axis], grid.lengths[axis]
+    if n <= DENSE_MAX:
+        M = (_diff_matrix(n, length, minus) if s is None
+             else _exp_matrix(n, length, s, nyquist))
+        return _axis_products(values, grid, axis, M, out, s is not None)
+    lead = values.ndim - grid.rank
+    factor = _axis_factor(n, length, s, nyquist)
+    spec = np.fft.rfft(values, axis=lead + axis)
+    spec *= (-factor if minus else factor).reshape(
+        (-1,) + (1,) * (grid.rank - axis - 1))
+    return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
+
+
 def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
                  out: np.ndarray = None, minus: bool = False) -> np.ndarray:
     """Spectral partial derivative along a grid axis, negated with `minus`
     (exactly), into `out` (C-contiguous, shaped as `values`) if given.
 
     `values` may carry leading component axes; the grid axes are the trailing
-    `grid.rank` axes of the array.  An axis of at most DENSE_MAX points takes
-    the cached differentiation matrix through `_axis_products`, whose
-    first-sample differences map constants to exactly 0.  A longer axis
-    takes one rfft/irfft pair.
+    `grid.rank` axes of the array.  On a dense axis the first-sample
+    differences of `_axis_products` map constants to exactly 0.
     """
-    lead = values.ndim - grid.rank
-    n, length = grid.dims[axis], grid.lengths[axis]
-    if n > DENSE_MAX:
-        spec = np.fft.rfft(values, axis=lead + axis)
-        spec *= _ik_symbol(n, length, grid.rank - axis - 1) * (-1.0 if minus else 1.0)
-        return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
     out = np.empty(values.shape) if out is None else out
-    return _axis_products(values, grid, axis, _diff_matrix(n, length, minus),
-                          out, False)
+    return _axis_apply(values, grid, axis, out, minus=minus)
 
 
 def exp_values(values: np.ndarray, grid: PeriodicGrid, s: float, *,
@@ -221,25 +234,13 @@ def exp_values(values: np.ndarray, grid: PeriodicGrid, s: float, *,
     """e^{sL} on `values` (component axes leading, grid axes trailing), one
     factor per grid axis: L is the Laplacian if `nyquist` (each axis's
     Nyquist mode kept), else sum_a D_a^2 with D_a as in `deriv_values`
-    (Nyquist zeroed), which is -dd* on closed forms, componentwise.
-
-    An axis of at most DENSE_MAX points takes a cached matrix through
-    `_axis_products`, with the first sample of each line added back, so that
-    a constant maps to itself exactly.  A longer axis takes one rfft, the
-    factor e^{s * symbol} and one irfft.
+    (Nyquist zeroed), which is -dd* on closed forms, componentwise.  On a
+    dense axis the first sample of each line is added back, so that a
+    constant maps to itself exactly.
     """
-    lead = values.ndim - grid.rank
     out = np.empty(values.shape)
-    for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
-        if n > DENSE_MAX:
-            spec = np.fft.rfft(values, axis=lead + axis)
-            spec *= np.exp(s * _axis_symbol(n, length, nyquist)).reshape(
-                (-1,) + (1,) * (grid.rank - axis - 1))
-            np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
-        else:
-            _axis_products(values, grid, axis,
-                           _exp_matrix(n, length, s, nyquist), out, True)
-        values = out
+    for axis in range(grid.rank):
+        values = _axis_apply(values, grid, axis, out, s, nyquist)
     return out
 
 

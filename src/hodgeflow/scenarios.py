@@ -1,8 +1,11 @@
 """Constructors for initial data and scripted experiments.
 
-Everything returned here is closed to machine precision (perturbations are
-exact: d of a potential, in Fourier space for the random data) and, except for
-the degeneracy counterexample run past its breakdown time, nondegenerate.
+Everything returned here is closed to machine precision, with exact
+perturbations of omega (d of a potential, in Fourier space for the random
+data; the counterexample adds f dx1^dx3 as well, f a mean-free function of x1
+alone) and, except for the degeneracy counterexample run past its breakdown
+time, nondegenerate.  The counterexample's heat-evolved profiles take one
+exact step, `grid.exp_values`, together.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import calculus, forms, reduced
+from . import calculus, forms
 from .calculus import OneForm
 from .forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
-from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _ik_symbol,
-                   band_spectrum, from_band_spectrum, from_half_spectrum,
-                   half_spectrum)
+from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _wavenumbers,
+                   band_spectrum, exp_values, from_band_spectrum)
 
 # Fewest points of the 1D grid on which the counterexample's profiles are built.
 MIN_N1D = 512
@@ -56,7 +58,7 @@ def make_random_near_omega(grid: PeriodicGrid, eps: float, band: int = 4,
     draw = np.empty(grid.dims)
     zeta = [_band_cube(rng.standard_normal(out=draw), grid, band)
             for _ in range(4)]
-    ik = [np.sign(k) * _ik_symbol(n, L, 0)[np.abs(k)] for k, n, L
+    ik = [1j * np.sign(k) * _wavenumbers(n, L, False)[np.abs(k)] for k, n, L
           in zip(_band_modes(grid.dims, band), grid.dims, grid.lengths)]
     dzeta = from_band_spectrum(np.stack([ik[i] * zeta[j] - ik[j] * zeta[i]
                                          for i, j in COMPONENT_PAIRS]), grid)
@@ -88,25 +90,15 @@ def _sample_h0(grid1d: PeriodicGrid) -> np.ndarray:
     return np.where(x < np.pi, np.sin(2.0 * x), 0.0)
 
 
-def _antiderivative_1d(values: np.ndarray, grid1d: PeriodicGrid) -> np.ndarray:
-    """Mean-zero spectral antiderivative (input must be mean- and Nyquist-free):
-    the half spectrum divided by `_ik_symbol`, and 0 at k = 0 and at Nyquist,
-    where that symbol is 0."""
-    ik = _ik_symbol(grid1d.dims[0], grid1d.lengths[0], 0)
-    spec = half_spectrum(values, grid1d)
-    anti = np.divide(spec, ik, out=np.zeros_like(spec), where=ik != 0)
-    return from_half_spectrum(anti, grid1d)
-
-
 def counterexample_profiles(grid1d: PeriodicGrid, t: float):
-    """The two profiles evolved by the reduced heat model to time t, each by
-    one exact heat step."""
-    f0 = ScalarField(grid1d, _sample_f0(grid1d))
-    h0 = ScalarField(grid1d, _sample_h0(grid1d))
-    if t == 0.0:
-        return f0, h0
-    return tuple(reduced.step_rk4_reduced(reduced.ReducedState("heat", (v0,)),
-                                          t).fields[0] for v0 in (f0, h0))
+    """The two profiles evolved by the heat equation to time t >= 0: one
+    exact step e^{t Lap} (`grid.exp_values`) on both at once."""
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    profiles = np.stack([_sample_f0(grid1d), _sample_h0(grid1d)])
+    if t > 0.0:
+        profiles = exp_values(profiles, grid1d, t, nyquist=True)
+    return tuple(ScalarField(grid1d, v) for v in profiles)
 
 
 @dataclass
@@ -127,22 +119,21 @@ class CounterexampleScenario:
                  dims34=(8, 8)) -> TwoForm:
         """The shear 2-form at time t on an (nx, ny, 8, 8) grid.
 
-        Built as omega + d(a dx3 + b dx4), so it is closed to rounding; the
-        sampled profiles have no mean or Nyquist content, which makes
-        u(t=0) = 1 exact at the nodes.
+        Built as omega + f dx1^dx3 + d(h e dx4), with e' = c: f dx1^dx3 is
+        closed (f depends on x1 alone) and exact (f is mean-free), so the
+        form is closed to rounding and in [omega].  u = 1 - f h c takes f
+        as sampled, so u(t=0) = 1 exactly at the nodes, where f h = 0.
         """
         nx = nx or self.grid1d.dims[0]
-        gx = PeriodicGrid((nx,))
-        f, h = counterexample_profiles(gx, t)
-        a_vals = _antiderivative_1d(f.values, gx)
+        f, h = counterexample_profiles(PeriodicGrid((nx,)), t)
         grid4 = PeriodicGrid((nx, ny) + tuple(dims34))
         y = np.arange(ny) * TWO_PI / ny
         e_vals = -self.A0 * np.exp(-t) * np.cos(y)  # antiderivative of c
         theta = OneForm.zero(grid4)
-        theta.comps[2] = a_vals[:, None, None, None]
         theta.comps[3] = (h.values[:, None] * e_vals[None, :])[:, :, None, None]
-        return TwoForm(grid4,
-                       forms.omega(grid4).comps + calculus.d_one(theta).comps)
+        comps = forms.omega(grid4).comps + calculus.d_one(theta).comps
+        comps[PAIR_INDEX[(0, 2)]] += f.values[:, None, None, None]
+        return TwoForm(grid4, comps)
 
 
 def make_example_counterexample(grid1d: PeriodicGrid,

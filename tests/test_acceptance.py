@@ -211,7 +211,7 @@ def test_criterion_06_degeneracy_example():
     stays_flat = event0 is None and all(
         abs(r.minU - 1.0) < 1e-8 and abs(r.maxU - 1.0) < 1e-8 for r in traj0)
 
-    ok = (oracle_rel < 1e-4 and min_u1 < 0.0 and u0_err < 1e-10
+    ok = (oracle_rel < 1e-4 and min_u1 < 0.0 and u0_err == 0.0
           and degenerated and t_gap <= 1e-8 and above_floor and stays_flat)
     report("criterion-06 degeneracy-example", ok,
            f"A={scen.threshold:.4f} oracle_rel={oracle_rel:.2e} "

@@ -218,21 +218,22 @@ def _name_sites(name: str) -> list:
     return found
 
 
-def test_only_deriv_values_reads_the_differentiation_matrices():
-    # one spectral derivative kernel, one exponential and one band-limited
-    # transform pair: the cached matrix grid._diff_matrix (and the negation
-    # it caches from it) is read only inside grid.deriv_values,
-    # grid._exp_matrix only inside grid.exp_values, and grid._band_matrices
-    # only inside grid.band_spectrum and grid.from_band_spectrum, so every
-    # caller goes through the kernels
-    for matrix, kernels in (("_diff_matrix", ("deriv_values",)),
-                            ("_exp_matrix", ("exp_values",)),
-                            ("_band_matrices", ("band_spectrum",
-                                                "from_band_spectrum"))):
-        owners = {("grid", k) for k in kernels + (matrix,)}
+def test_only_the_per_axis_apply_reads_the_axis_matrices():
+    # one per-axis spectral operator and one band-limited transform pair:
+    # the cached matrices grid._diff_matrix and grid._exp_matrix are read
+    # only inside grid._axis_apply, behind deriv_values and exp_values
+    # (_diff_matrix also inside itself, for the negation it caches), and
+    # grid._band_matrices only inside grid.band_spectrum and
+    # grid.from_band_spectrum, so every caller goes through the kernels,
+    # and each kernel reads its matrices
+    for matrix, kernels, also in (
+            ("_diff_matrix", ("_axis_apply",), ("_diff_matrix",)),
+            ("_exp_matrix", ("_axis_apply",), ()),
+            ("_band_matrices", ("band_spectrum", "from_band_spectrum"), ())):
+        owners = {("grid", k) for k in kernels + also}
         sites = [f"{module}.py:{line}" for module, owner, line
                  in _name_sites(matrix) if (module, owner) not in owners]
         assert not sites, (f"{matrix} read outside {', '.join(kernels)}: "
                            + ", ".join(sites))
         readers = {s[:2] for s in _name_sites(matrix)}
-        assert all(("grid", k) in readers for k in kernels)
+        assert all(("grid", k) in readers for k in kernels), matrix

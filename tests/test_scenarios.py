@@ -7,7 +7,7 @@ from hodgeflow.errors import DegenerateForm
 from hodgeflow.grid import PeriodicGrid
 from hodgeflow.scenarios import (CounterexampleScenario, counterexample_profiles,
                                  make_example_counterexample,
-                                 make_random_near_omega, _antiderivative_1d,
+                                 make_random_near_omega,
                                  _band_limited_field, _sample_f0, _sample_h0)
 
 from conftest import (band_limited_field_oracle, counterexample_profile_oracle,
@@ -168,19 +168,11 @@ def test_profiles_have_disjoint_support():
 
 
 def test_sampled_profile_has_no_mean_or_nyquist():
-    # this is what makes the antiderivative embedding exact at the nodes
+    # a mean-free f keeps f dx1^dx3 in omega's class: its periods vanish
     for vals in (_sample_f0(GRID1D), _sample_h0(GRID1D)):
         spec = np.fft.fft(vals)
         assert abs(spec[0]) < 1e-12
         assert abs(spec[256]) < 1e-12
-
-
-def test_antiderivative_roundtrip():
-    from hodgeflow.grid import deriv_values
-    f0 = _sample_f0(GRID1D)
-    anti = _antiderivative_1d(f0, GRID1D)
-    back = deriv_values(anti, GRID1D, 0)
-    assert np.abs(back - f0).max() < 1e-11
 
 
 def test_profiles_match_fourier_oracle():
@@ -230,17 +222,29 @@ def test_scenario_construction_and_threshold():
 
 def test_counterexample_set_up_takes_at_most_two_heat_steps_per_profile(
         monkeypatch):
-    from hodgeflow import reduced
-    steps = []
-    step = reduced.step_rk4_reduced
+    # both profiles take one exact heat step together, and no reduced march
+    from hodgeflow import reduced, scenarios
+    calls, steps = [], []
+    exp, step = scenarios.exp_values, reduced.step_rk4_reduced
 
-    def counting(state, dt, *args, **kwargs):
+    def counting_exp(values, grid, s, **kwargs):
+        calls.append((values.shape, s))
+        return exp(values, grid, s, **kwargs)
+
+    def counting_step(state, dt, *args, **kwargs):
         steps.append(dt)
         return step(state, dt, *args, **kwargs)
 
-    monkeypatch.setattr(reduced, "step_rk4_reduced", counting)
+    monkeypatch.setattr(scenarios, "exp_values", counting_exp)
+    monkeypatch.setattr(reduced, "step_rk4_reduced", counting_step)
     make_example_counterexample(PeriodicGrid((512,)))
-    assert 0 < len(steps) <= 4, steps
+    assert calls == [((2, 512), 1.0)]
+    assert steps == []
+
+
+def test_profiles_reject_a_negative_time():
+    with pytest.raises(ValueError, match="t must be"):
+        counterexample_profiles(GRID1D, -0.1)
 
 
 def test_profiles_are_fresh_on_every_call():
@@ -251,12 +255,15 @@ def test_profiles_are_fresh_on_every_call():
     assert np.abs(again.values).max() > 0.1
 
 
-def test_two_form_initially_unit_potential():
+@pytest.mark.parametrize("nx", [64, 128, 512])
+def test_two_form_initially_unit_potential(nx):
+    # f dx1^dx3 enters as sampled, so u = 1 - f h c is 1 at every node,
+    # where f h = 0; at 512 points d takes deriv_values' FFT branch on x1
     scen = CounterexampleScenario(GRID1D, A0=200.0, threshold=40.0)
-    rho = scen.two_form(t=0.0, nx=64, ny=16)
+    rho = scen.two_form(t=0.0, nx=nx, ny=16)
     assert calculus.max_abs_three(calculus.d_two(rho)) < 1e-10
     u = forms.volume_potential_values(rho)
-    assert np.abs(u - 1.0).max() < 1e-11
+    assert (u == 1.0).all(), np.abs(u - 1.0).max()
     per = calculus.periods(rho) - calculus.periods(forms.omega(rho.grid))
     assert np.abs(per).max() < 1e-10
 
