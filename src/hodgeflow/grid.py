@@ -6,23 +6,24 @@ mode's weight zeroed (symmetric convention) so real fields map to real
 fields; the Laplacian's -|k|^2 symbol keeps it.  d∘d = 0 and adjointness of d
 and its formal adjoint hold to machine precision.
 
-The derivative `deriv_values` and the exponential `exp_values` are two uses
-of one per-axis operator: a factor on one axis's half spectrum, i*k or
-e^{-s k^2}, from one cached wavenumber table.  Along an axis
-of at most DENSE_MAX points the factor is applied as one matrix product with
-its dense matrix, the transform of the identity (Trefethen, Spectral Methods
-in MATLAB, ch. 3): on the short axes of the 4D flow, handling thousands of
-16- to 32-point FFT lines costs more than the arithmetic; on a 4D grid's
-first axis it is batched, one product per slab of the second axis.  Longer
-axes use one rfft/irfft pair.  The linear models step exactly with
-`exp_values`: e^{sL} for L the Laplacian (Nyquist kept) or sum_a D_a^2
-(Nyquist zeroed, -dd* on closed forms), one factor per axis.  Only that
-per-axis apply reads the derivative and exponential matrices, whose caches
-stay apart (the exponential's is bounded).  A Fourier multiplier over all
-grid axes goes forward with `half_spectrum` and back with
-`from_half_spectrum`; the Laplacian is one such round trip.  Band-limited data
-(|k_a| <= band) take the pair `band_spectrum`/`from_band_spectrum`: per axis,
-one real product with a cached partial-DFT matrix (the transform of the
+The derivative `deriv_values`, the Laplacian `laplacian_values` (a sum over
+axes) and the exponential `exp_values` are three uses of one per-axis
+operator: a factor on one axis's half spectrum, i*k, -k^2 or e^{-s k^2}, from
+one cached wavenumber table.  Along an axis of at most DENSE_MAX points the
+factor is applied as one matrix product with its dense matrix, the transform
+of the identity (Trefethen, Spectral Methods in MATLAB, ch. 3): on the short
+axes of the 4D flow, handling thousands of 16- to 32-point FFT lines costs
+more than the arithmetic; on a 4D grid's first axis it is batched, one
+product per slab of the second axis.  It acts on each line minus its first
+sample, so constants map to exactly 0.  Longer axes use one rfft/irfft pair.
+The linear models step exactly with `exp_values`: e^{sL} for L the Laplacian
+(Nyquist kept) or sum_a D_a^2 (Nyquist zeroed, -dd* on closed forms), one
+factor per axis.  Only that per-axis apply reads the differentiation (D, -D,
+Laplacian) and exponential matrices, whose caches stay apart (the
+exponential's is bounded).  The soliton's (c0 (1 - Lap))^{-1}, which does not
+factor by axis, is the one n-D transform (`helmholtz_solve`).  Band-limited
+data (|k_a| <= band) take the pair `band_spectrum`/`from_band_spectrum`: per
+axis, one real product with a cached partial-DFT matrix (the transform of the
 identity, cut to the band's modes), so only the band is ever computed;
 complex data go through the products as their interleaved float view.  Only
 those two read the band matrices.
@@ -40,7 +41,7 @@ from .errors import NumericalBlowup
 
 TWO_PI = 2.0 * np.pi
 
-# Longest axis that takes a dense matrix, for a derivative and for e^{sL}.
+# Longest axis that takes a dense matrix, for every per-axis factor.
 # On one core, per axis of three components, the derivative product beats the
 # rfft/irfft pair by 1.3-6x at 16 to 32 points (the 4D flow), costs about the
 # same at 128 (the 128^2 soliton and fast-diffusion grids) and about twice as
@@ -60,12 +61,16 @@ def _wavenumbers(n: int, length: float, nyquist: bool) -> np.ndarray:
     return k
 
 
-def _axis_factor(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
-    """One axis's Fourier factor on its half spectrum: i*k of D (Nyquist
-    zeroed) if s is None, else e^{-s k^2}."""
-    if s is None:
-        return 1j * _wavenumbers(n, length, False)
-    return np.exp(-s * _wavenumbers(n, length, nyquist) ** 2)
+def _axis_factor(n: int, length: float, op) -> np.ndarray:
+    """One axis's Fourier factor on its half spectrum, by `op`: "d" or "-d",
+    +-i*k of D (Nyquist zeroed); "lap", -k^2 (Nyquist kept); (s, nyquist),
+    e^{-s k^2} with the Nyquist k kept or zeroed."""
+    if op == "lap":
+        return -_wavenumbers(n, length, True) ** 2
+    if isinstance(op, tuple):  # (s, nyquist)
+        return np.exp(-op[0] * _wavenumbers(n, length, op[1]) ** 2)
+    ik = 1j * _wavenumbers(n, length, False)
+    return -ik if op == "-d" else ik
 
 
 def _identity_matrix(n: int, factor: np.ndarray, sign: float) -> np.ndarray:
@@ -80,13 +85,15 @@ def _identity_matrix(n: int, factor: np.ndarray, sign: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _diff_matrix(n: int, length: float, minus: bool = False) -> np.ndarray:
-    """The matrix of D (zero diagonal); with `minus`, its negation."""
-    if not minus:
-        return _identity_matrix(n, _axis_factor(n, length, None, False), -1.0)
-    D = -_diff_matrix(n, length, False)  # the cache key deriv_values uses
-    D.setflags(write=False)
-    return D
+def _diff_matrix(n: int, length: float, op: str) -> np.ndarray:
+    """The differentiation matrix of `op` ("d", "-d" or "lap"): D (zero
+    diagonal), its negation, or the Laplacian's -k^2."""
+    if op == "-d":
+        D = -_diff_matrix(n, length, "d")  # the cache key deriv_values uses
+        D.setflags(write=False)
+        return D
+    return _identity_matrix(n, _axis_factor(n, length, op),
+                            -1.0 if op == "d" else 1.0)
 
 
 # Not one cache with _diff_matrix: eight matrices hold two step sizes (the
@@ -95,20 +102,7 @@ def _diff_matrix(n: int, length: float, minus: bool = False) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _exp_matrix(n: int, length: float, s: float, nyquist: bool) -> np.ndarray:
     """The matrix of e^{-s k^2}."""
-    return _identity_matrix(n, _axis_factor(n, length, s, nyquist), 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _laplacian_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
-    """-|k|^2 on the rfftn half spectrum (last axis halved), Nyquist kept: the
-    Laplacian."""
-    ks = []
-    for a, (n, L) in enumerate(zip(dims, lengths)):
-        freq = np.fft.rfftfreq if a == len(dims) - 1 else np.fft.fftfreq
-        ks.append(freq(n, 1.0 / n) * (TWO_PI / L))
-    total = -sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
-    total.setflags(write=False)
-    return total
+    return _identity_matrix(n, _axis_factor(n, length, (s, nyquist)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -196,22 +190,19 @@ def _axis_products(values: np.ndarray, grid: PeriodicGrid, axis: int,
 
 
 def _axis_apply(values: np.ndarray, grid: PeriodicGrid, axis: int,
-                out: np.ndarray, s: float = None, nyquist: bool = False,
-                minus: bool = False) -> np.ndarray:
-    """One axis's Fourier factor (`_axis_factor`: D, negated with `minus`, if
-    s is None, else e^{-s k^2}) applied along grid `axis` of `values` into
-    `out`.  An axis of at most DENSE_MAX points takes the factor's cached
-    matrix through `_axis_products`, e^{-s k^2} with each line's first sample
-    added back; a longer axis takes one rfft, the factor and one irfft."""
+                out: np.ndarray, op) -> np.ndarray:
+    """The factor `_axis_factor(op)` along grid `axis` of `values`, into
+    `out`: up to DENSE_MAX points its cached matrix through `_axis_products`
+    (e^{-s k^2} adds each line's first sample back), else rfft, the factor
+    and irfft."""
     n, length = grid.dims[axis], grid.lengths[axis]
     if n <= DENSE_MAX:
-        M = (_diff_matrix(n, length, minus) if s is None
-             else _exp_matrix(n, length, s, nyquist))
-        return _axis_products(values, grid, axis, M, out, s is not None)
+        exp = isinstance(op, tuple)
+        M = _exp_matrix(n, length, *op) if exp else _diff_matrix(n, length, op)
+        return _axis_products(values, grid, axis, M, out, exp)
     lead = values.ndim - grid.rank
-    factor = _axis_factor(n, length, s, nyquist)
     spec = np.fft.rfft(values, axis=lead + axis)
-    spec *= (-factor if minus else factor).reshape(
+    spec *= _axis_factor(n, length, op).reshape(
         (-1,) + (1,) * (grid.rank - axis - 1))
     return np.fft.irfft(spec, n=n, axis=lead + axis, out=out)
 
@@ -226,7 +217,7 @@ def deriv_values(values: np.ndarray, grid: PeriodicGrid, axis: int,
     differences of `_axis_products` map constants to exactly 0.
     """
     out = np.empty(values.shape) if out is None else out
-    return _axis_apply(values, grid, axis, out, minus=minus)
+    return _axis_apply(values, grid, axis, out, "-d" if minus else "d")
 
 
 def exp_values(values: np.ndarray, grid: PeriodicGrid, s: float, *,
@@ -240,7 +231,7 @@ def exp_values(values: np.ndarray, grid: PeriodicGrid, s: float, *,
     """
     out = np.empty(values.shape)
     for axis in range(grid.rank):
-        values = _axis_apply(values, grid, axis, out, s, nyquist)
+        values = _axis_apply(values, grid, axis, out, (s, nyquist))
     return out
 
 
@@ -250,20 +241,6 @@ def gradient_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     for axis in range(grid.rank):
         out[axis] = deriv_values(values, grid, axis)
     return out
-
-
-def half_spectrum(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Forward real transform over the grid axes of `values` (its trailing
-    `grid.rank` axes): the half spectrum in rfftn layout, last grid axis
-    halved."""
-    return np.fft.rfftn(values, axes=tuple(range(values.ndim - grid.rank,
-                                                 values.ndim)))
-
-
-def from_half_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """The inverse of `half_spectrum`: real values on the grid."""
-    return np.fft.irfftn(spec, s=grid.dims,
-                         axes=tuple(range(spec.ndim - grid.rank, spec.ndim)))
 
 
 def _axis_band_modes(n: int, band: int, last: bool) -> np.ndarray:
@@ -341,11 +318,35 @@ def from_band_spectrum(spec: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def laplacian_values(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    """Sum of repeated spectral partials over all axes: one real-FFT round
-    trip with the cached -|k|^2 symbol."""
-    spec = half_spectrum(values, grid)
-    spec *= _laplacian_symbol(grid.dims, grid.lengths)
-    return from_half_spectrum(spec, grid)
+    """Sum of repeated spectral partials over all axes, -k^2 (Nyquist kept)
+    on each in turn, summed through one scratch buffer; a dense axis maps
+    lines constant along it to exactly 0."""
+    out = _axis_apply(values, grid, 0, np.empty(values.shape), "lap")
+    buf = np.empty(values.shape)
+    for axis in range(1, grid.rank):
+        out += _axis_apply(values, grid, axis, buf, "lap")
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _helmholtz_symbol(dims: tuple, lengths: tuple) -> np.ndarray:
+    """1 + |k|^2, the symbol of 1 - Lap, on the rfftn half spectrum (the last
+    axis's `_wavenumbers`, Nyquist kept)."""
+    ks = [np.fft.fftfreq(n, 1.0 / n) * (TWO_PI / L)
+          for n, L in zip(dims[:-1], lengths[:-1])]
+    ks.append(_wavenumbers(dims[-1], lengths[-1], True))
+    total = 1.0 + sum(k ** 2 for k in np.meshgrid(*ks, indexing="ij", sparse=True))
+    total.setflags(write=False)
+    return total
+
+
+def helmholtz_solve(values: np.ndarray, grid: PeriodicGrid, c0: float) -> np.ndarray:
+    """(c0 (1 - Lap))^{-1} on `values` (grid axes only), which does not
+    factor by axis: one rfftn/irfftn round trip with the cached symbol."""
+    axes = tuple(range(grid.rank))
+    spec = np.fft.rfftn(values, axes=axes)
+    spec /= c0 * _helmholtz_symbol(grid.dims, grid.lengths)
+    return np.fft.irfftn(spec, s=grid.dims, axes=axes)
 
 
 @dataclass

@@ -15,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import calculus, forms
-from .calculus import OneForm
+from . import forms
 from .forms import COMPONENT_PAIRS, PAIR_INDEX, TwoForm
 from .grid import (TWO_PI, PeriodicGrid, ScalarField, _band_modes, _wavenumbers,
-                   band_spectrum, exp_values, from_band_spectrum)
+                   band_spectrum, deriv_values, exp_values, from_band_spectrum)
 
 # Fewest points of the 1D grid on which the counterexample's profiles are built.
 MIN_N1D = 512
@@ -121,17 +120,20 @@ class CounterexampleScenario:
 
         Built as omega + f dx1^dx3 + d(h e dx4), with e' = c: f dx1^dx3 is
         closed (f depends on x1 alone) and exact (f is mean-free), so the
-        form is closed to rounding and in [omega].  u = 1 - f h c takes f
-        as sampled, so u(t=0) = 1 exactly at the nodes, where f h = 0.
+        form is closed to rounding and in [omega].  h e depends on x1, x2
+        alone, so d(h e dx4) takes only its d_1 and d_2.  u = 1 - f h c takes
+        f as sampled, so u(t=0) = 1 exactly at the nodes, where f h = 0.
         """
         nx = nx or self.grid1d.dims[0]
         f, h = counterexample_profiles(PeriodicGrid((nx,)), t)
         grid4 = PeriodicGrid((nx, ny) + tuple(dims34))
         y = np.arange(ny) * TWO_PI / ny
         e_vals = -self.A0 * np.exp(-t) * np.cos(y)  # antiderivative of c
-        theta = OneForm.zero(grid4)
-        theta.comps[3] = (h.values[:, None] * e_vals[None, :])[:, :, None, None]
-        comps = forms.omega(grid4).comps + calculus.d_one(theta).comps
+        theta4 = np.broadcast_to(
+            (h.values[:, None] * e_vals[None, :])[:, :, None, None], grid4.dims)
+        comps = forms.omega(grid4).comps
+        for a in (0, 1):
+            comps[PAIR_INDEX[(a, 3)]] += deriv_values(theta4, grid4, a)
         comps[PAIR_INDEX[(0, 2)]] += f.values[:, None, None, None]
         return TwoForm(grid4, comps)
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .forms import require_above_floor
-from .grid import (ScalarField, _laplacian_symbol, deriv_values,
-                   from_half_spectrum, half_spectrum)
+from .grid import ScalarField, deriv_values, helmholtz_solve
 
 # Fraction of the preconditioned residual added per pseudo-time iteration.
 DAMPING = 0.5
@@ -73,7 +72,6 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000):
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = p.a.grid
-    one_minus_lap = 1.0 - _laplacian_symbol(grid.dims, grid.lengths)
     a = p.a.values.copy()
     best = a.copy()
     best_norm = np.inf
@@ -88,9 +86,7 @@ def solve_soliton(p: SolitonProblem, tol: float = 1e-7, max_iter: int = 200000):
             return ScalarField(grid, a), norm
         c0 = float((1.0 / np.sqrt(a)).max())
         rhs = res - res.mean()
-        update = from_half_spectrum(
-            half_spectrum(rhs, grid) / (c0 * one_minus_lap), grid)
-        a = a + DAMPING * update
+        a = a + DAMPING * helmholtz_solve(rhs, grid, c0)
     err = NoConvergence(
         f"no steady state within {max_iter} iterations; best sup-residual "
         f"{best_norm:.3g} (tol {tol:.3g})")

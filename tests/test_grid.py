@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from hodgeflow.grid import (DENSE_MAX, PeriodicGrid, ScalarField, _diff_matrix,
-                            _laplacian_symbol, deriv_values, exp_values,
-                            from_half_spectrum, gradient_values, half_spectrum,
-                            integrate, laplacian_values)
+                            deriv_values, exp_values, gradient_values,
+                            helmholtz_solve, integrate, laplacian_values)
 
 from conftest import fourier_d2_matrix, traced_peak
 
@@ -86,18 +85,57 @@ def test_rfft_nyquist_convention(n):
 
 @pytest.mark.parametrize("n", [8, 64, 512])
 @pytest.mark.parametrize("lead", [(), (1,), (3, 2)])
-def test_rank1_multiplier_equals_the_rfftn_round_trip(n, lead):
-    # the rank-1 rfft/irfft halves are the rfftn/irfftn ones, bit for bit
+def test_rank1_laplacian_matches_the_rfft_pair(n, lead):
+    # past DENSE_MAX the Laplacian is rfft, -k^2 (Nyquist kept) and irfft,
+    # bit for bit; on a dense axis it is that pair's matrix, to rounding,
+    # and it maps constants to exactly 0
     grid = PeriodicGrid((n,), (3.0,))
     vals = np.random.default_rng(n).standard_normal(lead + grid.dims)
-    symbol = _laplacian_symbol(grid.dims, grid.lengths)
-    axes = (vals.ndim - 1,)
-    spec = np.fft.rfftn(vals, axes=axes)
-    assert np.array_equal(half_spectrum(vals, grid), spec)
-    assert np.array_equal(from_half_spectrum(spec, grid),
-                          np.fft.irfftn(spec, s=grid.dims, axes=axes))
-    want = np.fft.irfftn(spec * symbol, s=grid.dims, axes=axes)
-    assert np.array_equal(laplacian_values(vals, grid), want)
+    k = np.fft.rfftfreq(n, 1.0 / n) * (2.0 * np.pi / 3.0)
+    want = np.fft.irfft(np.fft.rfft(vals) * -k ** 2, n=n)
+    got = laplacian_values(vals, grid)
+    if n > DENSE_MAX:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        const = np.broadcast_to(vals[..., :1], vals.shape)
+        assert not laplacian_values(const, grid).any()
+
+
+@pytest.mark.parametrize("grid,lead", [
+    (PeriodicGrid((DENSE_MAX, DENSE_MAX)), ()),
+    (PeriodicGrid((8, 8, 8, 8), (2 * np.pi, 3.0, 1.0, 5.5)), (6,)),
+    # a 5-factor axis, on which an rfftn round trip leaves rounding
+    (PeriodicGrid((18, 10), (1.0, 2.0)), (3,)),
+], ids=["128^2", "8^4-form", "18x10"])
+def test_dense_laplacian_maps_constant_lines_to_exactly_zero(grid, lead):
+    rng = np.random.default_rng(11)
+    shape = lead + grid.dims
+    const = np.broadcast_to(rng.standard_normal(lead + (1,) * grid.rank), shape)
+    assert not laplacian_values(const, grid).any()
+    for axis in range(grid.rank):
+        # random across the other axes, constant along this one: the axis
+        # adds exactly 0, so its period cannot move a bit of the result
+        line = list(shape)
+        line[len(lead) + axis] = 1
+        along = np.broadcast_to(rng.standard_normal(line), shape)
+        lengths = list(grid.lengths)
+        lengths[axis] *= 1.7
+        stretched = PeriodicGrid(grid.dims, tuple(lengths))
+        lap = laplacian_values(along, grid)
+        assert lap.any()
+        assert np.array_equal(lap, laplacian_values(along, stretched))
+
+
+def test_helmholtz_solve_is_one_rfftn_round_trip():
+    grid = PeriodicGrid((16, 12), (2 * np.pi, 3.0))
+    vals = np.random.default_rng(4).standard_normal(grid.dims)
+    kx = np.fft.fftfreq(16, 1.0 / 16)  # period 2 pi
+    ky = np.fft.rfftfreq(12, 1.0 / 12) * (2.0 * np.pi / 3.0)
+    symbol = 1.0 + (kx[:, None] ** 2 + ky[None, :] ** 2)
+    want = np.fft.irfftn(np.fft.rfftn(vals) / (0.7 * symbol), s=grid.dims,
+                         axes=(0, 1))
+    assert np.array_equal(helmholtz_solve(vals, grid, 0.7), want)
 
 
 @pytest.mark.parametrize("grid", [
@@ -124,10 +162,21 @@ def test_dense_axes_map_constants_to_exactly_zero(grid):
 @pytest.mark.parametrize("n", [8, 16, 24, 32, DENSE_MAX])
 @pytest.mark.parametrize("length", [2 * np.pi, 3.0])
 def test_diff_matrix_is_exactly_antisymmetric(n, length):
-    D = _diff_matrix(n, length)
+    D = _diff_matrix(n, length, "d")
     assert D.shape == (n, n)
     assert np.array_equal(D.T, -D)
     assert not np.diag(D).any()
+
+
+@pytest.mark.parametrize("n", [8, 24, DENSE_MAX])
+@pytest.mark.parametrize("length", [2 * np.pi, 3.0])
+def test_laplacian_matrix_is_the_closed_form_d2(n, length):
+    # the dense Laplacian is the transformed identity, exactly symmetric,
+    # against Trefethen's closed-form second-derivative matrix
+    L = _diff_matrix(n, length, "lap")
+    assert np.array_equal(L.T, L)
+    want = fourier_d2_matrix(n, length)
+    assert np.abs(L - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("grid", [PeriodicGrid((16, 8, 8, 24)),
@@ -153,7 +202,7 @@ def _single_product(values, grid, axis):
     lines minus their first sample, reshaped to (n, rest), times the matrix
     (rows times the transpose when the axis is the last)."""
     n = grid.dims[axis]
-    D = _diff_matrix(n, grid.lengths[axis])
+    D = _diff_matrix(n, grid.lengths[axis], "d")
     out = np.empty(values.shape)
     for c in np.ndindex(values.shape[:values.ndim - grid.rank]):
         lines = values[c] - values[c][(slice(None),) * axis + (slice(0, 1),)]
@@ -335,7 +384,7 @@ def test_exp_values_is_expm_of_the_axis_operators(n, length):
     # D2 the closed-form Laplacian matrix: the kernel applied to the identity
     # (rows as components) against scipy's expm
     grid = PeriodicGrid((n,), (length,))
-    D = _diff_matrix(n, length)
+    D = _diff_matrix(n, length, "d")
     for s in EXP_STEPS:
         dd = exp_values(np.eye(n), grid, s, nyquist=False)
         lap = exp_values(np.eye(n), grid, s, nyquist=True)
@@ -362,7 +411,7 @@ def test_exp_values_is_one_factor_per_axis(grid, nyquist):
     s = 1e-3
     want = vals
     for axis, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
-        D = _diff_matrix(n, length)
+        D = _diff_matrix(n, length, "d")
         L = fourier_d2_matrix(n, length) if nyquist else D @ D
         want = np.moveaxis(np.tensordot(expm(s * L), want, axes=(1, axis + 1)),
                            0, axis + 1)

@@ -8,8 +8,9 @@ call is a second API; its independent derivation belongs in the tests, as an
 oracle.  The u-floor is read by one function only, no function takes the
 floor or a record constant as a parameter, and no module imports a name it
 never reads.  The pointwise inner product is written once, as `forms.dot`,
-and the differentiation, exponential and band matrices are read by the one
-derivative kernel, the one exponential and the one band transform pair."""
+the differentiation (D and the Laplacian) and exponential matrices are read
+by the one per-axis operator and the band matrices by the one band transform
+pair, and only the soliton's solve takes an n-D transform."""
 
 import ast
 import re
@@ -220,8 +221,9 @@ def _name_sites(name: str) -> list:
 
 def test_only_the_per_axis_apply_reads_the_axis_matrices():
     # one per-axis spectral operator and one band-limited transform pair:
-    # the cached matrices grid._diff_matrix and grid._exp_matrix are read
-    # only inside grid._axis_apply, behind deriv_values and exp_values
+    # the cached matrices grid._diff_matrix (D, -D and the Laplacian) and
+    # grid._exp_matrix are read only inside grid._axis_apply, behind
+    # deriv_values, laplacian_values and exp_values, which each call it
     # (_diff_matrix also inside itself, for the negation it caches), and
     # grid._band_matrices only inside grid.band_spectrum and
     # grid.from_band_spectrum, so every caller goes through the kernels,
@@ -237,3 +239,23 @@ def test_only_the_per_axis_apply_reads_the_axis_matrices():
                            + ", ".join(sites))
         readers = {s[:2] for s in _name_sites(matrix)}
         assert all(("grid", k) in readers for k in kernels), matrix
+    callers = {s[:2] for s in _name_sites("_axis_apply")}
+    for use in ("deriv_values", "laplacian_values", "exp_values"):
+        assert ("grid", use) in callers, f"grid.{use} skips _axis_apply"
+
+
+N_D_TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2",
+                  "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def test_only_the_soliton_solve_takes_an_n_d_transform():
+    # every constant-coefficient operator but (c0 (1 - Lap))^{-1} factors by
+    # axis and goes through grid._axis_apply; that inverse does not, so
+    # grid.helmholtz_solve, its one caller's solve, is the one n-D transform
+    owner = ("grid", "helmholtz_solve")
+    sites = [f"{module}.py:{line} {name}" for name in N_D_TRANSFORMS
+             for module, where, line in _name_sites(name)
+             if (module, where) != owner]
+    assert not sites, "n-D transform outside helmholtz_solve: " + ", ".join(sites)
+    for name in ("rfftn", "irfftn"):
+        assert owner in {s[:2] for s in _name_sites(name)}, name
